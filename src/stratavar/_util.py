@@ -1,12 +1,11 @@
 """Shared plumbing: RNG handling, chunked parallel maps, float formatting."""
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-
-SeedLike = "int | np.random.Generator | np.random.SeedSequence | None"
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -25,15 +24,27 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(chunk_index)]))
 
 
+def effective_workers(threads: int | None, n_chunks: int, cpu_count: int | None) -> int:
+    """Worker processes worth starting: min(threads, n_chunks, cpu_count), at least 1.
+
+    An unknown ``cpu_count`` (None) counts as one CPU.
+    """
+    if threads is None:
+        return 1
+    return max(1, min(int(threads), int(n_chunks), cpu_count or 1))
+
+
 def map_chunks(fn: Callable, args_list: Sequence, threads: int = 1) -> list:
     """Apply ``fn`` to each element of ``args_list``, optionally in worker processes.
 
-    Results come back in submission order regardless of ``threads``, so any
-    downstream reduction is deterministic.
+    The pool never holds more workers than there are chunks or CPUs (see
+    :func:`effective_workers`). Results come back in submission order
+    regardless of ``threads``, so any downstream reduction is deterministic.
     """
-    if threads is None or threads <= 1 or len(args_list) <= 1:
+    workers = effective_workers(threads, len(args_list), os.cpu_count())
+    if workers <= 1:
         return [fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=int(threads)) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list))
 
 

@@ -108,6 +108,11 @@ class BlockDesign:
         return self.sizes - self.treated_counts
 
     @cached_property
+    def unit_starts(self) -> np.ndarray:
+        """Offset of each block's first unit in the concatenated unit arrays."""
+        return np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
+
+    @cached_property
     def covariate_dim(self) -> int:
         """Number of unit-level covariates (0 when none were supplied)."""
         first = self.blocks[0].covariates if self.blocks else None

@@ -20,6 +20,10 @@ class ParseError(InputError):
     """A CSV cell or row could not be parsed."""
 
 
+class NonFiniteResponse(InputError):
+    """An observed response is NaN or infinite."""
+
+
 class SchemaError(InputError):
     """A file's column layout does not match the experiment schema."""
 

@@ -21,8 +21,9 @@ are nonnegative up to round-off; results are clamped at zero.
 """
 from __future__ import annotations
 
+import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.stats
@@ -40,11 +41,12 @@ from .errors import (
     EstimatorWarning,
     InputError,
     InvalidAlpha,
+    NonFiniteResponse,
     NotCoarse,
     TooFewBlocks,
     UnequalBlocks,
 )
-from .projection import QMatrix, build_q1, psi_matrices
+from .projection import QMatrix, build_q1
 
 WEIGHT_EQUAL_ATOL = 1e-9
 
@@ -75,47 +77,71 @@ class BlockEffects:
 
 
 def block_effects(design: BlockDesign, data: AssignmentAndOutcomes) -> BlockEffects:
-    """Treated-minus-control means and within-arm sample variances per block."""
-    if len(data.assignment.z) != design.n_blocks or len(data.responses) != design.n_blocks:
-        raise DimensionMismatch(
-            f"data covers {len(data.responses)} blocks, design has {design.n_blocks}"
-        )
+    """Treated-minus-control means and within-arm sample variances per block.
+
+    Works on the concatenated unit arrays: every per-block sum is one
+    ``np.add.reduceat``. Variances are sums of squared deviations from the
+    arm means (two passes, as ``np.var`` computes them). Non-finite
+    responses raise NonFiniteResponse.
+    """
     b = design.n_blocks
-    tau = np.empty(b)
-    m1 = np.empty(b)
-    m0 = np.empty(b)
-    v1 = np.full(b, np.nan)
-    v0 = np.full(b, np.nan)
-    for i, blk in enumerate(design.blocks):
-        z = np.asarray(data.assignment.z[i], dtype=np.int64)
-        r = np.asarray(data.responses[i], dtype=float)
-        if z.shape[0] != blk.n or r.shape[0] != blk.n:
-            raise DimensionMismatch(
-                f"block {blk.block_id!r}: got {z.shape[0]} indicators and {r.shape[0]} "
-                f"responses for n={blk.n}"
-            )
-        if int(z.sum()) != blk.n_treated:
-            raise DimensionMismatch(
-                f"block {blk.block_id!r}: assignment treats {int(z.sum())} units, "
-                f"design says {blk.n_treated}"
-            )
-        rt = r[z == 1]
-        rc = r[z == 0]
-        m1[i] = rt.mean()
-        m0[i] = rc.mean()
-        tau[i] = m1[i] - m0[i]
-        if rt.size >= 2:
-            v1[i] = rt.var(ddof=1)
-        if rc.size >= 2:
-            v0[i] = rc.var(ddof=1)
+    if len(data.assignment.z) != b or len(data.responses) != b:
+        raise DimensionMismatch(
+            f"data covers {len(data.responses)} blocks, design has {b}"
+        )
+    sizes = design.sizes
+    z_lens = np.fromiter(map(len, data.assignment.z), dtype=np.int64, count=b)
+    r_lens = np.fromiter(map(len, data.responses), dtype=np.int64, count=b)
+    misaligned = (z_lens != sizes) | (r_lens != sizes)
+    if misaligned.any():
+        i = int(np.argmax(misaligned))
+        blk = design.blocks[i]
+        raise DimensionMismatch(
+            f"block {blk.block_id!r}: got {z_lens[i]} indicators and {r_lens[i]} "
+            f"responses for n={blk.n}"
+        )
+    starts = design.unit_starts
+    z = np.fromiter(
+        itertools.chain.from_iterable(data.assignment.z), dtype=np.int64, count=design.n_units
+    )
+    n1 = design.treated_counts
+    n0 = design.control_counts
+    treated_sums = np.add.reduceat(z, starts)
+    wrong = treated_sums != n1
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        blk = design.blocks[i]
+        raise DimensionMismatch(
+            f"block {blk.block_id!r}: assignment treats {int(treated_sums[i])} units, "
+            f"design says {blk.n_treated}"
+        )
+    r = np.concatenate(data.responses)
+    finite = np.isfinite(r)
+    if not finite.all():
+        i = int(np.searchsorted(starts, np.argmin(finite), side="right")) - 1
+        raise NonFiniteResponse(
+            f"block {design.blocks[i].block_id!r}: responses contain non-finite values"
+        )
+    t = z == 1
+    # r - r_t is r on control units and exactly zero on treated ones
+    r_t = np.where(t, r, 0.0)
+    m1 = np.add.reduceat(r_t, starts) / n1
+    m0 = np.add.reduceat(r - r_t, starts) / n0
+    dev = r - np.where(t, np.repeat(m1, sizes), np.repeat(m0, sizes))
+    sq = dev * dev
+    sq_t = np.where(t, sq, 0.0)
+    v1 = np.add.reduceat(sq_t, starts) / np.maximum(n1 - 1, 1)
+    v0 = np.add.reduceat(sq - sq_t, starts) / np.maximum(n0 - 1, 1)
+    v1[n1 < 2] = np.nan
+    v0[n0 < 2] = np.nan
     return BlockEffects(
-        tau_hat=tau,
+        tau_hat=m1 - m0,
         mean_treated=m1,
         mean_control=m0,
         var_treated=v1,
         var_control=v0,
-        n_treated=design.treated_counts.copy(),
-        n_control=design.control_counts.copy(),
+        n_treated=n1.copy(),
+        n_control=n0.copy(),
     )
 
 
@@ -186,18 +212,15 @@ def var_s1(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
     """
     w = _check_q(effects, w, q)
     y = effects.tau_hat / np.sqrt(1.0 - q.leverages)
-    v = w * y
-    resid = v - q.hat @ v
+    resid = q.residual(w * y)
     return clamp_variance(float(resid @ resid) / effects.n_blocks**2)
 
 
 def var_s2(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
     """Projection estimator with squared residuals reweighted by 1/(1-h)^2."""
     w = _check_q(effects, w, q)
-    psi = psi_matrices(q).psi
-    v = w * effects.tau_hat
-    resid = v - q.hat @ v
-    return clamp_variance(float(np.sum(resid**2 * psi)) / effects.n_blocks**2)
+    resid = q.residual(w * effects.tau_hat)
+    return clamp_variance(float(np.sum(resid**2 * q.psi)) / effects.n_blocks**2)
 
 
 def var_s3(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
@@ -214,10 +237,8 @@ def var_s3(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
             EstimatorWarning,
             stacklevel=2,
         )
-    psi_tilde = psi_matrices(q).psi_tilde
-    v = w * effects.tau_hat
-    resid = v - q.hat @ v
-    return clamp_variance(float(np.sum(resid**2 * psi_tilde)) / effects.n_blocks**2)
+    resid = q.residual(w * effects.tau_hat)
+    return clamp_variance(float(np.sum(resid**2 * q.psi_tilde)) / effects.n_blocks**2)
 
 
 def confidence_interval(delta_hat: float, s2: float, alpha: float) -> tuple[float, float]:

@@ -2,13 +2,14 @@
 
 One row per unit with columns ``block_id, unit_id, treated, response`` and
 optional covariates ``x1..xK`` (contiguously numbered). ``treated`` must be
-0 or 1; ``response`` may be empty on every row (a design-only file) but not
-on some rows only. Blocks are ordered by first appearance, units within a
-block likewise.
+0 or 1; ``response`` must be a finite number, and may be empty on every row
+(a design-only file) but not on some rows only. Blocks are ordered by first
+appearance, units within a block likewise.
 """
 from __future__ import annotations
 
 import csv
+import math
 import re
 from pathlib import Path
 
@@ -86,6 +87,8 @@ def ingest_csv(path) -> tuple[BlockDesign, AssignmentAndOutcomes | None]:
                     resp = float(resp_raw)
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: response {resp_raw!r} is not a number")
+                if not math.isfinite(resp):
+                    raise ParseError(f"{path}:{lineno}: response {resp_raw!r} is not finite")
             covs = []
             for name in xnames:
                 raw = (row.get(name) or "").strip()

@@ -27,7 +27,7 @@ import scipy.linalg
 
 from ._util import chunk_rng, map_chunks
 from .design import AssignmentAndOutcomes, BlockDesign, block_weights, n_assignments
-from .errors import BadQPair, ZeroDenominator
+from .errors import BadQPair, InputError, ZeroDenominator
 from .estimators import block_effects
 from .projection import QMatrix
 
@@ -91,7 +91,7 @@ def f_statistic(tau_hat: np.ndarray, w: np.ndarray, q2: QMatrix) -> float:
     df_den = b - q2.rank
     v = w * tau_hat
     num = float(np.sum((qm.T @ v) ** 2))
-    resid = v - q2.hat @ v
+    resid = q2.residual(v)
     den = float(resid @ resid)
     if den <= DENOMINATOR_TOL * float(v @ v):
         raise ZeroDenominator("residual sum of squares beyond the basis is zero")
@@ -102,16 +102,21 @@ def _f_values(
     t_mat: np.ndarray,
     w: np.ndarray,
     qm: np.ndarray,
-    hat: np.ndarray,
+    basis: np.ndarray,
     df_den: int,
     k: int,
 ) -> np.ndarray:
-    """F for each row of a (draws, B) matrix of block effects; inf on zero residual."""
+    """F for each row of a (draws, B) matrix of block effects; inf on zero residual.
+
+    ``qm`` and ``basis`` are the B x K and B x L orthonormal factors of the
+    covariate block and of the full basis, so each row costs O(B (K + L)).
+    """
     v = t_mat * w
     num = np.square(v @ qm).sum(axis=1)
-    resid = v - v @ hat
-    den = np.square(resid).sum(axis=1)
-    scale = np.square(v).sum(axis=1)
+    resid = (v @ basis) @ basis.T
+    resid -= v  # H v - v: only its square norm is used
+    den = np.einsum("ij,ij->i", resid, resid)
+    scale = np.einsum("ij,ij->i", v, v)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = (num / den) * (df_den / k)
     f[den <= DENOMINATOR_TOL * scale] = np.inf
@@ -128,17 +133,17 @@ def _block_option_values(r: np.ndarray, k: int) -> np.ndarray:
 
 
 def _exact_chunk(args) -> tuple[int, int]:
-    start, stop, options, strides, counts, w, qm, hat, df_den, k, thresh = args
+    start, stop, options, strides, counts, w, qm, basis, df_den, k, thresh = args
     flat = np.arange(start, stop, dtype=np.int64)
     t_mat = np.empty((flat.shape[0], len(options)))
     for i, opts in enumerate(options):
         t_mat[:, i] = opts[(flat // strides[i]) % counts[i]]
-    f = _f_values(t_mat, w, qm, hat, df_den, k)
+    f = _f_values(t_mat, w, qm, basis, df_den, k)
     return int(np.sum(f >= thresh)), flat.shape[0]
 
 
 def _mc_chunk(args) -> tuple[int, int]:
-    seed, chunk_index, m, blocks, w, qm, hat, df_den, k, thresh = args
+    seed, chunk_index, m, blocks, w, qm, basis, df_den, k, thresh = args
     rng = chunk_rng(seed, chunk_index)
     t_mat = np.empty((m, len(blocks)))
     for i, (r, n, kt) in enumerate(blocks):
@@ -147,7 +152,7 @@ def _mc_chunk(args) -> tuple[int, int]:
         tsum = r[treated].sum(axis=1)
         total = float(r.sum())
         t_mat[:, i] = tsum / kt - (total - tsum) / (n - kt)
-    f = _f_values(t_mat, w, qm, hat, df_den, k)
+    f = _f_values(t_mat, w, qm, basis, df_den, k)
     return int(np.sum(f >= thresh)), m
 
 
@@ -166,8 +171,11 @@ def permutation_test(
     with the add-one convention. Ties count in favor of the null. A
     degenerate observed statistic (zero residual beyond the basis) is
     treated as infinite, so its p-value counts only the replays that are
-    themselves degenerate, and a note records the condition.
+    themselves degenerate, and a note records the condition. Raises
+    InputError when ``max_draws`` is below one.
     """
+    if max_draws < 1:
+        raise InputError(f"max_draws must be at least 1, got {max_draws}")
     w = block_weights(design)
     effects = block_effects(design, data)
     qm = _covariate_block(q2)
@@ -175,7 +183,7 @@ def permutation_test(
     df_den = design.n_blocks - q2.rank
 
     notes: list[str] = []
-    t = _f_values(effects.tau_hat[None, :], w, qm, q2.hat, df_den, k)[0]
+    t = _f_values(effects.tau_hat[None, :], w, qm, q2.basis, df_den, k)[0]
     if np.isinf(t):
         notes.append(
             "observed residual beyond the basis is zero; p-value is the smallest attainable"
@@ -195,7 +203,7 @@ def permutation_test(
             strides[i] = strides[i + 1] * counts[i + 1]
         starts = list(range(0, total, CHUNK))
         args = [
-            (s, min(s + CHUNK, total), options, strides, counts, w, qm, q2.hat, df_den, k, thresh)
+            (s, min(s + CHUNK, total), options, strides, counts, w, qm, q2.basis, df_den, k, thresh)
             for s in starts
         ]
         results = map_chunks(_exact_chunk, args, threads)
@@ -213,7 +221,7 @@ def permutation_test(
 
     n_chunks = math.ceil(max_draws / CHUNK)
     args = [
-        (seed, c, min(CHUNK, max_draws - c * CHUNK), blocks, w, qm, q2.hat, df_den, k, thresh)
+        (seed, c, min(CHUNK, max_draws - c * CHUNK), blocks, w, qm, q2.basis, df_den, k, thresh)
         for c in range(n_chunks)
     ]
     results = map_chunks(_mc_chunk, args, threads)

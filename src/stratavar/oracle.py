@@ -227,8 +227,7 @@ def expected_bias_s1(truth, w: np.ndarray, q: QMatrix) -> float:
     """
     w = np.asarray(w, dtype=float)
     mu = _effect_means(truth) / np.sqrt(1.0 - q.leverages)
-    v = w * mu
-    resid = v - q.hat @ v
+    resid = q.residual(w * mu)
     return float(resid @ resid) / truth.design.n_blocks**2
 
 
@@ -237,18 +236,19 @@ def expected_bias_s2(truth, w: np.ndarray, q: QMatrix) -> float:
 
     Sum of a cross-leverage term, sum_i w_i^2 var_i sum_{j != i}
     h_ij^2/(1-h_jj)^2, and the quadratic form of the unscaled mean effects
-    through (I-H) Psi (I-H). Both pieces are nonnegative.
+    through (I-H) Psi (I-H). Both pieces are nonnegative. With H = U U',
+    sum_j h_ij^2 psi_j = u_i' (U' Psi U) u_i, an L x L product per block.
     """
     w = np.asarray(w, dtype=float)
     b = truth.design.n_blocks
     var_i = true_block_variance(truth)
-    h2 = q.hat**2
-    inv2 = 1.0 / (1.0 - q.leverages) ** 2
-    cross = h2 @ inv2 - np.diag(h2) * inv2
+    u = q.basis
+    psi = q.psi
+    gram = u.T @ (psi[:, None] * u)
+    cross = np.sum((u @ gram) * u, axis=1) - q.leverages**2 * psi
     term1 = float(np.sum(w**2 * var_i * cross))
-    v = w * _effect_means(truth)
-    resid = v - q.hat @ v
-    term2 = float(np.sum(resid**2 * inv2))
+    resid = q.residual(w * _effect_means(truth))
+    term2 = float(np.sum(resid**2 * psi))
     return (term1 + term2) / b**2
 
 
@@ -268,8 +268,7 @@ def expected_bias_s3(model: CateModel, w: np.ndarray, q: QMatrix) -> float:
     spread = float(var_i.max() - var_i.min())
     if spread > 1e-8 * max(float(np.abs(var_i).max()), 1.0):
         raise PreconditionViolated("s3 bias formula requires homoskedastic block effects")
-    v = model.f_bar
-    resid = v - q.hat @ v
+    resid = q.residual(model.f_bar)
     return float(np.sum(resid**2 / (1.0 - q.leverages))) / model.design.n_blocks**2
 
 
@@ -338,9 +337,9 @@ def empirical_limit_diagnostics(
     w = block_weights(design)
     q1 = build_q1(design)
     q2 = build_q2(design, xbar=xbar, poly_degree=poly_degree)
-    h_m = q2.hat - q1.hat
     v = w * world.tau_bar
-    beta_quadform = float(v @ h_m @ v) / design.n_blocks
+    explained = float(np.sum((q2.basis.T @ v) ** 2) - np.sum((q1.basis.T @ v) ** 2))
+    beta_quadform = explained / design.n_blocks
     effects = block_effects(design, observed_responses(world, assignment))
     gap = design.n_blocks * (var_s1(effects, w, q1) - var_s1(effects, w, q2))
     return LimitDiagnostics(beta_quadform=beta_quadform, basis_gap=gap)

@@ -1,4 +1,4 @@
-"""Covariate bases, hat matrices, and leverages at the block level.
+"""Covariate bases, their orthonormal factors, and leverages at the block level.
 
 The variance estimators project the vector of weighted block effects onto
 the column space of a B x L basis Q. Two standard bases are provided:
@@ -10,11 +10,19 @@ the column space of a B x L basis Q. Two standard bases are provided:
 
 All rank decisions use column-pivoted QR with tolerance
 ``1e-10 * (largest column norm)``.
+
+Every consumer needs only the residual ``v - H v`` and the leverages
+``diag(H)`` of the projector H onto col(Q), never H itself. Both come from
+U, the B x L orthonormal factor of Q: ``H v = U (U' v)`` and
+``h_ii = |u_i|^2``. A ``QMatrix`` therefore stores U and costs O(B L)
+memory and O(B L) time per projection; the dense B x B ``hat`` exists only
+as a lazily built property for callers that ask for it explicitly.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -38,16 +46,22 @@ LEVERAGE_TOL = 1e-10
 class QMatrix:
     """A full-column-rank block-level basis with its projection geometry.
 
-    ``values`` is B x L; ``hat`` is the B x B projection onto col(values);
-    ``leverages`` its diagonal. ``q1_rank`` counts the leading base columns
-    (intercept and, if present, centered weights); ``added_covariate_rank``
-    counts the covariate columns that survived degeneracy and collinearity
-    reduction. ``dropped_columns`` records 0-based indices of the supplied
-    covariate columns that were removed, with human-readable ``notes``.
+    ``values`` is B x L; ``basis`` is a B x L matrix U with orthonormal
+    columns spanning col(values); ``leverages`` are the squared row norms of
+    U, the diagonal of the projector. ``q1_rank`` counts the leading base
+    columns (intercept and, if present, centered weights);
+    ``added_covariate_rank`` counts the covariate columns that survived
+    degeneracy and collinearity reduction. ``dropped_columns`` records
+    0-based indices of the supplied covariate columns that were removed,
+    with human-readable ``notes``.
+
+    Projections go through U in O(B L). ``hat`` builds the dense B x B
+    projector U U' on first access and caches it on the instance; no library
+    path asks for it.
     """
 
     values: np.ndarray
-    hat: np.ndarray
+    basis: np.ndarray
     leverages: np.ndarray
     rank: int
     kind: str
@@ -59,6 +73,32 @@ class QMatrix:
     @property
     def n_blocks(self) -> int:
         return self.values.shape[0]
+
+    def residual(self, v: np.ndarray) -> np.ndarray:
+        """(I - H) v = v - U (U' v) for a length-B vector or a B x K array."""
+        return v - self.basis @ (self.basis.T @ v)
+
+    @cached_property
+    def _one_minus_leverage(self) -> np.ndarray:
+        one_minus = 1.0 - self.leverages
+        if np.any(one_minus <= LEVERAGE_TOL):
+            raise LeverageOne("a leverage is numerically one; reweighting undefined")
+        return one_minus
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        """1/(1-h_ii)^2; raises LeverageOne when a leverage is numerically one."""
+        return 1.0 / self._one_minus_leverage**2
+
+    @cached_property
+    def psi_tilde(self) -> np.ndarray:
+        """1/(1-h_ii); raises LeverageOne when a leverage is numerically one."""
+        return 1.0 / self._one_minus_leverage
+
+    @cached_property
+    def hat(self) -> np.ndarray:
+        """The dense B x B projector U U' (O(B^2) memory)."""
+        return _symmetric_outer(self.basis)
 
 
 @dataclass(frozen=True)
@@ -72,15 +112,21 @@ class PsiMatrices:
     psi_tilde: np.ndarray
 
 
-def hat_and_leverage(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projection matrix and leverages for a full-column-rank basis.
+def _symmetric_outer(u: np.ndarray) -> np.ndarray:
+    hat = u @ u.T
+    return (hat + hat.T) / 2.0
+
+
+def orthonormal_basis(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal factor and leverages for a full-column-rank basis.
 
     Args:
         values: (B, L) array, L >= 1.
 
     Returns:
-        (hat, leverages) where hat is (B, B) symmetric idempotent and
-        leverages = diag(hat).
+        (basis, leverages) where basis is (B, L) with orthonormal columns
+        spanning col(values) and leverages are its squared row norms, the
+        diagonal of the projector onto that span.
 
     Raises:
         RankDeficient: numerical rank below L.
@@ -97,13 +143,21 @@ def hat_and_leverage(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = int(np.sum(np.abs(np.diag(r)) > tol))
     if rank < ncol:
         raise RankDeficient(f"basis has numerical rank {rank} < {ncol} columns")
-    hat = q @ q.T
-    hat = (hat + hat.T) / 2.0
-    lev = np.clip(np.diag(hat).copy(), 0.0, 1.0)
+    lev = np.clip(np.einsum("ij,ij->i", q, q), 0.0, 1.0)
     if np.any(lev >= 1.0 - LEVERAGE_TOL):
         worst = int(np.argmax(lev))
         raise LeverageOne(f"leverage {lev[worst]:.12f} at block index {worst} is numerically one")
-    return hat, lev
+    return q, lev
+
+
+def hat_and_leverage(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense projection matrix and leverages for a full-column-rank basis.
+
+    Same checks as :func:`orthonormal_basis`; the (B, B) projector costs
+    O(B^2) memory, so the library itself never calls this.
+    """
+    u, lev = orthonormal_basis(values)
+    return _symmetric_outer(u), lev
 
 
 def _independent_columns(values: np.ndarray) -> list[int]:
@@ -149,10 +203,10 @@ def build_q1(design: BlockDesign) -> QMatrix:
         raise InsufficientBlocks(
             f"intercept-and-weights basis has {ncol} columns; needs more than {b} blocks"
         )
-    hat, lev = hat_and_leverage(values)
+    u, lev = orthonormal_basis(values)
     return QMatrix(
         values=values,
-        hat=hat,
+        basis=u,
         leverages=lev,
         rank=ncol,
         kind="q1",
@@ -181,26 +235,22 @@ def _expanded_block_means(
                 f"xbar has {x.shape[0]} rows for {design.n_blocks} blocks"
             )
         return np.column_stack([x**p for p in range(1, poly_degree + 1)])
-    per_block = design.block_covariates()
+    units = np.concatenate(design.block_covariates())
     if columns is not None:
         bad = [j for j in columns if not 0 <= j < design.covariate_dim]
         if bad:
             raise DimensionMismatch(
                 f"covariate column indices {bad} out of range for {design.covariate_dim} columns"
             )
-        per_block = [arr[:, list(columns)] for arr in per_block]
-    rows = []
-    for arr in per_block:
-        rows.append(
-            np.concatenate([(arr**p).mean(axis=0) for p in range(1, poly_degree + 1)])
-        )
-    return np.vstack(rows)
+        units = units[:, list(columns)]
+    powers = np.hstack([units**p for p in range(1, poly_degree + 1)])
+    return np.add.reduceat(powers, design.unit_starts, axis=0) / design.sizes[:, None]
 
 
 def build_q2(design: BlockDesign, xbar=None, poly_degree: int = 1, columns=None) -> QMatrix:
     """q1 columns plus weighted covariate block means, orthogonalized against q1.
 
-    The added block M = (I - H_q1) W Xbar keeps the hat matrix identical to the
+    The added block M = (I - H_q1) W Xbar keeps the projector identical to the
     one for [q1, W Xbar] while making the two column groups exactly orthogonal.
     Covariate columns that vanish after weighting and centering are dropped with
     a DegenerateCovariateWarning; collinear survivors are dropped silently into
@@ -219,7 +269,7 @@ def build_q2(design: BlockDesign, xbar=None, poly_degree: int = 1, columns=None)
     w = block_weights(design)
     x = _expanded_block_means(design, xbar, poly_degree, columns)
     raw = w[:, None] * x
-    m = raw - q1.hat @ raw
+    m = q1.residual(raw)
 
     raw_norms = np.linalg.norm(raw, axis=0)
     m_norms = np.linalg.norm(m, axis=0)
@@ -257,10 +307,10 @@ def build_q2(design: BlockDesign, xbar=None, poly_degree: int = 1, columns=None)
             "degree of freedom is required"
         )
     values = np.column_stack([q1.values, m_final])
-    hat, lev = hat_and_leverage(values)
+    u, lev = orthonormal_basis(values)
     return QMatrix(
         values=values,
-        hat=hat,
+        basis=u,
         leverages=lev,
         rank=ncol,
         kind="q2",
@@ -272,8 +322,5 @@ def build_q2(design: BlockDesign, xbar=None, poly_degree: int = 1, columns=None)
 
 
 def psi_matrices(q: QMatrix) -> PsiMatrices:
-    """Leverage reweighting diagonals 1/(1-h)^2 and 1/(1-h) for a basis."""
-    one_minus = 1.0 - q.leverages
-    if np.any(one_minus <= LEVERAGE_TOL):
-        raise LeverageOne("a leverage is numerically one; reweighting undefined")
-    return PsiMatrices(psi=1.0 / one_minus**2, psi_tilde=1.0 / one_minus)
+    """Leverage reweighting diagonals 1/(1-h)^2 and 1/(1-h) for a basis (cached on q)."""
+    return PsiMatrices(psi=q.psi, psi_tilde=q.psi_tilde)

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._util import as_rng, map_chunks
 from .design import BlockDesign, block_weights, sample_assignment
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InputError
 from .hettest import permutation_test
 from .oracle import (
     CateModel,
@@ -181,10 +181,8 @@ def _projection_cells(tau: np.ndarray, w: np.ndarray, q: QMatrix) -> tuple[float
     """(s1, s2, s3) for one vector of block effects, without BlockEffects overhead."""
     b = tau.shape[0]
     one_minus = 1.0 - q.leverages
-    v1 = w * (tau / np.sqrt(one_minus))
-    r1 = v1 - q.hat @ v1
-    v = w * tau
-    r = v - q.hat @ v
+    r1 = q.residual(w * (tau / np.sqrt(one_minus)))
+    r = q.residual(w * tau)
     s1 = float(r1 @ r1) / b**2
     s2 = float(np.sum(r**2 / one_minus**2)) / b**2
     s3 = float(np.sum(r**2 / one_minus)) / b**2
@@ -286,8 +284,12 @@ def run_table1(
     """Monte Carlo means of the nine projection estimator cells plus targets.
 
     With ``collect_raw`` the result keeps the per-replicate values as well,
-    one row per replicate with columns ``TABLE1_RAW_COLUMNS``.
+    one row per replicate with columns ``TABLE1_RAW_COLUMNS``. Raises
+    InputError for fewer than two replicates, which leave the across-worlds
+    variance undefined.
     """
+    if reps < 2:
+        raise InputError(f"reps must be at least 2, got {reps}")
     if config is None:
         config = FriedmanConfig(n_blocks=100, a=2.0, b=2.0)
     ctx = _sim_context(config)
@@ -353,7 +355,7 @@ DEFAULT_A_GRID = (1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
 
 
 def _power_chunk(args) -> dict:
-    seed, a_index, a, rep_start, count, config, qspecs, max_draws, alpha = args
+    seed, a_index, a, rep_start, count, config, qspecs, max_draws = args
     cfg = FriedmanConfig(
         n_blocks=config.n_blocks,
         a=a,
@@ -394,14 +396,17 @@ def run_power_curve(
     The config's ``a`` is overridden by each grid value; defaults follow the
     twenty-block study (eight triplets, twelve pairs, unit noise). With
     ``collect_raw`` every row also carries the per-replicate p-values.
+    Raises InputError for fewer than one replicate.
     """
+    if reps < 1:
+        raise InputError(f"reps must be at least 1, got {reps}")
     if config is None:
         config = FriedmanConfig(n_blocks=20, a=1.0, b=1.0)
     rows = []
     for a_index, a in enumerate(a_grid):
         starts = list(range(0, reps, REP_CHUNK))
         args = [
-            (seed, a_index, float(a), s, min(REP_CHUNK, reps - s), config, tuple(qspecs), max_draws, alpha)
+            (seed, a_index, float(a), s, min(REP_CHUNK, reps - s), config, tuple(qspecs), max_draws)
             for s in starts
         ]
         parts = map_chunks(_power_chunk, args, threads)

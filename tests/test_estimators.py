@@ -16,6 +16,7 @@ from stratavar import (
     InputError,
     LeverageOne,
     InvalidAlpha,
+    NonFiniteResponse,
     NotCoarse,
     TooFewBlocks,
     UnequalBlocks,
@@ -108,6 +109,52 @@ def test_block_effects_validates_alignment():
     )
     with pytest.raises(DimensionMismatch):
         block_effects(design, ragged)
+
+
+def _block_effects_loop(design, data):
+    """Per-block reference: np.mean and np.var(ddof=1) on each arm."""
+    rows = []
+    for z, r in zip(data.assignment.z, data.responses):
+        z = np.asarray(z)
+        rt, rc = r[z == 1], r[z == 0]
+        rows.append(
+            (
+                rt.mean(),
+                rc.mean(),
+                rt.var(ddof=1) if rt.size >= 2 else np.nan,
+                rc.var(ddof=1) if rc.size >= 2 else np.nan,
+            )
+        )
+    return np.array(rows).T
+
+
+def test_block_effects_matches_the_per_block_loop():
+    rng = np.random.default_rng(404)
+    for _ in range(20):
+        sizes = rng.integers(2, 12, size=int(rng.integers(2, 40)))
+        treated = np.array([rng.integers(1, n) for n in sizes])
+        design = BlockDesign.from_sizes(sizes, treated)
+        assignment = sample_assignment(design, rng)
+        scale = 10.0 ** rng.integers(-3, 6)
+        responses = tuple(scale * (rng.normal(size=n) + rng.normal(5.0, 3.0)) for n in sizes)
+        data = AssignmentAndOutcomes(assignment=assignment, responses=responses)
+        eff = block_effects(design, data)
+        m1, m0, v1, v0 = _block_effects_loop(design, data)
+        for got, want in ((eff.mean_treated, m1), (eff.mean_control, m0), (eff.tau_hat, m1 - m0)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+        for got, want in ((eff.var_treated, v1), (eff.var_control, v0)):
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale**2)
+
+
+def test_block_effects_rejects_non_finite_responses():
+    design, data = _pair_data([1.0, 2.0, 3.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        responses = (data.responses[0], np.array([bad, 0.0]), data.responses[2])
+        broken = AssignmentAndOutcomes(assignment=data.assignment, responses=responses)
+        with pytest.raises(NonFiniteResponse, match="block '2'"):
+            block_effects(design, broken)
+    assert issubclass(NonFiniteResponse, InputError)
 
 
 def test_estimate_ate_weighted():

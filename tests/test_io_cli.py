@@ -17,6 +17,7 @@ from stratavar import (
     pairs_quartets_study,
     write_experiment_csv,
 )
+from stratavar._util import effective_workers
 from stratavar.cli import main
 
 
@@ -269,6 +270,17 @@ def test_cli_hettest_monte_carlo_and_thread_env(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_worker_count_is_clamped_to_chunks_and_cpus():
+    # arithmetic only: no pool is started here
+    assert effective_workers(64, 3, 2) == 2
+    assert effective_workers(64, 1, 8) == 1
+    assert effective_workers(10**6, 200, 16) == 16
+    assert effective_workers(4, 200, 16) == 4
+    assert effective_workers(4, 200, None) == 1
+    assert effective_workers(None, 10, 8) == 1
+    assert effective_workers(1, 0, 8) == 1
+
+
 # ---------------------------------------------------------------------------
 # command line: simulations
 # ---------------------------------------------------------------------------
@@ -369,3 +381,50 @@ def test_cli_simulate_pate_demo_file(tmp_path, capsys):
     assert set(payload["cells"]) == {"none", "correct", "incorrect"}
     assert set(payload["anticonservative_for_pate"]) == {"none", "correct", "incorrect"}
     assert set(payload["conservative_for_sate"]) == {"none", "correct", "incorrect"}
+
+
+# ---------------------------------------------------------------------------
+# command line: bad values end with exit code 2 and one stderr line
+# ---------------------------------------------------------------------------
+
+
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+def test_cli_non_finite_response_is_a_parse_error(tmp_path, capsys, bad):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(
+        "block_id,unit_id,treated,response\n1,1,1,2.0\n1,2,0,1.0\n2,1,1,"
+        f"{bad}\n2,2,0,0.1\n3,1,1,1.5\n3,2,0,0.2\n"
+    )
+    with pytest.raises(ParseError, match=":4:"):
+        ingest_csv(path)
+    assert main(["analyze", "--csv", str(path)]) == 2
+    assert ":4:" in _one_error_line(capsys)
+
+
+def test_cli_hettest_rejects_negative_max_draws(tmp_path, capsys):
+    path = _write_pairs_csv(tmp_path / "pairs.csv", [0.5, 1.0, 2.5, 1.5, 3.0], x=[1, 2, 3, 4, 5])
+    assert main(["hettest", "--csv", str(path), "--q-spec", "x1", "--max-draws", "-5"]) == 2
+    assert "max_draws" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "study, extra",
+    [
+        ("table1", ["--blocks", "20"]),
+        ("power", ["--blocks", "20", "--a-grid", "1.0"]),
+        ("pate-demo", []),
+    ],
+)
+def test_cli_simulate_rejects_zero_reps(tmp_path, capsys, study, extra):
+    args = ["simulate", study, "--reps", "0", *extra, "--out-dir", str(tmp_path / study)]
+    assert main(args) == 2
+    assert "reps" in _one_error_line(capsys)
+    assert not (tmp_path / study).exists()
