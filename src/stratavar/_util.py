@@ -40,12 +40,15 @@ def map_chunks(fn: Callable, args_list: Sequence, threads: int = 1) -> list:
     The pool never holds more workers than there are chunks or CPUs (see
     :func:`effective_workers`). Results come back in submission order
     regardless of ``threads``, so any downstream reduction is deterministic.
+    Chunks travel to the workers in about four batches per worker, so the
+    arrays that many chunks share are pickled once per batch, not per chunk.
     """
     workers = effective_workers(threads, len(args_list), os.cpu_count())
     if workers <= 1:
         return [fn(a) for a in args_list]
+    batch = -(-len(args_list) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list))
+        return list(pool.map(fn, args_list, chunksize=batch))
 
 
 def fmt_raw(x: float) -> str:

@@ -81,6 +81,8 @@ def _covariate_indices(design: BlockDesign, names: list[str]) -> list[int]:
 
 def _build_qspec(design: BlockDesign, spec: str, poly: int) -> QMatrix:
     """Turn a --q-spec value into a basis: "q1" or comma-separated column names."""
+    if poly < 1:
+        raise InputError(f"--poly must be at least 1, got {poly}")
     if spec == "q1":
         return build_q1(design)
     names = [s.strip() for s in spec.split(",") if s.strip()]

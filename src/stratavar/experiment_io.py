@@ -3,8 +3,9 @@
 One row per unit with columns ``block_id, unit_id, treated, response`` and
 optional covariates ``x1..xK`` (contiguously numbered). ``treated`` must be
 0 or 1; ``response`` must be a finite number, and may be empty on every row
-(a design-only file) but not on some rows only. Blocks are ordered by first
-appearance, units within a block likewise.
+(a design-only file) but not on some rows only. Covariate cells must be
+finite numbers. Blocks are ordered by first appearance, units within a
+block likewise.
 """
 from __future__ import annotations
 
@@ -93,9 +94,12 @@ def ingest_csv(path) -> tuple[BlockDesign, AssignmentAndOutcomes | None]:
             for name in xnames:
                 raw = (row.get(name) or "").strip()
                 try:
-                    covs.append(float(raw))
+                    value = float(raw)
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: column {name} value {raw!r} is not a number")
+                if not math.isfinite(value):
+                    raise ParseError(f"{path}:{lineno}: column {name} value {raw!r} is not finite")
+                covs.append(value)
             if bid not in rows_by_block:
                 block_order.append(bid)
                 rows_by_block[bid] = []

@@ -34,6 +34,8 @@ from .projection import QMatrix
 ORTHOGONALITY_TOL = 1e-8
 DENOMINATOR_TOL = 1e-12
 CHUNK = 8192
+CELLS = 1 << 18  # Monte Carlo chunk budget in draws x B cells: 2 MB per float matrix
+OPTION_CELLS = 256  # largest C(n, k) * k for which a block gets an option table
 
 
 @dataclass(frozen=True)
@@ -83,19 +85,13 @@ def f_statistic(tau_hat: np.ndarray, w: np.ndarray, q2: QMatrix) -> float:
 
     Raises ZeroDenominator when the residual beyond the full basis vanishes.
     """
-    tau_hat = np.asarray(tau_hat, dtype=float)
-    w = np.asarray(w, dtype=float)
+    tau_hat = np.asarray(tau_hat, dtype=float)[None, :]
     qm = _covariate_block(q2)
-    b = q2.n_blocks
     k = q2.added_covariate_rank
-    df_den = b - q2.rank
-    v = w * tau_hat
-    num = float(np.sum((qm.T @ v) ** 2))
-    resid = q2.residual(v)
-    den = float(resid @ resid)
-    if den <= DENOMINATOR_TOL * float(v @ v):
+    f = _f_values(tau_hat, np.asarray(w, dtype=float), qm, q2.basis, q2.n_blocks - q2.rank, k)[0]
+    if np.isinf(f):
         raise ZeroDenominator("residual sum of squares beyond the basis is zero")
-    return (num / den) * (df_den / k)
+    return float(f)
 
 
 def _f_values(
@@ -123,13 +119,47 @@ def _f_values(
     return f
 
 
-def _block_option_values(r: np.ndarray, k: int) -> np.ndarray:
-    """tau_hat of every treated subset of one block, lexicographic subset order."""
-    n = r.shape[0]
-    combos = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
-    tsum = r[combos].sum(axis=1)
-    total = float(r.sum())
-    return tsum / k - (total - tsum) / (n - k)
+def _option_groups(design: BlockDesign, responses, max_cells: float = math.inf) -> list:
+    """Blocks grouped by (size, treated count): ``(idx, kt, r, table)`` per group.
+
+    ``r`` holds the (G, n) responses of blocks ``idx``; row g of the (G, C(n, kt))
+    ``table`` is tau_hat of every treated subset of block idx[g], in lexicographic
+    subset order, or the table is None when C(n, kt) * kt exceeds ``max_cells``.
+    """
+    flat = np.concatenate(responses).astype(float, copy=False)
+    groups = []
+    for n, kt in sorted(set(zip(design.sizes.tolist(), design.treated_counts.tolist()))):
+        idx = np.flatnonzero((design.sizes == n) & (design.treated_counts == kt))
+        r = flat[design.unit_starts[idx, None] + np.arange(n)]
+        table = None
+        if math.comb(n, kt) * kt <= max_cells:
+            combos = np.array(list(itertools.combinations(range(n), kt)), dtype=np.int64)
+            tsum = r[:, combos].sum(axis=2)
+            table = tsum / kt - (r.sum(axis=1, keepdims=True) - tsum) / (n - kt)
+        groups.append((idx, kt, r, table))
+    return groups
+
+
+def _sample_effects(rng: np.random.Generator, groups: list, m: int) -> np.ndarray:
+    """(m, B) block effects of m uniform assignments, columns in group order.
+
+    A tabled block draws a uniform index into its option row; any other block
+    treats the kt units with the smallest uniform keys.
+    """
+    t_mat = np.empty((m, sum(r.shape[0] for _, _, r, _ in groups)))
+    start = 0
+    for _, kt, r, table in groups:
+        g, n = r.shape
+        if table is not None:
+            picks = rng.integers(0, table.shape[1], size=(m, g))
+            picks += np.arange(0, table.size, table.shape[1])
+            t_mat[:, start : start + g] = table.ravel().take(picks)
+        else:
+            treated = np.argpartition(rng.random((m, g, n)), kt - 1, axis=2)[..., :kt]
+            tsum = np.take_along_axis(r[None], treated, axis=2).sum(axis=2)
+            t_mat[:, start : start + g] = tsum / kt - (r.sum(axis=1) - tsum) / (n - kt)
+        start += g
+    return t_mat
 
 
 def _exact_chunk(args) -> tuple[int, int]:
@@ -143,15 +173,8 @@ def _exact_chunk(args) -> tuple[int, int]:
 
 
 def _mc_chunk(args) -> tuple[int, int]:
-    seed, chunk_index, m, blocks, w, qm, basis, df_den, k, thresh = args
-    rng = chunk_rng(seed, chunk_index)
-    t_mat = np.empty((m, len(blocks)))
-    for i, (r, n, kt) in enumerate(blocks):
-        keys = rng.random((m, n))
-        treated = np.argpartition(keys, kth=kt - 1, axis=1)[:, :kt]
-        tsum = r[treated].sum(axis=1)
-        total = float(r.sum())
-        t_mat[:, i] = tsum / kt - (total - tsum) / (n - kt)
+    seed, chunk_index, m, groups, w, qm, basis, df_den, k, thresh = args
+    t_mat = _sample_effects(chunk_rng(seed, chunk_index), groups, m)
     f = _f_values(t_mat, w, qm, basis, df_den, k)
     return int(np.sum(f >= thresh)), m
 
@@ -190,50 +213,37 @@ def permutation_test(
         )
     thresh = t - 1e-12 * abs(t) if np.isfinite(t) else np.inf
 
-    blocks = [
-        (np.asarray(data.responses[i], dtype=float), blk.n, blk.n_treated)
-        for i, blk in enumerate(design.blocks)
-    ]
     total = n_assignments(design)
-    if total <= max_draws:
-        options = [_block_option_values(r, kt) for r, _, kt in blocks]
+    exact = total <= max_draws
+    groups = _option_groups(design, data.responses, math.inf if exact else OPTION_CELLS)
+    order = np.concatenate([idx for idx, *_ in groups])
+    fixed = (w[order], qm[order], q2.basis[order], df_den, k, thresh)
+    if exact:
+        options = [row for *_, table in groups for row in table]
         counts = np.array([o.shape[0] for o in options], dtype=np.int64)
-        strides = np.ones_like(counts)
-        for i in range(len(counts) - 2, -1, -1):
-            strides[i] = strides[i + 1] * counts[i + 1]
-        starts = list(range(0, total, CHUNK))
+        strides = np.append(np.cumprod(counts[:0:-1])[::-1], 1)  # products of later counts
         args = [
-            (s, min(s + CHUNK, total), options, strides, counts, w, qm, q2.basis, df_den, k, thresh)
-            for s in starts
+            (s, min(s + CHUNK, total), options, strides, counts, *fixed)
+            for s in range(0, total, CHUNK)
         ]
         results = map_chunks(_exact_chunk, args, threads)
-        hits = sum(h for h, _ in results)
-        return HetTestResult(
-            f_observed=float(t),
-            p_value=hits / total,
-            draws=total,
-            exact=True,
-            numerator_df=k,
-            denominator_df=df_den,
-            seed=None,
-            notes=tuple(notes),
-        )
-
-    n_chunks = math.ceil(max_draws / CHUNK)
-    args = [
-        (seed, c, min(CHUNK, max_draws - c * CHUNK), blocks, w, qm, q2.basis, df_den, k, thresh)
-        for c in range(n_chunks)
-    ]
-    results = map_chunks(_mc_chunk, args, threads)
+    else:
+        width = design.n_blocks + sum(r.size for _, _, r, table in groups if table is None)
+        rows = max(1, CELLS // width)
+        args = [
+            (seed, c, min(rows, max_draws - c * rows), groups, *fixed)
+            for c in range(math.ceil(max_draws / rows))
+        ]
+        results = map_chunks(_mc_chunk, args, threads)
     hits = sum(h for h, _ in results)
     draws = sum(m for _, m in results)
     return HetTestResult(
         f_observed=float(t),
-        p_value=(1 + hits) / (1 + draws),
+        p_value=hits / draws if exact else (1 + hits) / (1 + draws),
         draws=draws,
-        exact=False,
+        exact=exact,
         numerator_df=k,
         denominator_df=df_den,
-        seed=int(seed),
+        seed=None if exact else int(seed),
         notes=tuple(notes),
     )

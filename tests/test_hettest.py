@@ -1,6 +1,8 @@
 """Partial F statistic and the randomization test for effect heterogeneity."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from stratavar import (
     f_statistic,
     permutation_test,
 )
+from stratavar import hettest
 
 
 def _pairs_with_effects(taus, xbar):
@@ -248,3 +251,109 @@ def test_result_dict_validates_against_shipped_schema():
     design, data, q2 = _pairs_with_effects(x.copy(), x)
     degenerate = permutation_test(design, data, q2)
     jsonschema.validate(degenerate.to_dict(), schema)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo sampler: option tables grouped by (size, treated count)
+# ---------------------------------------------------------------------------
+
+
+def _mixed_experiment(seed):
+    """Blocks of (size, treated) (2, 1), (3, 1), (3, 2) and (4, 2), interleaved."""
+    rng = np.random.default_rng(seed)
+    layout = [(2, 1), (3, 1), (3, 2), (4, 2), (2, 1), (3, 2), (4, 2), (3, 1), (2, 1), (2, 1)]
+    design = BlockDesign.from_sizes([n for n, _ in layout], [k for _, k in layout])
+    z = tuple(tuple(int(j < k) for j in range(n)) for n, k in layout)
+    responses = tuple(rng.normal(size=n) for n, _ in layout)
+    data = AssignmentAndOutcomes(assignment=Assignment(z=z), responses=responses)
+    return design, data
+
+
+@pytest.mark.parametrize("max_cells", [math.inf, 0])
+def test_sampler_draws_every_block_option_uniformly(max_cells):
+    design, data = _mixed_experiment(17)
+    tables = hettest._option_groups(design, data.responses)
+    groups = hettest._option_groups(design, data.responses, max_cells)
+    assert [(idx.tolist(), kt) for idx, kt, *_ in groups] == [
+        ([0, 4, 8, 9], 1), ([1, 7], 1), ([2, 5], 2), ([3, 6], 2)
+    ]
+    assert all((table is None) == (max_cells == 0) for *_, table in groups)
+    m = 30_000
+    t_mat = hettest._sample_effects(np.random.default_rng(5), groups, m)
+    assert t_mat.shape == (m, design.n_blocks)
+    col = 0
+    for (_, kt, r, _), (_, _, _, table) in zip(groups, tables):
+        for g in range(r.shape[0]):
+            options = table[g]
+            c = options.shape[0]
+            assert c == math.comb(r.shape[1], kt)
+            # every drawn effect is one of the block's options, which are distinct here
+            hit = np.isclose(t_mat[:, col][:, None], options[None, :], rtol=0.0, atol=1e-12)
+            assert np.all(hit.sum(axis=1) == 1)
+            counts = hit.sum(axis=0)
+            p = 1.0 / c
+            assert np.all(np.abs(counts - m * p) <= 5.0 * np.sqrt(m * p * (1 - p)))
+            col += 1
+
+
+def test_exact_path_matches_direct_enumeration_on_interleaved_blocks():
+    # blocks of one (size, treated) group are not adjacent, so the grouped
+    # replay order differs from the design order
+    rng = np.random.default_rng(37)
+    layout = [(3, 2), (2, 1), (4, 2), (2, 1), (3, 1), (2, 1), (4, 2), (3, 2)]
+    design = BlockDesign.from_sizes([n for n, _ in layout], [k for _, k in layout])
+    w = block_weights(design)
+    q2 = build_q2(design, xbar=rng.normal(size=(design.n_blocks, 2)))
+    responses = tuple(
+        rng.normal(size=n) + np.arange(n) * i / 4.0 for i, (n, _) in enumerate(layout)
+    )
+    observed = Assignment(z=tuple(tuple(int(j < k) for j in range(n)) for n, k in layout))
+    data = AssignmentAndOutcomes(assignment=observed, responses=responses)
+
+    def f_of(assignment):
+        replay = AssignmentAndOutcomes(assignment=assignment, responses=responses)
+        return f_statistic(block_effects(design, replay).tau_hat, w, q2)
+
+    t = f_of(observed)
+    fs = np.array([f_of(a) for a in enumerate_assignments(design)])
+    result = permutation_test(design, data, q2, max_draws=10_000)
+    assert result.exact and result.draws == fs.size == 3 * 2 * 6 * 2 * 3 * 2 * 6 * 3
+    assert 0.05 < result.p_value < 0.95
+    assert result.p_value == np.mean(fs >= t - 1e-12 * abs(t))
+
+
+@pytest.mark.parametrize("option_cells", [hettest.OPTION_CELLS, 0])
+def test_monte_carlo_agrees_with_exact_enumeration_on_mixed_blocks(monkeypatch, option_cells):
+    rng = np.random.default_rng(23)
+    layout = [(4, 2), (2, 1), (3, 2), (2, 1), (3, 1), (2, 1), (3, 2)]
+    layout += [(4, 2), (3, 1), (2, 1), (3, 1), (3, 2), (2, 1)]
+    design = BlockDesign.from_sizes([n for n, _ in layout], [k for _, k in layout])
+    xbar = np.linspace(0.0, 1.0, design.n_blocks)
+    z = tuple(tuple(int(j < k) for j in range(n)) for n, k in layout)
+    responses = tuple(
+        rng.normal(size=n) + 0.8 * xbar[i] * np.array(zi)
+        for i, (n, zi) in enumerate(zip(design.sizes, z))
+    )
+    data = AssignmentAndOutcomes(assignment=Assignment(z=z), responses=responses)
+    q2 = build_q2(design, xbar=xbar)
+    exact = permutation_test(design, data, q2, max_draws=1_000_000)
+    assert exact.exact and exact.draws == 2**5 * 3**6 * 6**2
+    assert 0.02 < exact.p_value < 0.98
+    # 0 forces every block through the sort-key path instead of its option table
+    monkeypatch.setattr(hettest, "OPTION_CELLS", option_cells)
+    mc = permutation_test(design, data, q2, max_draws=20_000, seed=8)
+    assert not mc.exact and mc.draws == 20_000
+    se = math.sqrt(exact.p_value * (1 - exact.p_value) / mc.draws)
+    assert abs(mc.p_value - exact.p_value) < 5 * se + 1e-4
+
+
+def test_monte_carlo_thread_invariance_across_cell_bounded_chunks():
+    rng = np.random.default_rng(31)
+    b = 600
+    design, data, q2 = _pairs_with_effects(rng.normal(size=b), rng.normal(size=b))
+    rows = hettest.CELLS // b
+    assert math.ceil(1_500 / rows) >= 3
+    one = permutation_test(design, data, q2, max_draws=1_500, seed=2, threads=1)
+    two = permutation_test(design, data, q2, max_draws=1_500, seed=2, threads=2)
+    assert not one.exact and one.draws == two.draws == 1_500
+    assert one.p_value == two.p_value

@@ -409,6 +409,28 @@ def test_cli_non_finite_response_is_a_parse_error(tmp_path, capsys, bad):
     assert ":4:" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+def test_cli_non_finite_covariate_is_a_parse_error(tmp_path, capsys, bad):
+    path = tmp_path / "nonfinite_x.csv"
+    path.write_text(
+        "block_id,unit_id,treated,response,x1\na,1,1,2.0,0.5\na,2,0,1.0,0.5\nb,1,1,1.5,"
+        f"{bad}\nb,2,0,0.1,1.0\nc,1,1,1.5,2.0\nc,2,0,0.2,2.0\n"
+    )
+    with pytest.raises(ParseError, match=":4: column x1"):
+        ingest_csv(path)
+    for command in ("analyze", "hettest"):
+        assert main([command, "--csv", str(path), "--q-spec", "x1"]) == 2
+        assert ":4:" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("poly", ["0", "-1"])
+@pytest.mark.parametrize("command, spec", [("analyze", "x1"), ("analyze", "q1"), ("hettest", "x1")])
+def test_cli_rejects_poly_below_one(tmp_path, capsys, poly, command, spec):
+    path = _write_pairs_csv(tmp_path / "pairs.csv", [0.5, 1.0, 2.5, 1.5, 3.0], x=[1, 2, 3, 4, 5])
+    assert main([command, "--csv", str(path), "--q-spec", spec, "--poly", poly]) == 2
+    assert "--poly" in _one_error_line(capsys)
+
+
 def test_cli_hettest_rejects_negative_max_draws(tmp_path, capsys):
     path = _write_pairs_csv(tmp_path / "pairs.csv", [0.5, 1.0, 2.5, 1.5, 3.0], x=[1, 2, 3, 4, 5])
     assert main(["hettest", "--csv", str(path), "--q-spec", "x1", "--max-draws", "-5"]) == 2

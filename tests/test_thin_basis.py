@@ -140,3 +140,18 @@ def test_twenty_thousand_pairs_run_in_thin_memory(monkeypatch):
     assert peak < 100 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
     assert np.isfinite(report.estimates["s2"])
     assert result.draws == 99
+
+
+def test_monte_carlo_chunks_stay_in_thin_memory_at_twenty_thousand_pairs():
+    design, data = _pairs_with_covariate(20_000, 12)
+    q2 = build_q2(design, poly_degree=1)
+    tracemalloc.start()
+    try:
+        result = permutation_test(design, data, q2, max_draws=2_000, seed=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one flat 2,000-draw chunk of 20,000 block effects alone would take 320 MB
+    assert peak < 100 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
+    assert not result.exact and result.draws == 2_000
+    assert 0.0 < result.p_value <= 1.0
