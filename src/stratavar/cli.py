@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from ._util import fmt_human, fmt_raw
@@ -431,29 +432,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+EXIT_CODES = {
+    InputError: EXIT_INPUT,
+    DesignError: EXIT_DESIGN,
+    IncompatibleEstimator: EXIT_INCOMPATIBLE,
+    NumericalError: EXIT_NUMERICAL,
+    OSError: EXIT_INPUT,
+}
+
+
 def main(argv=None) -> int:
+    """Run one subcommand. A failure prints exactly one ``error:`` line on
+    stderr; warnings raised along the way print as one ``warning:`` line each,
+    and only when the command succeeds."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DESIGN
-    except IncompatibleEstimator as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            code = args.func(args)
+        except tuple(EXIT_CODES) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

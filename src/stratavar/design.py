@@ -113,6 +113,20 @@ class BlockDesign:
         return np.concatenate(([0], np.cumsum(self.sizes)[:-1]))
 
     @cached_property
+    def size_groups(self) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
+        """Blocks grouped by (size, treated count), in sorted order.
+
+        One ``(n, k, idx, units)`` per group: ``idx`` lists the group's blocks
+        in design order and row g of the (G, n) ``units`` holds the offsets of
+        block idx[g]'s units in the concatenated unit arrays.
+        """
+        groups = []
+        for n, k in sorted(set(zip(self.sizes.tolist(), self.treated_counts.tolist()))):
+            idx = np.flatnonzero((self.sizes == n) & (self.treated_counts == k))
+            groups.append((n, k, idx, self.unit_starts[idx, None] + np.arange(n)))
+        return tuple(groups)
+
+    @cached_property
     def covariate_dim(self) -> int:
         """Number of unit-level covariates (0 when none were supplied)."""
         first = self.blocks[0].covariates if self.blocks else None
@@ -130,9 +144,6 @@ class Assignment:
     """Realized treatment indicators, one binary tuple per block."""
 
     z: tuple[tuple[int, ...], ...]
-
-    def block_arrays(self) -> list[np.ndarray]:
-        return [np.asarray(zi, dtype=np.int64) for zi in self.z]
 
 
 @dataclass(frozen=True)
@@ -169,18 +180,21 @@ def validate_design(design: BlockDesign) -> BlockDesign:
     if any(has_cov):
         if not all(has_cov):
             raise DimensionMismatch("covariates must be supplied for all blocks or none")
-        dims = set()
-        for b in design.blocks:
-            arr = np.asarray(b.covariates, dtype=float)
+        covs = [np.asarray(b.covariates, dtype=float) for b in design.blocks]
+        for b, arr in zip(design.blocks, covs):
             if arr.ndim != 2 or arr.shape[0] != b.n:
                 raise DimensionMismatch(
                     f"block {b.block_id!r} covariates have shape {arr.shape}, expected ({b.n}, K)"
                 )
-            if not np.all(np.isfinite(arr)):
-                raise DimensionMismatch(f"block {b.block_id!r} covariates contain non-finite values")
-            dims.add(arr.shape[1])
+        dims = {arr.shape[1] for arr in covs}
         if len(dims) > 1:
             raise DimensionMismatch(f"covariate dimension differs across blocks: {sorted(dims)}")
+        finite = np.isfinite(np.concatenate(covs)).all(axis=1)
+        if not finite.all():
+            i = int(np.searchsorted(design.unit_starts, np.argmin(finite), side="right")) - 1
+            raise DimensionMismatch(
+                f"block {design.blocks[i].block_id!r} covariates contain non-finite values"
+            )
     return design
 
 

@@ -22,6 +22,7 @@ are nonnegative up to round-off; results are clamped at zero.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -145,6 +146,65 @@ def block_effects(design: BlockDesign, data: AssignmentAndOutcomes) -> BlockEffe
     )
 
 
+def _block_mean(design: BlockDesign, x: np.ndarray) -> np.ndarray:
+    """Per-block mean of a flat unit array."""
+    return np.add.reduceat(x, design.unit_starts) / design.sizes
+
+
+def _block_var(design: BlockDesign, x: np.ndarray) -> np.ndarray:
+    """Per-block ddof=1 variance of a flat unit array, in two passes as np.var."""
+    dev = x - np.repeat(_block_mean(design, x), design.sizes)
+    return np.add.reduceat(dev * dev, design.unit_starts) / (design.sizes - 1)
+
+
+def _option_groups(
+    design: BlockDesign, r1: np.ndarray, r0: np.ndarray, max_cells: float = math.inf
+) -> list:
+    """Option tables of the block effect, one per (size, treated count) group.
+
+    ``r1``/``r0`` are flat unit arrays of treated- and control-arm responses;
+    a replay under the additivity null passes the observed responses as both.
+    Each group is ``(idx, kt, r1, r0, table)``, with the (G, n) arm responses
+    of blocks ``idx``. Row g of the (G, C(n, kt)) ``table`` holds, for every
+    treated subset of block idx[g] in lexicographic order, the mean of r1
+    over the subset minus the mean of r0 over its complement; the table is
+    None when C(n, kt) * kt exceeds ``max_cells``.
+    """
+    groups = []
+    for n, kt, idx, units in design.size_groups:
+        a1, a0 = r1[units], r0[units]
+        table = None
+        if math.comb(n, kt) * kt <= max_cells:
+            combos = np.array(list(itertools.combinations(range(n), kt)), dtype=np.int64)
+            t0 = a0[:, combos].sum(axis=2)
+            table = a1[:, combos].sum(axis=2) / kt - (a0.sum(axis=1, keepdims=True) - t0) / (n - kt)
+        groups.append((idx, kt, a1, a0, table))
+    return groups
+
+
+def _sample_effects(rng: np.random.Generator, groups: list, m: int) -> np.ndarray:
+    """(m, B) block effects of m uniform assignments, columns in group order.
+
+    A tabled block draws a uniform index into its option row; any other block
+    treats the kt units with the smallest uniform keys.
+    """
+    t_mat = np.empty((m, sum(idx.shape[0] for idx, *_ in groups)))
+    start = 0
+    for _, kt, r1, r0, table in groups:
+        g, n = r1.shape
+        if table is not None:
+            picks = rng.integers(0, table.shape[1], size=(m, g))
+            picks += np.arange(0, table.size, table.shape[1])
+            t_mat[:, start : start + g] = table.ravel().take(picks)
+        else:
+            treated = np.argpartition(rng.random((m, g, n)), kt - 1, axis=2)[..., :kt]
+            t1 = np.take_along_axis(r1[None], treated, axis=2).sum(axis=2)
+            t0 = np.take_along_axis(r0[None], treated, axis=2).sum(axis=2)
+            t_mat[:, start : start + g] = t1 / kt - (r0.sum(axis=1) - t0) / (n - kt)
+        start += g
+    return t_mat
+
+
 def estimate_ate(effects: BlockEffects, w: np.ndarray) -> float:
     """Weighted difference in means, B^{-1} sum_i w_i tau_hat_i."""
     w = np.asarray(w, dtype=float)
@@ -205,22 +265,35 @@ def _check_q(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> np.ndarray:
     return w
 
 
+def _projection_variances(tau: np.ndarray, w: np.ndarray, q: QMatrix) -> tuple[float, float, float]:
+    """Unclamped (s1, s2, s3) of the block effects ``tau`` on the basis ``q``.
+
+    ``np.add.reduce`` is the sum ``np.sum`` computes, without its wrapper's
+    per-call cost; each ``var_s*`` call evaluates all three.
+    """
+    b2 = tau.shape[0] ** 2
+    scaled = q.residual(w * (tau / np.sqrt(1.0 - q.leverages)))
+    resid_sq = q.residual(w * tau) ** 2
+    return (
+        float(scaled @ scaled) / b2,
+        float(np.add.reduce(resid_sq * q.psi)) / b2,
+        float(np.add.reduce(resid_sq * q.psi_tilde)) / b2,
+    )
+
+
 def var_s1(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
     """Projection estimator with effects pre-scaled by 1/sqrt(1 - h).
 
     B^{-2} y' W (I - H_Q) W y with y_i = tau_hat_i / sqrt(1 - h_ii).
     """
     w = _check_q(effects, w, q)
-    y = effects.tau_hat / np.sqrt(1.0 - q.leverages)
-    resid = q.residual(w * y)
-    return clamp_variance(float(resid @ resid) / effects.n_blocks**2)
+    return clamp_variance(_projection_variances(effects.tau_hat, w, q)[0])
 
 
 def var_s2(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
     """Projection estimator with squared residuals reweighted by 1/(1-h)^2."""
     w = _check_q(effects, w, q)
-    resid = q.residual(w * effects.tau_hat)
-    return clamp_variance(float(np.sum(resid**2 * q.psi)) / effects.n_blocks**2)
+    return clamp_variance(_projection_variances(effects.tau_hat, w, q)[1])
 
 
 def var_s3(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
@@ -237,15 +310,17 @@ def var_s3(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
             EstimatorWarning,
             stacklevel=2,
         )
-    resid = q.residual(w * effects.tau_hat)
-    return clamp_variance(float(np.sum(resid**2 * q.psi_tilde)) / effects.n_blocks**2)
+    return clamp_variance(_projection_variances(effects.tau_hat, w, q)[2])
 
 
 def confidence_interval(delta_hat: float, s2: float, alpha: float) -> tuple[float, float]:
     """Normal-approximation interval Delta_hat +/- z_{1-alpha/2} sqrt(s2)."""
     if not (0.0 < alpha < 1.0):
         raise InvalidAlpha(f"alpha must lie in (0, 1), got {alpha}")
-    half = float(scipy.stats.norm.ppf(1.0 - alpha / 2.0)) * float(np.sqrt(max(s2, 0.0)))
+    z = float(scipy.stats.norm.ppf(1.0 - alpha / 2.0))
+    if np.isinf(z):
+        raise InvalidAlpha(f"alpha {alpha} is too small: 1 - alpha/2 rounds to one")
+    half = z * float(np.sqrt(max(s2, 0.0)))
     return (float(delta_hat) - half, float(delta_hat) + half)
 
 

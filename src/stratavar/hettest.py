@@ -18,7 +18,6 @@ the p-value do not depend on the imputed constant.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ import scipy.linalg
 from ._util import chunk_rng, map_chunks
 from .design import AssignmentAndOutcomes, BlockDesign, block_weights, n_assignments
 from .errors import BadQPair, InputError, ZeroDenominator
-from .estimators import block_effects
+from .estimators import _option_groups, _sample_effects, block_effects
 from .projection import QMatrix
 
 ORTHOGONALITY_TOL = 1e-8
@@ -119,49 +118,6 @@ def _f_values(
     return f
 
 
-def _option_groups(design: BlockDesign, responses, max_cells: float = math.inf) -> list:
-    """Blocks grouped by (size, treated count): ``(idx, kt, r, table)`` per group.
-
-    ``r`` holds the (G, n) responses of blocks ``idx``; row g of the (G, C(n, kt))
-    ``table`` is tau_hat of every treated subset of block idx[g], in lexicographic
-    subset order, or the table is None when C(n, kt) * kt exceeds ``max_cells``.
-    """
-    flat = np.concatenate(responses).astype(float, copy=False)
-    groups = []
-    for n, kt in sorted(set(zip(design.sizes.tolist(), design.treated_counts.tolist()))):
-        idx = np.flatnonzero((design.sizes == n) & (design.treated_counts == kt))
-        r = flat[design.unit_starts[idx, None] + np.arange(n)]
-        table = None
-        if math.comb(n, kt) * kt <= max_cells:
-            combos = np.array(list(itertools.combinations(range(n), kt)), dtype=np.int64)
-            tsum = r[:, combos].sum(axis=2)
-            table = tsum / kt - (r.sum(axis=1, keepdims=True) - tsum) / (n - kt)
-        groups.append((idx, kt, r, table))
-    return groups
-
-
-def _sample_effects(rng: np.random.Generator, groups: list, m: int) -> np.ndarray:
-    """(m, B) block effects of m uniform assignments, columns in group order.
-
-    A tabled block draws a uniform index into its option row; any other block
-    treats the kt units with the smallest uniform keys.
-    """
-    t_mat = np.empty((m, sum(r.shape[0] for _, _, r, _ in groups)))
-    start = 0
-    for _, kt, r, table in groups:
-        g, n = r.shape
-        if table is not None:
-            picks = rng.integers(0, table.shape[1], size=(m, g))
-            picks += np.arange(0, table.size, table.shape[1])
-            t_mat[:, start : start + g] = table.ravel().take(picks)
-        else:
-            treated = np.argpartition(rng.random((m, g, n)), kt - 1, axis=2)[..., :kt]
-            tsum = np.take_along_axis(r[None], treated, axis=2).sum(axis=2)
-            t_mat[:, start : start + g] = tsum / kt - (r.sum(axis=1) - tsum) / (n - kt)
-        start += g
-    return t_mat
-
-
 def _exact_chunk(args) -> tuple[int, int]:
     start, stop, options, strides, counts, w, qm, basis, df_den, k, thresh = args
     flat = np.arange(start, stop, dtype=np.int64)
@@ -215,7 +171,8 @@ def permutation_test(
 
     total = n_assignments(design)
     exact = total <= max_draws
-    groups = _option_groups(design, data.responses, math.inf if exact else OPTION_CELLS)
+    observed = np.concatenate(data.responses)
+    groups = _option_groups(design, observed, observed, math.inf if exact else OPTION_CELLS)
     order = np.concatenate([idx for idx, *_ in groups])
     fixed = (w[order], qm[order], q2.basis[order], df_den, k, thresh)
     if exact:
@@ -228,7 +185,7 @@ def permutation_test(
         ]
         results = map_chunks(_exact_chunk, args, threads)
     else:
-        width = design.n_blocks + sum(r.size for _, _, r, table in groups if table is None)
+        width = design.n_blocks + sum(r.size for _, _, r, _, table in groups if table is None)
         rows = max(1, CELLS // width)
         args = [
             (seed, c, min(rows, max_draws - c * rows), groups, *fixed)

@@ -33,7 +33,7 @@ from .design import (
 )
 from .errors import DimensionMismatch, PreconditionViolated
 from .projection import QMatrix, build_q1, build_q2
-from .estimators import block_effects, var_s1
+from .estimators import _block_mean, _block_var, block_effects, var_s1
 
 DEFAULT_BRUTE_FORCE_CAP = 10_000
 
@@ -65,20 +65,25 @@ class PotentialWorld:
         object.__setattr__(self, "r0", _per_block_arrays(self.design, self.r0, "r0"))
 
     @cached_property
+    def _arms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(r1, r0) as flat unit arrays."""
+        return np.concatenate(self.r1), np.concatenate(self.r0)
+
+    @cached_property
     def tau_bar(self) -> np.ndarray:
-        return np.array([(a - b).mean() for a, b in zip(self.r1, self.r0)])
+        return _block_mean(self.design, self._arms[0] - self._arms[1])
 
     @cached_property
     def sigma2_treated(self) -> np.ndarray:
-        return np.array([a.var(ddof=1) for a in self.r1])
+        return _block_var(self.design, self._arms[0])
 
     @cached_property
     def sigma2_control(self) -> np.ndarray:
-        return np.array([a.var(ddof=1) for a in self.r0])
+        return _block_var(self.design, self._arms[1])
 
     @cached_property
     def sigma2_tau(self) -> np.ndarray:
-        return np.array([(a - b).var(ddof=1) for a, b in zip(self.r1, self.r0)])
+        return _block_var(self.design, self._arms[0] - self._arms[1])
 
 
 @dataclass(frozen=True)
@@ -108,21 +113,26 @@ class CateModel:
         object.__setattr__(self, "noise_cov", cov)
 
     @cached_property
+    def _arms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(f1, f0) as flat unit arrays."""
+        return np.concatenate(self.f1), np.concatenate(self.f0)
+
+    @cached_property
     def f_bar(self) -> np.ndarray:
         """Block means of the systematic effect f1 - f0."""
-        return np.array([(a - b).mean() for a, b in zip(self.f1, self.f0)])
+        return _block_mean(self.design, self._arms[0] - self._arms[1])
 
     @cached_property
     def sigma2_f_treated(self) -> np.ndarray:
-        return np.array([a.var(ddof=1) for a in self.f1])
+        return _block_var(self.design, self._arms[0])
 
     @cached_property
     def sigma2_f_control(self) -> np.ndarray:
-        return np.array([a.var(ddof=1) for a in self.f0])
+        return _block_var(self.design, self._arms[1])
 
     @cached_property
     def sigma2_f_tau(self) -> np.ndarray:
-        return np.array([(a - b).var(ddof=1) for a, b in zip(self.f1, self.f0)])
+        return _block_var(self.design, self._arms[0] - self._arms[1])
 
     @cached_property
     def noise_var_treated(self) -> np.ndarray:
@@ -135,13 +145,12 @@ class CateModel:
     @cached_property
     def _noise_factors(self) -> np.ndarray:
         """(B, 2, 2) factors L with L L' = noise_cov, tolerant of singular cov."""
-        factors = np.empty_like(self.noise_cov)
-        for i, cov in enumerate(self.noise_cov):
-            vals, vecs = np.linalg.eigh(cov)
-            if np.any(vals < -1e-8 * max(float(vals.max()), 1.0)):
-                raise PreconditionViolated(f"noise covariance for block {i} is not PSD")
-            factors[i] = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
-        return factors
+        vals, vecs = np.linalg.eigh(self.noise_cov)
+        indefinite = np.any(vals < -1e-8 * np.maximum(vals.max(axis=1), 1.0)[:, None], axis=1)
+        if indefinite.any():
+            i = int(np.argmax(indefinite))
+            raise PreconditionViolated(f"noise covariance for block {i} is not PSD")
+        return vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
 
 
 def sate(world: PotentialWorld) -> float:
@@ -182,6 +191,16 @@ def draw_world(model: CateModel, seed) -> PotentialWorld:
     return PotentialWorld(design=design, r1=r1, r0=r0)
 
 
+def _randomization_variance(design: BlockDesign, r1: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    """Per-block variance of tau_hat over randomization for flat unit arms r1, r0,
+    S1^2/n1 + S0^2/n0 - S_tau^2/n."""
+    return (
+        _block_var(design, r1) / design.treated_counts
+        + _block_var(design, r0) / design.control_counts
+        - _block_var(design, r1 - r0) / design.sizes
+    )
+
+
 def true_block_variance(truth) -> np.ndarray:
     """Design-based variance of each block effect tau_hat_i.
 
@@ -189,18 +208,15 @@ def true_block_variance(truth) -> np.ndarray:
     also integrates over the noise law (whose between-arm covariance never
     enters, because a unit reveals exactly one arm).
     """
-    n1 = truth.design.treated_counts
-    n0 = truth.design.control_counts
-    n = truth.design.sizes
+    design = truth.design
     if isinstance(truth, PotentialWorld):
-        return truth.sigma2_treated / n1 + truth.sigma2_control / n0 - truth.sigma2_tau / n
+        return _randomization_variance(design, *truth._arms)
     if isinstance(truth, CateModel):
-        systematic = (
-            truth.sigma2_f_treated / n1
-            + truth.sigma2_f_control / n0
-            - truth.sigma2_f_tau / n
+        return (
+            truth.noise_var_treated / design.treated_counts
+            + truth.noise_var_control / design.control_counts
+            + _randomization_variance(design, *truth._arms)
         )
-        return truth.noise_var_treated / n1 + truth.noise_var_control / n0 + systematic
     raise TypeError(f"expected PotentialWorld or CateModel, got {type(truth).__name__}")
 
 

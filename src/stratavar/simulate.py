@@ -25,6 +25,7 @@ Studies:
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -33,9 +34,11 @@ import numpy as np
 from ._util import as_rng, map_chunks
 from .design import BlockDesign, block_weights, sample_assignment
 from .errors import DimensionMismatch, InputError
+from .estimators import _option_groups, _projection_variances, _sample_effects
 from .hettest import permutation_test
 from .oracle import (
     CateModel,
+    _randomization_variance,
     draw_world,
     expected_bias_s1,
     expected_bias_s2,
@@ -158,35 +161,13 @@ def resolve_qspec(spec: QSpec, design: BlockDesign, x: np.ndarray) -> QMatrix:
 def _sim_context(config: FriedmanConfig) -> dict:
     sizes, treated = friedman_sizes(config)
     design = BlockDesign.from_sizes(sizes, treated)
-    w = block_weights(design)
-    sizes_arr = np.asarray(sizes, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes_arr)])
-    groups = []
-    for n, k in sorted({(n, k) for n, k in zip(sizes, treated)}):
-        blocks_idx = np.flatnonzero((sizes_arr == n) & (np.asarray(treated) == k))
-        unit_mat = offsets[blocks_idx][:, None] + np.arange(n)[None, :]
-        groups.append({"n": n, "k": k, "blocks": blocks_idx, "units": unit_mat})
     return {
         "config": config,
         "design": design,
-        "w": w,
+        "w": block_weights(design),
         "q1": build_q1(design),
-        "groups": groups,
-        "n_units": int(sizes_arr.sum()),
-        "block_sizes": sizes_arr,
+        "order": np.concatenate([idx for _, _, idx, _ in design.size_groups]),
     }
-
-
-def _projection_cells(tau: np.ndarray, w: np.ndarray, q: QMatrix) -> tuple[float, float, float]:
-    """(s1, s2, s3) for one vector of block effects, without BlockEffects overhead."""
-    b = tau.shape[0]
-    one_minus = 1.0 - q.leverages
-    r1 = q.residual(w * (tau / np.sqrt(one_minus)))
-    r = q.residual(w * tau)
-    s1 = float(r1 @ r1) / b**2
-    s2 = float(np.sum(r**2 / one_minus**2)) / b**2
-    s3 = float(np.sum(r**2 / one_minus)) / b**2
-    return s1, s2, s3
 
 
 def _table1_rep(rng: np.random.Generator, ctx: dict) -> tuple[np.ndarray, float, float]:
@@ -197,42 +178,22 @@ def _table1_rep(rng: np.random.Generator, ctx: dict) -> tuple[np.ndarray, float,
     b = design.n_blocks
 
     x = rng.random((b, config.n_covariates))
-    f = friedman_function(x)
-    eps = rng.standard_normal(ctx["n_units"])
+    f = np.repeat(friedman_function(x), design.sizes)
+    eps = rng.standard_normal(design.n_units)
+    r1 = config.a * f + config.b * eps
+    r0 = f + eps
 
-    sate_var_total = 0.0
     tau = np.empty(b)
-    for g in ctx["groups"]:
-        n, k = g["n"], g["k"]
-        units = g["units"]
-        fi = f[g["blocks"]]
-        e = eps[units]
-        r1 = config.a * fi[:, None] + config.b * e
-        r0 = fi[:, None] + e
-        keys = rng.random(e.shape)
-        treated_cols = np.argpartition(keys, kth=k - 1, axis=1)[:, :k]
-        rows = np.arange(units.shape[0])[:, None]
-        robs = r0.copy()
-        robs[rows, treated_cols] = r1[rows, treated_cols]
-        tsum = robs[rows, treated_cols].sum(axis=1)
-        tau[g["blocks"]] = tsum / k - (robs.sum(axis=1) - tsum) / (n - k)
-        s2_1 = r1.var(axis=1, ddof=1)
-        s2_0 = r0.var(axis=1, ddof=1)
-        s2_t = (r1 - r0).var(axis=1, ddof=1)
-        block_var = s2_1 / k + s2_0 / (n - k) - s2_t / n
-        sate_var_total += float(np.sum(w[g["blocks"]] ** 2 * block_var))
-    sate_var = sate_var_total / b**2
+    tau[ctx["order"]] = _sample_effects(rng, _option_groups(design, r1, r0), 1)[0]
+    sate_var = float(np.sum(w**2 * _randomization_variance(design, r1, r0))) / b**2
     delta = float(w @ tau) / b
 
-    qs = {
-        "none": ctx["q1"],
-        "correct": build_q2(design, xbar=correct_transforms(x), poly_degree=1),
-        "incorrect": build_q2(design, xbar=x, poly_degree=1),
-    }
-    cells = np.empty(9)
-    for j, name in enumerate(TABLE1_QSPECS):
-        s1, s2, s3 = _projection_cells(tau, w, qs[name])
-        cells[3 * j : 3 * j + 3] = (s1, s2, s3)
+    qs = (  # in TABLE1_QSPECS order
+        ctx["q1"],
+        build_q2(design, xbar=correct_transforms(x), poly_degree=1),
+        build_q2(design, xbar=x, poly_degree=1),
+    )
+    cells = np.array([_projection_variances(tau, w, q) for q in qs]).ravel()
     return cells, sate_var, delta
 
 
@@ -356,13 +317,7 @@ DEFAULT_A_GRID = (1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
 
 def _power_chunk(args) -> dict:
     seed, a_index, a, rep_start, count, config, qspecs, max_draws = args
-    cfg = FriedmanConfig(
-        n_blocks=config.n_blocks,
-        a=a,
-        b=config.b,
-        n_covariates=config.n_covariates,
-        triplet_fraction=config.triplet_fraction,
-    )
+    cfg = dataclasses.replace(config, a=a)
     pvals = {name: np.empty(count) for name in qspecs}
     for j in range(count):
         rng = np.random.default_rng(np.random.SeedSequence([seed, a_index, rep_start + j]))
@@ -484,68 +439,32 @@ def pairs_quartets_study() -> list[dict]:
     pairs, quartets, x = _grid_models()
     rows: list[dict] = []
 
+    def add(design: str, spec: str, estimator: str, truth: float, bias: float) -> None:
+        rows.append(
+            {
+                "design": design,
+                "covariate_spec": spec,
+                "estimator": estimator,
+                "expected_value": truth + bias,
+                "bias_term": bias,
+            }
+        )
+
     w_p = block_weights(pairs.design)
     var_p = true_ate_variance(pairs)
-    rows.append(
-        {
-            "design": "pairs",
-            "covariate_spec": "none",
-            "estimator": "true_variance",
-            "expected_value": var_p,
-            "bias_term": 0.0,
-        }
-    )
-    q1_p = build_q1(pairs.design)
-    bias_paired = expected_bias_s1(pairs, w_p, q1_p)
-    rows.append(
-        {
-            "design": "pairs",
-            "covariate_spec": "none",
-            "estimator": "paired",
-            "expected_value": var_p + bias_paired,
-            "bias_term": bias_paired,
-        }
-    )
+    add("pairs", "none", "true_variance", var_p, 0.0)
+    add("pairs", "none", "paired", var_p, expected_bias_s1(pairs, w_p, build_q1(pairs.design)))
     for spec_name, col, degree in PAIRS_QUARTETS_SPECS:
         xb = x if col == "x" else np.exp(x / 3.0)
         q = build_q2(pairs.design, xbar=xb[:, None], poly_degree=degree)
-        biases = {
-            "s1": expected_bias_s1(pairs, w_p, q),
-            "s2": expected_bias_s2(pairs, w_p, q),
-            "s3": expected_bias_s3(pairs, w_p, q),
-        }
-        for est, bias in biases.items():
-            rows.append(
-                {
-                    "design": "pairs",
-                    "covariate_spec": spec_name,
-                    "estimator": est,
-                    "expected_value": var_p + bias,
-                    "bias_term": bias,
-                }
-            )
+        add("pairs", spec_name, "s1", var_p, expected_bias_s1(pairs, w_p, q))
+        add("pairs", spec_name, "s2", var_p, expected_bias_s2(pairs, w_p, q))
+        add("pairs", spec_name, "s3", var_p, expected_bias_s3(pairs, w_p, q))
 
     w_q = block_weights(quartets.design)
     var_q = true_ate_variance(quartets)
-    rows.append(
-        {
-            "design": "quartets",
-            "covariate_spec": "none",
-            "estimator": "true_variance",
-            "expected_value": var_q,
-            "bias_term": 0.0,
-        }
-    )
-    bias_cs = expected_bias_scs(quartets, w_q)
-    rows.append(
-        {
-            "design": "quartets",
-            "covariate_spec": "none",
-            "estimator": "coarse",
-            "expected_value": var_q + bias_cs,
-            "bias_term": bias_cs,
-        }
-    )
+    add("quartets", "none", "true_variance", var_q, 0.0)
+    add("quartets", "none", "coarse", var_q, expected_bias_scs(quartets, w_q))
     return rows
 
 

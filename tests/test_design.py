@@ -71,6 +71,16 @@ def test_validate_checks_covariate_consistency():
         validate_design(nonfinite)
 
 
+def test_validate_names_the_block_with_a_non_finite_covariate():
+    rng = np.random.default_rng(3)
+    sizes = [2, 3, 4, 2, 3]
+    covariates = [rng.normal(size=(n, 2)) for n in sizes]
+    covariates[2][3, 1] = np.inf
+    design = BlockDesign.from_sizes(sizes, [1, 1, 2, 1, 2], covariates=covariates)
+    with pytest.raises(DimensionMismatch, match="block '3' covariates contain non-finite"):
+        validate_design(design)
+
+
 def test_classification():
     assert classify_design(BlockDesign.from_sizes([2, 2, 2], [1, 1, 1])) is DesignClass.FINE
     # triplets with a singleton arm on either side stay fine

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib.resources
+import itertools
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from stratavar import (
     InvalidAlpha,
     NonFiniteResponse,
     NotCoarse,
+    PotentialWorld,
     TooFewBlocks,
     UnequalBlocks,
     analyze_experiment,
@@ -28,6 +30,7 @@ from stratavar import (
     confidence_interval,
     enumerate_assignments,
     estimate_ate,
+    observed_responses,
     sample_assignment,
     var_coarse_classical,
     var_paired_classical,
@@ -35,6 +38,7 @@ from stratavar import (
     var_s2,
     var_s3,
 )
+from stratavar.estimators import _option_groups
 
 
 def _pair_data(taus, base=0.0):
@@ -155,6 +159,31 @@ def test_block_effects_rejects_non_finite_responses():
         with pytest.raises(NonFiniteResponse, match="block '2'"):
             block_effects(design, broken)
     assert issubclass(NonFiniteResponse, InputError)
+
+
+def test_two_arm_option_tables_match_block_effects_of_each_subset():
+    rng = np.random.default_rng(41)
+    layout = [(3, 2), (2, 1), (4, 2), (3, 1), (2, 1), (4, 2), (3, 1)]
+    design = BlockDesign.from_sizes([n for n, _ in layout], [k for _, k in layout])
+    world = PotentialWorld(
+        design=design,
+        r1=tuple(rng.normal(2.0, 1.0, size=n) for n, _ in layout),
+        r0=tuple(rng.normal(size=n) for n, _ in layout),
+    )
+    base = [[int(j < k) for j in range(n)] for n, k in layout]
+    groups = _option_groups(design, np.concatenate(world.r1), np.concatenate(world.r0))
+    assert sorted(int(i) for idx, *_ in groups for i in idx) == list(range(len(layout)))
+    for idx, kt, _, _, table in groups:
+        for g, i in enumerate(idx):
+            n = layout[i][0]
+            subsets = list(itertools.combinations(range(n), kt))
+            assert table[g].shape == (len(subsets),)
+            for c, subset in enumerate(subsets):
+                z = [list(zi) for zi in base]
+                z[i] = [int(j in subset) for j in range(n)]
+                assignment = Assignment(z=tuple(tuple(zi) for zi in z))
+                tau = block_effects(design, observed_responses(world, assignment)).tau_hat
+                assert table[g, c] == pytest.approx(tau[i], rel=0.0, abs=1e-12)
 
 
 def test_estimate_ate_weighted():

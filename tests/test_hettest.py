@@ -21,6 +21,7 @@ from stratavar import (
     permutation_test,
 )
 from stratavar import hettest
+from stratavar.estimators import _option_groups, _sample_effects
 
 
 def _pairs_with_effects(taus, xbar):
@@ -272,17 +273,18 @@ def _mixed_experiment(seed):
 @pytest.mark.parametrize("max_cells", [math.inf, 0])
 def test_sampler_draws_every_block_option_uniformly(max_cells):
     design, data = _mixed_experiment(17)
-    tables = hettest._option_groups(design, data.responses)
-    groups = hettest._option_groups(design, data.responses, max_cells)
+    flat = np.concatenate(data.responses)
+    tables = _option_groups(design, flat, flat)
+    groups = _option_groups(design, flat, flat, max_cells)
     assert [(idx.tolist(), kt) for idx, kt, *_ in groups] == [
         ([0, 4, 8, 9], 1), ([1, 7], 1), ([2, 5], 2), ([3, 6], 2)
     ]
     assert all((table is None) == (max_cells == 0) for *_, table in groups)
     m = 30_000
-    t_mat = hettest._sample_effects(np.random.default_rng(5), groups, m)
+    t_mat = _sample_effects(np.random.default_rng(5), groups, m)
     assert t_mat.shape == (m, design.n_blocks)
     col = 0
-    for (_, kt, r, _), (_, _, _, table) in zip(groups, tables):
+    for (_, kt, r, _, _), (*_, table) in zip(groups, tables):
         for g in range(r.shape[0]):
             options = table[g]
             c = options.shape[0]

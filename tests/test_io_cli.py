@@ -450,3 +450,29 @@ def test_cli_simulate_rejects_zero_reps(tmp_path, capsys, study, extra):
     assert main(args) == 2
     assert "reps" in _one_error_line(capsys)
     assert not (tmp_path / study).exists()
+
+
+def test_cli_rejects_alpha_too_small_for_a_finite_interval(tmp_path, capsys):
+    # 1 - alpha/2 rounds to one, so the normal quantile would be infinite
+    path = _write_pairs_csv(tmp_path / "pairs.csv", [0.5, 1.0, 2.5, 1.5, 3.0])
+    assert main(["analyze", "--csv", str(path), "--alpha", "1e-17"]) == 2
+    assert "alpha" in _one_error_line(capsys)
+
+
+def test_cli_prints_warnings_as_one_line_each_and_only_on_success(tmp_path, capsys):
+    # x2 is constant, so centering removes it: beside x1 the run succeeds
+    # with one warning line; alone it fails with the error line only
+    good = tmp_path / "good.csv"
+    rows = ["block_id,unit_id,treated,response,x1,x2"]
+    for b in range(6):
+        rows += [f"b{b},1,1,{b + 0.5},{b},0", f"b{b},2,0,0.{b},{b},0"]
+    good.write_text("\n".join(rows) + "\n")
+    assert main(["analyze", "--csv", str(good), "--q-spec", "x1,x2"]) == 0
+    captured = capsys.readouterr()
+    json.loads(captured.out)
+    assert captured.err.splitlines() == [
+        "warning: covariate columns [1] vanished after weighting and centering; dropped"
+    ]
+
+    assert main(["analyze", "--csv", str(good), "--q-spec", "x2"]) == 5
+    assert "vanished" in _one_error_line(capsys)

@@ -241,6 +241,20 @@ def test_draw_world_rejects_indefinite_noise_covariance():
         draw_world(model, seed=0)
 
 
+def test_draw_world_names_the_block_with_an_indefinite_noise_covariance():
+    design = BlockDesign.from_sizes([2, 3, 2, 4, 2], [1, 2, 1, 2, 1])
+    cov = np.array([[[1.0 + i, 0.5], [0.5, 2.0]] for i in range(5)])
+    cov[2] = [[1.0, 2.0], [2.0, 1.0]]
+    model = CateModel(
+        design=design,
+        f1=tuple(np.zeros(n) for n in design.sizes),
+        f0=tuple(np.zeros(n) for n in design.sizes),
+        noise_cov=cov,
+    )
+    with pytest.raises(PreconditionViolated, match="block 2 is not PSD"):
+        draw_world(model, seed=0)
+
+
 def test_noise_cov_shape_validation():
     design = BlockDesign.from_sizes([2, 2], [1, 1])
     with pytest.raises(DimensionMismatch):
