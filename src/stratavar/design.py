@@ -169,13 +169,15 @@ def validate_design(design: BlockDesign) -> BlockDesign:
     """
     if design.n_blocks < 2:
         raise TooFewBlocks(f"need at least 2 blocks, got {design.n_blocks}")
-    for b in design.blocks:
+    sizes, treated = design.sizes, design.treated_counts
+    bad = (sizes < 2) | (treated < 1) | (treated > sizes - 1)
+    if bad.any():
+        b = design.blocks[int(np.argmax(bad))]
         if b.n < 2:
             raise InfeasibleBlock(f"block {b.block_id!r} has n={b.n} < 2")
-        if not (1 <= b.n_treated <= b.n - 1):
-            raise InfeasibleBlock(
-                f"block {b.block_id!r} has n_treated={b.n_treated} outside [1, {b.n - 1}]"
-            )
+        raise InfeasibleBlock(
+            f"block {b.block_id!r} has n_treated={b.n_treated} outside [1, {b.n - 1}]"
+        )
     has_cov = [b.covariates is not None for b in design.blocks]
     if any(has_cov):
         if not all(has_cov):

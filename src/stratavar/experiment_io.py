@@ -4,13 +4,17 @@ One row per unit with columns ``block_id, unit_id, treated, response`` and
 optional covariates ``x1..xK`` (contiguously numbered). ``treated`` must be
 0 or 1; ``response`` must be a finite number, and may be empty on every row
 (a design-only file) but not on some rows only. Covariate cells must be
-finite numbers. Blocks are ordered by first appearance, units within a
-block likewise.
+finite numbers. Header names are stripped of surrounding blanks and must
+not repeat; blank lines are skipped, and error messages name the physical
+file line. Blocks are ordered by first appearance, units within a block
+likewise.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
 import re
 from pathlib import Path
 
@@ -27,6 +31,7 @@ from .design import (
 from .errors import ParseError, SchemaError
 
 REQUIRED_COLUMNS = ("block_id", "unit_id", "treated", "response")
+_INDICATORS = {"0": 0, "1": 1}
 
 
 def _covariate_columns(header: list[str]) -> list[str]:
@@ -43,99 +48,159 @@ def _covariate_columns(header: list[str]) -> list[str]:
     return [xcols[k] for k in ks]
 
 
+def _number_fault(raw: str) -> str | None:
+    """Why a cell is not a finite number under ``float()``, or None if it is one."""
+    try:
+        value = float(raw)
+    except ValueError:
+        return "is not a number"
+    return None if math.isfinite(value) else "is not finite"
+
+
+def _finite_floats(cells: list[str]) -> np.ndarray | None:
+    """``float()`` of every cell as one array, or None when a cell is not a finite number."""
+    try:
+        values = np.array(list(map(float, cells)))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _first_fault(columns: dict[str, list[str]], xnames: list[str]) -> tuple[int, str] | None:
+    """The earliest faulty data row and its message, or None when no row is faulty.
+
+    One mask per check, in report order: ids, duplicate unit, treated,
+    response, then each covariate column. Within the earliest row holding
+    any fault, the first failing check names it. Only called once the
+    array checks in :func:`ingest_csv` have failed, so it may loop over cells.
+    """
+    bids, uids, treated, responses = (columns[c] for c in REQUIRED_COLUMNS)
+    seen: set[tuple[str, str]] = set()
+    repeated = []
+    for key in zip(bids, uids):
+        repeated.append(key in seen)
+        seen.add(key)
+    checks = [
+        ([not b or not u for b, u in zip(bids, uids)], lambda i: "empty block_id or unit_id"),
+        (repeated, lambda i: f"duplicate unit {uids[i]!r} in block {bids[i]!r}"),
+        (
+            [t not in _INDICATORS for t in treated],
+            lambda i: f"treated must be 0 or 1, got {treated[i]!r}",
+        ),
+        (
+            [r != "" and _number_fault(r) is not None for r in responses],
+            lambda i: f"response {responses[i]!r} {_number_fault(responses[i])}",
+        ),
+    ]
+    for name in xnames:
+        cells = columns[name]
+        checks.append((
+            [_number_fault(c) is not None for c in cells],
+            lambda i, name=name, cells=cells: (
+                f"column {name} value {cells[i]!r} {_number_fault(cells[i])}"
+            ),
+        ))
+    masks = np.array([mask for mask, _ in checks], dtype=bool)
+    faulty = masks.any(axis=0)
+    if not faulty.any():
+        return None
+    row = int(np.argmax(faulty))
+    return row, checks[int(np.argmax(masks[:, row]))][1](row)
+
+
+def _physical_line(path: Path, row: int) -> int:
+    """File line on which data row ``row`` (0-based, blank lines skipped) ends."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        next(itertools.islice(filter(None, reader), row, None))
+        return reader.line_num
+
+
 def ingest_csv(path) -> tuple[BlockDesign, AssignmentAndOutcomes | None]:
     """Parse an experiment CSV into a validated design plus observed data.
 
     Returns ``(design, data)``; ``data`` is None for design-only files
     (every response empty), whose treated indicators still determine each
     block's treated count. Schema problems raise SchemaError, cell-level
-    problems ParseError (with the offending row), and design violations
-    propagate from :func:`stratavar.design.validate_design`.
+    problems ParseError (naming the file line of the earliest faulty row),
+    and design violations propagate from
+    :func:`stratavar.design.validate_design`.
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        names = next(reader, None)
+        if names is None:
             raise SchemaError(f"{path}: empty file")
-        header = [h.strip() for h in reader.fieldnames]
+        header = [h.strip() for h in names]
         missing = [c for c in REQUIRED_COLUMNS if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing required columns {missing}")
+        duplicated = [c for c in dict.fromkeys(header) if header.count(c) > 1]
+        if duplicated:
+            raise SchemaError(f"{path}: duplicated column names {duplicated}")
         known = set(REQUIRED_COLUMNS)
         xnames = _covariate_columns(header)
         extra = [c for c in header if c not in known and c not in xnames]
         if extra:
             raise SchemaError(f"{path}: unrecognized columns {extra}")
+        rows = list(filter(None, reader))
 
-        block_order: list[str] = []
-        rows_by_block: dict[str, list[dict]] = {}
-        seen_units: set[tuple[str, str]] = set()
-        for lineno, row in enumerate(reader, start=2):
-            bid = (row["block_id"] or "").strip()
-            uid = (row["unit_id"] or "").strip()
-            if not bid or not uid:
-                raise ParseError(f"{path}:{lineno}: empty block_id or unit_id")
-            if (bid, uid) in seen_units:
-                raise ParseError(f"{path}:{lineno}: duplicate unit {uid!r} in block {bid!r}")
-            seen_units.add((bid, uid))
-            t_raw = (row["treated"] or "").strip()
-            if t_raw not in ("0", "1"):
-                raise ParseError(f"{path}:{lineno}: treated must be 0 or 1, got {t_raw!r}")
-            resp_raw = (row["response"] or "").strip()
-            resp = None
-            if resp_raw:
-                try:
-                    resp = float(resp_raw)
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: response {resp_raw!r} is not a number")
-                if not math.isfinite(resp):
-                    raise ParseError(f"{path}:{lineno}: response {resp_raw!r} is not finite")
-            covs = []
-            for name in xnames:
-                raw = (row.get(name) or "").strip()
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: column {name} value {raw!r} is not a number")
-                if not math.isfinite(value):
-                    raise ParseError(f"{path}:{lineno}: column {name} value {raw!r} is not finite")
-                covs.append(value)
-            if bid not in rows_by_block:
-                block_order.append(bid)
-                rows_by_block[bid] = []
-            rows_by_block[bid].append(
-                {"treated": int(t_raw), "response": resp, "covs": covs, "line": lineno}
-            )
-
-    if not block_order:
+    if not rows:
         raise SchemaError(f"{path}: no data rows")
+    width = len(header)
+    if min(map(len, rows)) < width:
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    columns = {
+        name: list(map(str.strip, map(operator.itemgetter(j), rows)))
+        for j, name in enumerate(header)
+    }
+    del rows
+    bids, uids, treated, responses = (columns[c] for c in REQUIRED_COLUMNS)
+    n_rows = len(bids)
+    n_empty = responses.count("")
+    has_responses = n_empty == 0
+    r = _finite_floats(responses) if has_responses else None
+    x = [_finite_floats(columns[c]) for c in xnames]
+    if (
+        "" in bids
+        or "" in uids
+        or len(set(zip(bids, uids))) < n_rows
+        or not set(treated) <= _INDICATORS.keys()
+        or (has_responses and r is None)
+        or any(v is None for v in x)
+        or 0 < n_empty < n_rows
+    ):
+        fault = _first_fault(columns, xnames)
+        if fault is None:
+            raise ParseError(f"{path}: responses must be given for all units or none")
+        row, message = fault
+        raise ParseError(f"{path}:{_physical_line(path, row)}: {message}")
 
-    responses_present = [
-        r["response"] is not None for rows in rows_by_block.values() for r in rows
-    ]
-    if any(responses_present) and not all(responses_present):
-        raise ParseError(f"{path}: responses must be given for all units or none")
-    has_responses = all(responses_present)
-
-    blocks = []
-    z_blocks = []
-    r_blocks = []
-    for bid in block_order:
-        rows = rows_by_block[bid]
-        z = tuple(r["treated"] for r in rows)
-        cov = (
-            np.array([r["covs"] for r in rows], dtype=float) if xnames else None
-        )
-        blocks.append(Block(block_id=bid, n=len(rows), n_treated=sum(z), covariates=cov))
-        z_blocks.append(z)
-        if has_responses:
-            r_blocks.append(np.array([r["response"] for r in rows], dtype=float))
-
-    design = validate_design(BlockDesign(tuple(blocks)))
+    # group units by block in first-appearance order with one stable sort
+    index = {bid: code for code, bid in enumerate(dict.fromkeys(bids))}
+    codes = np.array(list(map(index.__getitem__, bids)))
+    order = np.argsort(codes, kind="stable")
+    z = np.array(list(map(_INDICATORS.__getitem__, treated)))
+    sizes = np.bincount(codes)
+    n_treated = np.bincount(codes[z == 1], minlength=len(sizes))
+    ends = np.cumsum(sizes).tolist()
+    bounds = list(zip([0] + ends[:-1], ends))
+    if xnames:
+        cov = np.column_stack(x)[order]
+        covs = [cov[a:b] for a, b in bounds]
+    else:
+        covs = itertools.repeat(None)
+    blocks = tuple(map(Block, index, sizes.tolist(), n_treated.tolist(), covs))
+    design = validate_design(BlockDesign(blocks))
     if not has_responses:
         return design, None
+    z_sorted = z[order].tolist()
+    r_sorted = r[order]
     data = AssignmentAndOutcomes(
-        assignment=Assignment(z=tuple(z_blocks)), responses=tuple(r_blocks)
+        assignment=Assignment(z=tuple(tuple(z_sorted[a:b]) for a, b in bounds)),
+        responses=tuple(r_sorted[a:b] for a, b in bounds),
     )
     return design, data
 

@@ -49,7 +49,10 @@ BAD_ARGS = {
     "--alpha": ("0", "1.5", "nan", "1e-17"),
     "--max-draws": ("0", "-1"),
 }
-FAULTS = (None, None, None, "cell", "arm", "argument")
+FAULTS = (
+    None, None, None, "cell", "arm", "argument",
+    "padded name", "duplicate column", "blank line", "short row",
+)
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
@@ -58,7 +61,9 @@ def cli_runs(draw, command: str) -> tuple[str, list[str]]:
     """An experiment CSV and an argument list; at most one fault per run.
 
     The file has 2-6 blocks of 2-4 units and 0-2 covariates. The fault, if
-    any, is a bad cell, a block without one of the arms, or a bad argument.
+    any, is a bad cell, a block without one of the arms, a bad argument, a
+    header name padded with blanks, a duplicated column, a blank line, or a
+    row missing its last cells.
     """
     n_cov = draw(st.sampled_from((2, 1, 0)))
     value = st.one_of(
@@ -100,6 +105,19 @@ def cli_runs(draw, command: str) -> tuple[str, list[str]]:
     elif fault == "argument":
         flag = draw(st.sampled_from([f for f in GOOD_ARGS[command] if f in BAD_ARGS]))
         argv[argv.index(flag) + 1] = draw(st.sampled_from(BAD_ARGS[flag]))
+    elif fault == "padded name":
+        j = draw(st.integers(0, len(header) - 1))
+        pad = draw(st.sampled_from((" ", "  ", "\t")))
+        header[j] = pad + header[j] + draw(st.sampled_from(("", " ")))
+    elif fault == "duplicate column":
+        j = draw(st.integers(0, len(header) - 1))
+        header.append(header[j])
+        for r in rows:
+            r.append(r[j])
+    elif fault == "blank line":
+        rows.insert(row, [])
+    elif fault == "short row":
+        del rows[row][draw(st.integers(1, len(header) - 1)) :]
     return "\n".join(",".join(r) for r in [header] + rows) + "\n", argv
 
 

@@ -476,3 +476,65 @@ def test_cli_prints_warnings_as_one_line_each_and_only_on_success(tmp_path, caps
 
     assert main(["analyze", "--csv", str(good), "--q-spec", "x2"]) == 5
     assert "vanished" in _one_error_line(capsys)
+
+
+# ---------------------------------------------------------------------------
+# header names and line numbers
+# ---------------------------------------------------------------------------
+
+
+def test_padded_header_names_parse_like_clean_ones(tmp_path, capsys):
+    rows = (
+        "a,1,1,2.0,0.5\na,2,0,1.0,0.7\nb,1,1,1.5,0.2\n"
+        "b,2,0,0.1,0.9\nc,1,1,3.0,0.4\nc,2,0,0.3,0.1\n"
+    )
+    clean = tmp_path / "clean.csv"
+    clean.write_text("block_id,unit_id,treated,response,x1\n" + rows)
+    padded = tmp_path / "padded.csv"
+    padded.write_text("block_id, unit_id,treated ,\tresponse, x1 \n" + rows)
+    want_design, want_data = ingest_csv(clean)
+    got_design, got_data = ingest_csv(padded)
+    assert [b.block_id for b in got_design.blocks] == ["a", "b", "c"]
+    assert got_data.assignment.z == want_data.assignment.z
+    for got, want in zip(got_design.blocks, want_design.blocks):
+        np.testing.assert_array_equal(got.covariates, want.covariates)
+    for got, want in zip(got_data.responses, want_data.responses):
+        np.testing.assert_array_equal(got, want)
+    assert main(["analyze", "--csv", str(padded), "--q-spec", "x1"]) == 0
+    padded_report = capsys.readouterr().out
+    assert main(["analyze", "--csv", str(clean), "--q-spec", "x1"]) == 0
+    assert padded_report == capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "header, duplicated",
+    [
+        ("block_id,unit_id,treated,response,x1,x1", "['x1']"),
+        ("block_id,unit_id,treated,response,treated", "['treated']"),
+        ("block_id,unit_id, treated,response,treated ,x1", "['treated']"),
+    ],
+)
+def test_duplicated_column_names_are_a_schema_error(tmp_path, capsys, header, duplicated):
+    n_cells = header.count(",") + 1
+    rows = [f"{b},{u},{int(u == 1)}" + ",1.0" * (n_cells - 3) for b in "ab" for u in (1, 2)]
+    path = tmp_path / "dup_columns.csv"
+    path.write_text("\n".join([header] + rows) + "\n")
+    with pytest.raises(SchemaError, match=rf"duplicated column names \{duplicated}"):
+        ingest_csv(path)
+    assert main(["analyze", "--csv", str(path), "--q-spec", "x1"]) == 2
+    assert "duplicated column names" in _one_error_line(capsys)
+
+
+def test_errors_name_the_physical_line_after_blank_lines(tmp_path, capsys):
+    path = tmp_path / "blank.csv"
+    path.write_text(
+        "block_id,unit_id,treated,response\na,1,1,1.0\n\na,2,0,2.0\nb,1,1,3.0\nb,2,0,x\n"
+    )
+    with pytest.raises(ParseError, match=r"blank\.csv:6: response 'x' is not a number"):
+        ingest_csv(path)
+    assert main(["analyze", "--csv", str(path)]) == 2
+    assert ":6:" in _one_error_line(capsys)
+    # a quoted cell spanning two lines: the row ends on line 4
+    path.write_text('block_id,unit_id,treated,response\n"a\n",1,1,1.0\na,2,2,2.0\n')
+    with pytest.raises(ParseError, match=r"blank\.csv:4: treated must be 0 or 1"):
+        ingest_csv(path)
