@@ -93,7 +93,7 @@ class ZeroDenominator(NumericalError):
 
 
 class BadQPair(NumericalError):
-    """Added covariate columns are not orthogonal to the base columns."""
+    """A basis adds no covariate columns beyond intercept and weights."""
 
 
 class PreconditionViolated(StratavarError):

@@ -117,35 +117,51 @@ def _physical_line(path: Path, row: int) -> int:
         return reader.line_num
 
 
+def _decode_fault(path: Path, exc: UnicodeDecodeError) -> str:
+    """Message naming the file line and value of the first byte the encoding rejects."""
+    try:
+        path.read_bytes().decode(exc.encoding)
+    except UnicodeDecodeError as whole_file:
+        exc = whole_file
+    line = exc.object.count(b"\n", 0, exc.start) + 1
+    return f"{path}:{line}: byte 0x{exc.object[exc.start]:02x} is not valid {exc.encoding}"
+
+
 def ingest_csv(path) -> tuple[BlockDesign, AssignmentAndOutcomes | None]:
     """Parse an experiment CSV into a validated design plus observed data.
 
     Returns ``(design, data)``; ``data`` is None for design-only files
     (every response empty), whose treated indicators still determine each
-    block's treated count. Schema problems raise SchemaError, cell-level
-    problems ParseError (naming the file line of the earliest faulty row),
-    and design violations propagate from
+    block's treated count. Schema problems raise SchemaError. Cell-level
+    problems raise ParseError naming the file line of the earliest faulty
+    row, as do a byte the text encoding rejects and a cell the csv module
+    refuses (one over its field size limit). Design violations propagate from
     :func:`stratavar.design.validate_design`.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        names = next(reader, None)
-        if names is None:
-            raise SchemaError(f"{path}: empty file")
-        header = [h.strip() for h in names]
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing required columns {missing}")
-        duplicated = [c for c in dict.fromkeys(header) if header.count(c) > 1]
-        if duplicated:
-            raise SchemaError(f"{path}: duplicated column names {duplicated}")
-        known = set(REQUIRED_COLUMNS)
-        xnames = _covariate_columns(header)
-        extra = [c for c in header if c not in known and c not in xnames]
-        if extra:
-            raise SchemaError(f"{path}: unrecognized columns {extra}")
-        rows = list(filter(None, reader))
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            names = next(reader, None)
+            if names is None:
+                raise SchemaError(f"{path}: empty file")
+            header = [h.strip() for h in names]
+            missing = [c for c in REQUIRED_COLUMNS if c not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing required columns {missing}")
+            duplicated = [c for c in dict.fromkeys(header) if header.count(c) > 1]
+            if duplicated:
+                raise SchemaError(f"{path}: duplicated column names {duplicated}")
+            known = set(REQUIRED_COLUMNS)
+            xnames = _covariate_columns(header)
+            extra = [c for c in header if c not in known and c not in xnames]
+            if extra:
+                raise SchemaError(f"{path}: unrecognized columns {extra}")
+            rows = list(filter(None, reader))
+    except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(_decode_fault(path, exc)) from None
 
     if not rows:
         raise SchemaError(f"{path}: no data rows")

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._util import chunk_rng, map_chunks
 from .design import AssignmentAndOutcomes, BlockDesign, block_weights, n_assignments
@@ -30,11 +29,11 @@ from .errors import BadQPair, InputError, ZeroDenominator
 from .estimators import _option_groups, _sample_effects, block_effects
 from .projection import QMatrix
 
-ORTHOGONALITY_TOL = 1e-8
 DENOMINATOR_TOL = 1e-12
 CHUNK = 8192
 CELLS = 1 << 18  # Monte Carlo chunk budget in draws x B cells: 2 MB per float matrix
 OPTION_CELLS = 256  # largest C(n, k) * k for which a block gets an option table
+EXACT_OPTION_CELLS = 1 << 20  # largest C(n, k) * k of one block that exact enumeration tables
 
 
 @dataclass(frozen=True)
@@ -66,17 +65,10 @@ class HetTestResult:
 
 
 def _covariate_block(q2: QMatrix) -> np.ndarray:
-    """Orthonormal basis of the added covariate columns, checked against q1."""
+    """Orthonormal basis Q_M of the added covariate columns, read off the q2 factor."""
     if q2.added_covariate_rank < 1:
         raise BadQPair("basis adds no covariate columns beyond intercept and weights")
-    base = q2.values[:, : q2.q1_rank]
-    m = q2.values[:, q2.q1_rank :]
-    scale = np.linalg.norm(base, axis=0)[None, :] * np.linalg.norm(m, axis=0)[:, None]
-    cross = np.abs(m.T @ base)
-    if np.any(cross > ORTHOGONALITY_TOL * np.maximum(scale, 1e-300)):
-        raise BadQPair("covariate columns are not orthogonal to the base columns")
-    qm, _ = scipy.linalg.qr(m, mode="economic")
-    return qm
+    return q2.basis[:, q2.q1_rank :]
 
 
 def f_statistic(tau_hat: np.ndarray, w: np.ndarray, q2: QMatrix) -> float:
@@ -147,7 +139,9 @@ def permutation_test(
 
     Enumerates the assignment space exactly when it holds at most
     ``max_draws`` assignments; otherwise samples ``max_draws`` assignments
-    with the add-one convention. Ties count in favor of the null. A
+    with the add-one convention. A space with a block whose table of treated
+    subsets exceeds ``EXACT_OPTION_CELLS`` cells (C(n, k) * k) is sampled
+    too, with a note. Ties count in favor of the null. A
     degenerate observed statistic (zero residual beyond the basis) is
     treated as infinite, so its p-value counts only the replays that are
     themselves degenerate, and a note records the condition. Raises
@@ -171,6 +165,13 @@ def permutation_test(
 
     total = n_assignments(design)
     exact = total <= max_draws
+    cells = max(math.comb(n, kt) * kt for n, kt, *_ in design.size_groups)
+    if exact and cells > EXACT_OPTION_CELLS:
+        exact = False
+        notes.append(
+            f"exact enumeration of {total} assignments needs a {cells}-cell option table for "
+            f"one block, above the limit of {EXACT_OPTION_CELLS}; sampled {max_draws} instead"
+        )
     observed = np.concatenate(data.responses)
     groups = _option_groups(design, observed, observed, math.inf if exact else OPTION_CELLS)
     order = np.concatenate([idx for idx, *_ in groups])

@@ -354,7 +354,7 @@ def empirical_limit_diagnostics(
     q1 = build_q1(design)
     q2 = build_q2(design, xbar=xbar, poly_degree=poly_degree)
     v = w * world.tau_bar
-    explained = float(np.sum((q2.basis.T @ v) ** 2) - np.sum((q1.basis.T @ v) ** 2))
+    explained = float(np.sum((q2.basis[:, q2.q1_rank :].T @ v) ** 2))  # v' H_M v
     beta_quadform = explained / design.n_blocks
     effects = block_effects(design, observed_responses(world, assignment))
     gap = design.n_blocks * (var_s1(effects, w, q1) - var_s1(effects, w, q2))

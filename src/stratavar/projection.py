@@ -8,8 +8,12 @@ the column space of a B x L basis Q. Two standard bases are provided:
 * ``build_q2``: the q1 columns plus weighted, q1-orthogonalized block means
   of covariates, optionally expanded in polynomials of the unit values.
 
-All rank decisions use column-pivoted QR with tolerance
-``1e-10 * (largest column norm)``.
+Rank decisions use the tolerance ``1e-10 * (largest column norm)``.
+``build_q1`` checks its columns with a column-pivoted QR. ``build_q2``
+factors M, the q1-orthogonalized covariate block, with one unpivoted QR;
+column j is collinear when its |R_jj| is at most the tolerance for M's
+columns. A column-pivoted QR of ``[q1 | M]`` decides RankDeficient, and
+runs only when the basis's smallest singular value nears the tolerance.
 
 Every consumer needs only the residual ``v - H v`` and the leverages
 ``diag(H)`` of the projector H onto col(Q), never H itself. Both come from
@@ -40,6 +44,7 @@ from .errors import (
 
 RANK_TOL = 1e-10
 LEVERAGE_TOL = 1e-10
+Q1_LEAK_TOL = 1e-13  # largest |U_q1' Q_M| entry kept without refactoring
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,10 @@ class QMatrix:
     degeneracy and collinearity reduction. ``dropped_columns`` records
     0-based indices of the supplied covariate columns that were removed,
     with human-readable ``notes``.
+
+    A q2 ``basis`` is ``[U_q1 | Q_M]``: the q1 factor, then an orthonormal
+    basis of the covariate block ``values[:, q1_rank:]`` orthogonal to it,
+    which the heterogeneity test projects onto.
 
     Projections go through U in O(B L). ``hat`` builds the dense B x B
     projector U U' on first access and caches it on the instance; no library
@@ -143,11 +152,16 @@ def orthonormal_basis(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = int(np.sum(np.abs(np.diag(r)) > tol))
     if rank < ncol:
         raise RankDeficient(f"basis has numerical rank {rank} < {ncol} columns")
-    lev = np.clip(np.einsum("ij,ij->i", q, q), 0.0, 1.0)
+    return q, _checked_leverages(np.einsum("ij,ij->i", q, q))
+
+
+def _checked_leverages(squared_row_norms: np.ndarray) -> np.ndarray:
+    """Leverages clipped to [0, 1]; raises LeverageOne when one reaches 1 - 1e-10."""
+    lev = np.clip(squared_row_norms, 0.0, 1.0)
     if np.any(lev >= 1.0 - LEVERAGE_TOL):
         worst = int(np.argmax(lev))
         raise LeverageOne(f"leverage {lev[worst]:.12f} at block index {worst} is numerically one")
-    return q, lev
+    return lev
 
 
 def hat_and_leverage(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,38 +174,15 @@ def hat_and_leverage(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _symmetric_outer(u), lev
 
 
-def _independent_columns(values: np.ndarray) -> list[int]:
-    """Indices of the earliest maximal independent column subset.
-
-    Greedy in column order so a later duplicate is the one dropped, matching
-    how regression software resolves collinearity.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.shape[1] == 0:
-        return []
-    norms = np.linalg.norm(v, axis=0)
-    if norms.max() == 0.0:
-        return []
-    tol = RANK_TOL * float(norms.max())
-    kept: list[int] = []
-    basis = np.zeros((v.shape[0], 0))
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        if basis.shape[1]:
-            col = col - basis @ (basis.T @ col)
-            col = col - basis @ (basis.T @ col)
-        norm = float(np.linalg.norm(col))
-        if norm > tol:
-            kept.append(j)
-            basis = np.column_stack([basis, col / norm])
-    return kept
-
-
 def build_q1(design: BlockDesign) -> QMatrix:
     """Intercept-and-weights basis [e, w - e] (weights column only when unequal).
 
-    Raises InsufficientBlocks when the basis would use every degree of freedom.
+    Cached on the design, as it depends only on the block sizes. Raises
+    InsufficientBlocks when the basis would use every degree of freedom.
     """
+    cached = design.__dict__.get("_q1")
+    if cached is not None:
+        return cached
     b = design.n_blocks
     w = block_weights(design)
     cols = [np.ones(b)]
@@ -204,7 +195,7 @@ def build_q1(design: BlockDesign) -> QMatrix:
             f"intercept-and-weights basis has {ncol} columns; needs more than {b} blocks"
         )
     u, lev = orthonormal_basis(values)
-    return QMatrix(
+    q1 = QMatrix(
         values=values,
         basis=u,
         leverages=lev,
@@ -213,6 +204,10 @@ def build_q1(design: BlockDesign) -> QMatrix:
         q1_rank=ncol,
         added_covariate_rank=0,
     )
+    for shared in (values, u, lev):  # every caller on this design gets these arrays
+        shared.flags.writeable = False
+    design.__dict__["_q1"] = q1  # the design is frozen; cached_property stores here too
+    return q1
 
 
 def _expanded_block_means(
@@ -284,20 +279,31 @@ def build_q2(design: BlockDesign, xbar=None, poly_degree: int = 1, columns=None)
             f"covariate columns {idx} vanished after weighting and centering; dropped"
         )
         warnings.warn(notes[-1], DegenerateCovariateWarning, stacklevel=2)
-    kept_idx = [int(j) for j in np.flatnonzero(~degenerate)]
+    kept_idx = np.flatnonzero(~degenerate).tolist()
     if not kept_idx:
         raise DegenerateCovariate(
             "all covariate columns vanished after weighting and centering"
         )
-    m_kept = m[:, kept_idx]
+    m_kept = m[:, kept_idx] if dropped else m
 
-    indep_local = _independent_columns(m_kept)
-    if len(indep_local) < len(kept_idx):
-        collinear = sorted(set(range(len(kept_idx))) - set(indep_local))
-        collinear_orig = [kept_idx[j] for j in collinear]
+    # Greedy in column order, so a later duplicate is dropped. After a drop the
+    # survivors are factored again: the dropped column's reflector leaves noise
+    # in later R_jj. Columns past the B-th have no R_jj and count as collinear.
+    tol = RANK_TOL * float(m_norms[kept_idx].max())
+    local = list(range(len(kept_idx)))
+    m_final = m_kept
+    while True:
+        qm, r = np.linalg.qr(m_final)
+        small = np.flatnonzero(np.abs(np.diagonal(r)) <= tol)
+        first = int(small[0]) if small.size else min(r.shape)
+        if first == len(local):
+            break
+        del local[first]
+        m_final = m_kept[:, local]
+    if len(local) < len(kept_idx):
+        collinear_orig = [kept_idx[j] for j in sorted(set(range(len(kept_idx))) - set(local))]
         dropped.extend(collinear_orig)
         notes.append(f"covariate columns {collinear_orig} collinear with earlier ones; dropped")
-    m_final = m_kept[:, indep_local]
     added_rank = m_final.shape[1]
 
     ncol = q1.rank + added_rank
@@ -307,11 +313,24 @@ def build_q2(design: BlockDesign, xbar=None, poly_degree: int = 1, columns=None)
             "degree of freedom is required"
         )
     values = np.column_stack([q1.values, m_final])
-    u, lev = orthonormal_basis(values)
+    if np.abs(q1.basis.T @ qm).max() > Q1_LEAK_TOL:
+        # rounding along q1 (large covariate offsets) shows in Q_M: refactor
+        qm, r = np.linalg.qr(np.column_stack([q1.basis, m_final]))
+        qm, r = qm[:, q1.rank :], r[q1.rank :, q1.rank :]
+    # No pivoted |R_jj| falls below the smallest singular value, which for
+    # M orthogonal to q1 is the least of the q1 column norms and R's.
+    q1_norms = np.linalg.norm(q1.values, axis=0)
+    rank_tol = RANK_TOL * max(float(q1_norms.max()), float(m_norms[kept_idx][local].max()))
+    sigma_min = min(float(q1_norms.min()), float(np.linalg.svd(r, compute_uv=False).min()))
+    if sigma_min <= 10.0 * rank_tol:
+        r_piv = scipy.linalg.qr(values, mode="r", pivoting=True)[0]
+        rank = int(np.sum(np.abs(np.diag(r_piv)) > rank_tol))
+        if rank < ncol:
+            raise RankDeficient(f"basis has numerical rank {rank} < {ncol} columns")
     return QMatrix(
         values=values,
-        basis=u,
-        leverages=lev,
+        basis=np.column_stack([q1.basis, qm]),
+        leverages=_checked_leverages(q1.leverages + np.einsum("ij,ij->i", qm, qm)),
         rank=ncol,
         kind="q2",
         q1_rank=q1.rank,

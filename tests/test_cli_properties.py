@@ -52,6 +52,7 @@ BAD_ARGS = {
 FAULTS = (
     None, None, None, "cell", "arm", "argument",
     "padded name", "duplicate column", "blank line", "short row",
+    "raw byte", "oversize cell",
 )
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -62,8 +63,9 @@ def cli_runs(draw, command: str) -> tuple[str, list[str]]:
 
     The file has 2-6 blocks of 2-4 units and 0-2 covariates. The fault, if
     any, is a bad cell, a block without one of the arms, a bad argument, a
-    header name padded with blanks, a duplicated column, a blank line, or a
-    row missing its last cells.
+    header name padded with blanks, a duplicated column, a blank line, a
+    row missing its last cells, a byte that is not UTF-8, or a cell over the
+    csv module's field size limit.
     """
     n_cov = draw(st.sampled_from((2, 1, 0)))
     value = st.one_of(
@@ -118,6 +120,11 @@ def cli_runs(draw, command: str) -> tuple[str, list[str]]:
         rows.insert(row, [])
     elif fault == "short row":
         del rows[row][draw(st.integers(1, len(header) - 1)) :]
+    elif fault == "raw byte":  # an undecodable byte, carried as a surrogate escape
+        j = draw(st.integers(0, len(header) - 1))
+        rows[row][j] += draw(st.sampled_from(("\udcff", "\udc80", "\udcc3")))
+    elif fault == "oversize cell":  # over the csv module's 131,072-character field limit
+        rows[row][draw(st.integers(0, len(header) - 1))] = "1" * 140_000
     return "\n".join(",".join(r) for r in [header] + rows) + "\n", argv
 
 
@@ -138,7 +145,7 @@ def _check_contract(run: tuple[str, list[str]], schema_name: str) -> None:
     text, argv = run
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "experiment.csv"
-        path.write_text(text)
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         code, out, err, caught = _run([argv[0], "--csv", str(path), *argv[1:]])
     assert "Traceback" not in err
     if code == 0:

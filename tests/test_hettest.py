@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,3 +360,40 @@ def test_monte_carlo_thread_invariance_across_cell_bounded_chunks():
     two = permutation_test(design, data, q2, max_draws=1_500, seed=2, threads=2)
     assert not one.exact and one.draws == two.draws == 1_500
     assert one.p_value == two.p_value
+
+
+def test_exact_path_samples_when_a_block_table_exceeds_the_cell_limit(monkeypatch):
+    # one 18-unit block with 9 treated: exact enumeration tables its 48,620
+    # subsets, 437,580 cells (about 10 MiB traced at peak)
+    sizes = [18, 2, 2, 3]
+    design = BlockDesign.from_sizes(sizes, [9, 1, 1, 1])
+    rng = np.random.default_rng(3)
+    data = AssignmentAndOutcomes(
+        assignment=Assignment(z=((1,) * 9 + (0,) * 9, (1, 0), (0, 1), (1, 0, 0))),
+        responses=tuple(rng.normal(size=n) for n in sizes),
+    )
+    q2 = build_q2(design, xbar=np.array([0.0, 1.0, 3.0, 2.0]))
+    total = 48_620 * 2 * 2 * 3
+
+    def traced_run():
+        tracemalloc.start()
+        try:
+            result = permutation_test(design, data, q2, max_draws=total, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    exact, exact_peak = traced_run()
+    assert exact.exact and exact.draws == total and not exact.notes
+    assert exact_peak > 8 * 2**20  # the bound below would catch the table
+
+    monkeypatch.setattr(hettest, "EXACT_OPTION_CELLS", 100_000)
+    sampled, peak = traced_run()
+    assert peak < 6 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
+    assert not sampled.exact and sampled.draws == total and sampled.seed == 2
+    assert sampled.notes == (
+        "exact enumeration of 583440 assignments needs a 437580-cell option table for "
+        "one block, above the limit of 100000; sampled 583440 instead",
+    )
+    assert abs(sampled.p_value - exact.p_value) < 0.01

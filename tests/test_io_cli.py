@@ -538,3 +538,23 @@ def test_errors_name_the_physical_line_after_blank_lines(tmp_path, capsys):
     path.write_text('block_id,unit_id,treated,response\n"a\n",1,1,1.0\na,2,2,2.0\n')
     with pytest.raises(ParseError, match=r"blank\.csv:4: treated must be 0 or 1"):
         ingest_csv(path)
+
+
+def test_byte_the_encoding_rejects_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "raw_byte.csv"
+    path.write_bytes(b"block_id,unit_id,treated,response\na,1,1,1.0\na,2,0,2\xff\nb,1,1,3.0\n")
+    with pytest.raises(ParseError, match=r"raw_byte\.csv:3: byte 0xff is not valid"):
+        ingest_csv(path)
+    assert main(["analyze", "--csv", str(path)]) == 2
+    assert "byte 0xff" in _one_error_line(capsys)
+
+
+def test_cell_over_the_csv_field_limit_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "oversize.csv"
+    path.write_text(
+        "block_id,unit_id,treated,response\na,1,1,1.0\na,2,0,2.0\nb,1,1," + "7" * 140_000 + "\n"
+    )
+    with pytest.raises(ParseError, match=r"oversize\.csv:4: field larger than field limit"):
+        ingest_csv(path)
+    assert main(["hettest", "--csv", str(path)]) == 2
+    assert "field larger than field limit" in _one_error_line(capsys)

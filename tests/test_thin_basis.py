@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import stratavar.simulate as simulate_module
 from stratavar import (
@@ -155,3 +156,26 @@ def test_monte_carlo_chunks_stay_in_thin_memory_at_twenty_thousand_pairs():
     assert peak < 100 * 2**20, f"peak traced memory {peak / 2**20:.1f} MiB"
     assert not result.exact and result.draws == 2_000
     assert 0.0 < result.p_value <= 1.0
+
+
+def test_one_factorization_per_basis_and_none_per_test(monkeypatch):
+    calls = []
+
+    def counting(qr):
+        def counted(*args, **kwargs):
+            calls.append(qr)
+            return qr(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(np.linalg, "qr", counting(np.linalg.qr))
+    monkeypatch.setattr(scipy.linalg, "qr", counting(scipy.linalg.qr))
+    for n_blocks, max_draws in ((40, 200), (8, 1000)):  # Monte Carlo, then exact
+        design, data = _pairs_with_covariate(n_blocks, 13)
+        build_q1(design)  # cached on the design
+        xbar = np.random.default_rng(n_blocks).normal(size=(n_blocks, 3))
+        calls.clear()
+        q2 = build_q2(design, xbar=xbar)
+        assert len(calls) == 1
+        permutation_test(design, data, q2, max_draws=max_draws, seed=1)
+        assert len(calls) == 1
