@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -432,6 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later ``main`` call."""
+    return build_parser()
+
+
 EXIT_CODES = {
     InputError: EXIT_INPUT,
     DesignError: EXIT_DESIGN,
@@ -445,9 +452,8 @@ def main(argv=None) -> int:
     """Run one subcommand. A failure prints exactly one ``error:`` line on
     stderr; warnings raised along the way print as one ``warning:`` line each,
     and only when the command succeeds."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     with warnings.catch_warnings(record=True) as caught:

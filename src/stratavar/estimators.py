@@ -124,10 +124,7 @@ def block_effects(design: BlockDesign, data: AssignmentAndOutcomes) -> BlockEffe
             f"block {design.blocks[i].block_id!r}: responses contain non-finite values"
         )
     t = z == 1
-    # r - r_t is r on control units and exactly zero on treated ones
-    r_t = np.where(t, r, 0.0)
-    m1 = np.add.reduceat(r_t, starts) / n1
-    m0 = np.add.reduceat(r - r_t, starts) / n0
+    m1, m0 = _arm_means(design, t, r)
     dev = r - np.where(t, np.repeat(m1, sizes), np.repeat(m0, sizes))
     sq = dev * dev
     sq_t = np.where(t, sq, 0.0)
@@ -146,15 +143,26 @@ def block_effects(design: BlockDesign, data: AssignmentAndOutcomes) -> BlockEffe
     )
 
 
+def _arm_means(design: BlockDesign, t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block (..., B) treated and control means of flat (..., N) responses ``r``;
+    ``t`` marks the treated units."""
+    # r - r_t is r on control units and exactly zero on treated ones
+    r_t = np.where(t, r, 0.0)
+    starts = design.unit_starts
+    m1 = np.add.reduceat(r_t, starts, axis=-1) / design.treated_counts
+    m0 = np.add.reduceat(r - r_t, starts, axis=-1) / design.control_counts
+    return m1, m0
+
+
 def _block_mean(design: BlockDesign, x: np.ndarray) -> np.ndarray:
-    """Per-block mean of a flat unit array."""
-    return np.add.reduceat(x, design.unit_starts) / design.sizes
+    """Per-block mean of a flat (..., N) unit array."""
+    return np.add.reduceat(x, design.unit_starts, axis=-1) / design.sizes
 
 
 def _block_var(design: BlockDesign, x: np.ndarray) -> np.ndarray:
-    """Per-block ddof=1 variance of a flat unit array, in two passes as np.var."""
-    dev = x - np.repeat(_block_mean(design, x), design.sizes)
-    return np.add.reduceat(dev * dev, design.unit_starts) / (design.sizes - 1)
+    """Per-block ddof=1 variance of a flat (..., N) unit array, in two passes as np.var."""
+    dev = x - np.repeat(_block_mean(design, x), design.sizes, axis=-1)
+    return np.add.reduceat(dev * dev, design.unit_starts, axis=-1) / (design.sizes - 1)
 
 
 def _option_groups(
@@ -162,47 +170,74 @@ def _option_groups(
 ) -> list:
     """Option tables of the block effect, one per (size, treated count) group.
 
-    ``r1``/``r0`` are flat unit arrays of treated- and control-arm responses;
-    a replay under the additivity null passes the observed responses as both.
-    Each group is ``(idx, kt, r1, r0, table)``, with the (G, n) arm responses
-    of blocks ``idx``. Row g of the (G, C(n, kt)) ``table`` holds, for every
-    treated subset of block idx[g] in lexicographic order, the mean of r1
-    over the subset minus the mean of r0 over its complement; the table is
-    None when C(n, kt) * kt exceeds ``max_cells``.
+    ``r1``/``r0`` are flat (..., N) unit arrays of treated- and control-arm
+    responses, with optional leading replicate axes; a replay under the
+    additivity null passes the observed responses as both. Each group is
+    ``(idx, kt, r1, r0, table)``, with the (..., G, n) arm responses of
+    blocks ``idx``. Row g of the (..., G, C(n, kt)) ``table`` holds, for
+    every treated subset of block idx[g] in lexicographic order, the mean of
+    r1 over the subset minus the mean of r0 over its complement; the table
+    is None when C(n, kt) * kt exceeds ``max_cells``.
     """
     groups = []
     for n, kt, idx, units in design.size_groups:
-        a1, a0 = r1[units], r0[units]
+        a1, a0 = r1[..., units], r0[..., units]
         table = None
         if math.comb(n, kt) * kt <= max_cells:
             combos = np.array(list(itertools.combinations(range(n), kt)), dtype=np.int64)
-            t0 = a0[:, combos].sum(axis=2)
-            table = a1[:, combos].sum(axis=2) / kt - (a0.sum(axis=1, keepdims=True) - t0) / (n - kt)
+            t0 = a0[..., combos].sum(axis=-1)
+            rest = a0.sum(axis=-1, keepdims=True) - t0
+            table = a1[..., combos].sum(axis=-1) / kt - rest / (n - kt)
         groups.append((idx, kt, a1, a0, table))
     return groups
 
 
-def _sample_effects(rng: np.random.Generator, groups: list, m: int) -> np.ndarray:
-    """(m, B) block effects of m uniform assignments, columns in group order.
+def _draw_options(rng: np.random.Generator, groups: list, m: int) -> list[np.ndarray]:
+    """Raw draws of m uniform assignments, one array per group of ``groups``.
 
-    A tabled block draws a uniform index into its option row; any other block
-    treats the kt units with the smallest uniform keys.
+    A tabled group of G blocks draws (m, G) uniform indices into its option
+    rows; any other group draws (m, G, n) uniform keys, and treats the kt
+    units with the smallest keys. Only the groups' shapes are read, so any
+    arms of the design serve.
     """
-    t_mat = np.empty((m, sum(idx.shape[0] for idx, *_ in groups)))
-    start = 0
-    for _, kt, r1, r0, table in groups:
-        g, n = r1.shape
-        if table is not None:
-            picks = rng.integers(0, table.shape[1], size=(m, g))
-            picks += np.arange(0, table.size, table.shape[1])
-            t_mat[:, start : start + g] = table.ravel().take(picks)
+    draws = []
+    for _, _, a1, _, table in groups:
+        g, n = a1.shape[-2:]
+        if table is None:
+            draws.append(rng.random((m, g, n)))
         else:
-            treated = np.argpartition(rng.random((m, g, n)), kt - 1, axis=2)[..., :kt]
-            t1 = np.take_along_axis(r1[None], treated, axis=2).sum(axis=2)
-            t0 = np.take_along_axis(r0[None], treated, axis=2).sum(axis=2)
-            t_mat[:, start : start + g] = t1 / kt - (r0.sum(axis=1) - t0) / (n - kt)
+            draws.append(rng.integers(0, table.shape[-1], size=(m, g)))
+    return draws
+
+
+def _drawn_effects(groups: list, draws: list) -> np.ndarray:
+    """(..., m, B) block effects of drawn assignments, columns in group order.
+
+    ``groups`` come from :func:`_option_groups` and ``draws`` from
+    :func:`_draw_options`; both may carry the same leading replicate axes.
+    """
+    lead = groups[0][2].shape[:-2]
+    m = draws[0].shape[len(lead)]
+    t_mat = np.empty(lead + (m, sum(idx.shape[0] for idx, *_ in groups)))
+    start = 0
+    for (_, kt, r1, r0, table), d in zip(groups, draws):
+        g, n = r1.shape[-2:]
+        if table is not None:
+            offsets = np.arange(0, table.size, table.shape[-1]).reshape(table.shape[:-1])
+            t_mat[..., start : start + g] = table.ravel().take(d + offsets[..., None, :])
+        else:
+            treated = np.argpartition(d, kt - 1, axis=-1)[..., :kt]
+            t1 = np.take_along_axis(r1[..., None, :, :], treated, axis=-1).sum(axis=-1)
+            t0 = np.take_along_axis(r0[..., None, :, :], treated, axis=-1).sum(axis=-1)
+            rest = r0.sum(axis=-1)[..., None, :] - t0
+            t_mat[..., start : start + g] = t1 / kt - rest / (n - kt)
         start += g
     return t_mat
+
+
+def _sample_effects(rng: np.random.Generator, groups: list, m: int) -> np.ndarray:
+    """(m, B) block effects of m uniform assignments, columns in group order."""
+    return _drawn_effects(groups, _draw_options(rng, groups, m))
 
 
 def estimate_ate(effects: BlockEffects, w: np.ndarray) -> float:
@@ -265,20 +300,28 @@ def _check_q(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> np.ndarray:
     return w
 
 
-def _projection_variances(tau: np.ndarray, w: np.ndarray, q: QMatrix) -> tuple[float, float, float]:
-    """Unclamped (s1, s2, s3) of the block effects ``tau`` on the basis ``q``.
+def _projection_variances(
+    tau: np.ndarray, w: np.ndarray, basis: np.ndarray, one_minus: np.ndarray
+) -> np.ndarray:
+    """Unclamped (s1, s2, s3) of the block effects ``tau`` on a basis, as (..., 3).
 
-    ``np.add.reduce`` is the sum ``np.sum`` computes, without its wrapper's
-    per-call cost; each ``var_s*`` call evaluates all three.
+    ``tau`` is (..., B), ``basis`` the (..., B, L) orthonormal factor U of
+    the basis and ``one_minus`` the (..., B) values 1 - h_ii; any leading
+    replicate axes broadcast. Each ``var_s*`` call evaluates all three.
     """
-    b2 = tau.shape[0] ** 2
-    scaled = q.residual(w * (tau / np.sqrt(1.0 - q.leverages)))
-    resid_sq = q.residual(w * tau) ** 2
-    return (
-        float(scaled @ scaled) / b2,
-        float(np.add.reduce(resid_sq * q.psi)) / b2,
-        float(np.add.reduce(resid_sq * q.psi_tilde)) / b2,
+    b2 = tau.shape[-1] ** 2
+
+    def residual(v):  # (I - U U') v, along the last axis
+        return v - ((v[..., None, :] @ basis) @ basis.swapaxes(-1, -2))[..., 0, :]
+
+    scaled = residual(w * (tau / np.sqrt(one_minus)))
+    resid_sq = residual(w * tau) ** 2
+    sums = (
+        np.einsum("...i,...i->...", scaled, scaled),
+        np.einsum("...i,...i->...", resid_sq, 1.0 / one_minus**2),
+        np.einsum("...i,...i->...", resid_sq, 1.0 / one_minus),
     )
+    return np.stack(sums, axis=-1) / b2
 
 
 def var_s1(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
@@ -287,13 +330,15 @@ def var_s1(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
     B^{-2} y' W (I - H_Q) W y with y_i = tau_hat_i / sqrt(1 - h_ii).
     """
     w = _check_q(effects, w, q)
-    return clamp_variance(_projection_variances(effects.tau_hat, w, q)[0])
+    s = _projection_variances(effects.tau_hat, w, q.basis, q._one_minus_leverage)
+    return clamp_variance(s[0])
 
 
 def var_s2(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
     """Projection estimator with squared residuals reweighted by 1/(1-h)^2."""
     w = _check_q(effects, w, q)
-    return clamp_variance(_projection_variances(effects.tau_hat, w, q)[1])
+    s = _projection_variances(effects.tau_hat, w, q.basis, q._one_minus_leverage)
+    return clamp_variance(s[1])
 
 
 def var_s3(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
@@ -310,7 +355,8 @@ def var_s3(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
             EstimatorWarning,
             stacklevel=2,
         )
-    return clamp_variance(_projection_variances(effects.tau_hat, w, q)[2])
+    s = _projection_variances(effects.tau_hat, w, q.basis, q._one_minus_leverage)
+    return clamp_variance(s[2])
 
 
 def confidence_interval(delta_hat: float, s2: float, alpha: float) -> tuple[float, float]:

@@ -93,21 +93,32 @@ def _f_values(
     df_den: int,
     k: int,
 ) -> np.ndarray:
-    """F for each row of a (draws, B) matrix of block effects; inf on zero residual.
+    """F for each row of a (..., draws, B) array of block effects; inf on zero residual.
 
-    ``qm`` and ``basis`` are the B x K and B x L orthonormal factors of the
-    covariate block and of the full basis, so each row costs O(B (K + L)).
+    ``qm`` and ``basis`` are the (..., B, K) and (..., B, L) orthonormal
+    factors of the covariate block and of the full basis, so each row costs
+    O(B (K + L)). Leading replicate axes broadcast as in matmul.
     """
     v = t_mat * w
-    num = np.square(v @ qm).sum(axis=1)
-    resid = (v @ basis) @ basis.T
+    num = np.square(v @ qm).sum(axis=-1)
+    resid = (v @ basis) @ basis.swapaxes(-1, -2)
     resid -= v  # H v - v: only its square norm is used
-    den = np.einsum("ij,ij->i", resid, resid)
-    scale = np.einsum("ij,ij->i", v, v)
+    den = np.einsum("...j,...j->...", resid, resid)
+    scale = np.einsum("...j,...j->...", v, v)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = (num / den) * (df_den / k)
     f[den <= DENOMINATOR_TOL * scale] = np.inf
     return f
+
+
+def _replay_threshold(t: np.ndarray) -> np.ndarray:
+    """Replays with F at or above this count against an observed F of ``t``.
+
+    Ties within 1e-12 relative count in favor of the null; an infinite ``t``
+    (zero residual) counts only the replays that are degenerate too.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf, replaced below
+        return np.where(np.isfinite(t), t - 1e-12 * np.abs(t), np.inf)
 
 
 def _exact_chunk(args) -> tuple[int, int]:
@@ -118,6 +129,16 @@ def _exact_chunk(args) -> tuple[int, int]:
         t_mat[:, i] = opts[(flat // strides[i]) % counts[i]]
     f = _f_values(t_mat, w, qm, basis, df_den, k)
     return int(np.sum(f >= thresh)), flat.shape[0]
+
+
+def _mc_chunk_sizes(groups: list, n_blocks: int, max_draws: int) -> list[int]:
+    """Draws of each Monte Carlo chunk; chunk c samples from ``chunk_rng(seed, c)``.
+
+    A chunk holds about CELLS cells of block effects and untabled blocks' keys.
+    """
+    width = n_blocks + sum(r.size for _, _, r, _, table in groups if table is None)
+    rows = max(1, CELLS // width)
+    return [min(rows, max_draws - c * rows) for c in range(math.ceil(max_draws / rows))]
 
 
 def _mc_chunk(args) -> tuple[int, int]:
@@ -161,7 +182,7 @@ def permutation_test(
         notes.append(
             "observed residual beyond the basis is zero; p-value is the smallest attainable"
         )
-    thresh = t - 1e-12 * abs(t) if np.isfinite(t) else np.inf
+    thresh = _replay_threshold(t)
 
     total = n_assignments(design)
     exact = total <= max_draws
@@ -186,12 +207,8 @@ def permutation_test(
         ]
         results = map_chunks(_exact_chunk, args, threads)
     else:
-        width = design.n_blocks + sum(r.size for _, _, r, _, table in groups if table is None)
-        rows = max(1, CELLS // width)
-        args = [
-            (seed, c, min(rows, max_draws - c * rows), groups, *fixed)
-            for c in range(math.ceil(max_draws / rows))
-        ]
+        sizes = _mc_chunk_sizes(groups, design.n_blocks, max_draws)
+        args = [(seed, c, m, groups, *fixed) for c, m in enumerate(sizes)]
         results = map_chunks(_mc_chunk, args, threads)
     hits = sum(h for h, _ in results)
     draws = sum(m for _, m in results)

@@ -14,6 +14,9 @@ factors M, the q1-orthogonalized covariate block, with one unpivoted QR;
 column j is collinear when its |R_jj| is at most the tolerance for M's
 columns. A column-pivoted QR of ``[q1 | M]`` decides RankDeficient, and
 runs only when the basis's smallest singular value nears the tolerance.
+``q2_stack`` runs that factorization, and every check, on a stack of
+covariate blocks at once; ``build_q2`` is its one-row case, and repairs
+(drops, refactors or raises) only a row that some check flags.
 
 Every consumer needs only the residual ``v - H v`` and the leverages
 ``diag(H)`` of the projector H onto col(Q), never H itself. Both come from
@@ -27,6 +30,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -155,12 +159,18 @@ def orthonormal_basis(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, _checked_leverages(np.einsum("ij,ij->i", q, q))
 
 
-def _checked_leverages(squared_row_norms: np.ndarray) -> np.ndarray:
-    """Leverages clipped to [0, 1]; raises LeverageOne when one reaches 1 - 1e-10."""
+def _leverages(squared_row_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leverages clipped to [0, 1], and the mask of those at or above 1 - 1e-10."""
     lev = np.clip(squared_row_norms, 0.0, 1.0)
-    if np.any(lev >= 1.0 - LEVERAGE_TOL):
-        worst = int(np.argmax(lev))
-        raise LeverageOne(f"leverage {lev[worst]:.12f} at block index {worst} is numerically one")
+    return lev, lev >= 1.0 - LEVERAGE_TOL
+
+
+def _checked_leverages(squared_row_norms: np.ndarray) -> np.ndarray:
+    """Leverages clipped to [0, 1]; LeverageOne names the first block at 1 - 1e-10 or above."""
+    lev, one = _leverages(squared_row_norms)
+    if one.any():
+        first = int(np.argmax(one))
+        raise LeverageOne(f"leverage {lev[first]:.12f} at block index {first} is numerically one")
     return lev
 
 
@@ -242,6 +252,72 @@ def _expanded_block_means(
     return np.add.reduceat(powers, design.unit_starts, axis=0) / design.sizes[:, None]
 
 
+class Q2Stack(NamedTuple):
+    """``build_q2``'s one-factorization path over a stack of covariate blocks.
+
+    Row r is ``ok`` when its basis needs no column drop, note, refactor or
+    rank fallback and raises nothing; ``build_q2`` then returns
+    ``[U_q1 | qm[r]]`` with ``leverages[r]`` for it. ``qm`` and
+    ``leverages`` are None when the basis has too many columns or every row
+    has a degenerate column.
+    """
+
+    m: np.ndarray  # (R, B, K) weighted covariate blocks orthogonalized against q1
+    m_norms: np.ndarray  # (R, K) their column norms
+    degenerate: np.ndarray  # (R, K) columns that vanished after weighting and centering
+    qm: np.ndarray | None  # (R, B, K) orthonormal factors Q_M of m
+    leverages: np.ndarray | None  # (R, B) leverages of [q1 | m]
+    ok: np.ndarray  # (R,) bool
+
+
+def _collinear(r: np.ndarray, col_max) -> np.ndarray:
+    """Mask of R's |R_jj| at or below the rank tolerance for columns of largest norm ``col_max``."""
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    return diag <= RANK_TOL * np.expand_dims(col_max, -1)
+
+
+def _q1_leak(q1: QMatrix, qm: np.ndarray):
+    """Whether rounding of M along q1 shows in Q_M (large covariate offsets)."""
+    return np.abs(q1.basis.T @ qm).max(axis=(-2, -1)) > Q1_LEAK_TOL
+
+
+def _near_rank_tol(q1: QMatrix, r: np.ndarray, m_max):
+    """Whether ``[q1 | M]``'s smallest singular value is within 10x of the rank
+    tolerance, and that tolerance.
+
+    No pivoted |R_jj| falls below the smallest singular value, which for M
+    orthogonal to q1 is the least of the q1 column norms and R's.
+    """
+    q1_norms = np.linalg.norm(q1.values, axis=0)
+    rank_tol = RANK_TOL * np.maximum(q1_norms.max(), m_max)
+    sigma_min = np.minimum(q1_norms.min(), np.linalg.svd(r, compute_uv=False).min(axis=-1))
+    return sigma_min <= 10.0 * rank_tol, rank_tol
+
+
+def q2_stack(q1: QMatrix, raw: np.ndarray) -> Q2Stack:
+    """Factor an (R, B, K) stack of weighted covariate blocks W Xbar with one stacked QR.
+
+    Every check of ``build_q2`` is applied to each row; a row that any check
+    flags is not ``ok``, and ``build_q2`` on it takes the path that drops,
+    refactors or raises.
+    """
+    b, k = raw.shape[-2:]
+    m = raw - q1.basis @ (q1.basis.T @ raw)
+    raw_norms = np.linalg.norm(raw, axis=-2)
+    m_norms = np.linalg.norm(m, axis=-2)
+    scale = np.maximum(raw_norms.max(axis=-1, keepdims=True), 1e-300)
+    degenerate = m_norms <= RANK_TOL * scale
+    ok = ~degenerate.any(axis=-1)
+    if q1.rank + k >= b or not ok.any():  # TooManyColumns, or nothing left to factor
+        return Q2Stack(m, m_norms, degenerate, None, None, np.zeros_like(ok))
+    qm, r = np.linalg.qr(m)
+    m_max = m_norms.max(axis=-1)
+    lev, one = _leverages(q1.leverages + np.einsum("...ij,...ij->...i", qm, qm))
+    ok &= ~_collinear(r, m_max).any(axis=-1) & ~_q1_leak(q1, qm) & ~one.any(axis=-1)
+    ok &= ~_near_rank_tol(q1, r, m_max)[0]
+    return Q2Stack(m, m_norms, degenerate, qm, lev, ok)
+
+
 def build_q2(design: BlockDesign, xbar=None, poly_degree: int = 1, columns=None) -> QMatrix:
     """q1 columns plus weighted covariate block means, orthogonalized against q1.
 
@@ -260,16 +336,33 @@ def build_q2(design: BlockDesign, xbar=None, poly_degree: int = 1, columns=None)
             only meaningful when ``xbar`` is None.
     """
     q1 = build_q1(design)
-    b = design.n_blocks
-    w = block_weights(design)
     x = _expanded_block_means(design, xbar, poly_degree, columns)
-    raw = w[:, None] * x
-    m = q1.residual(raw)
+    stack = q2_stack(q1, (block_weights(design)[:, None] * x)[None])
+    if stack.ok[0]:
+        m, qm, lev, dropped, notes = stack.m[0], stack.qm[0], stack.leverages[0], [], []
+    else:
+        m, qm, lev, dropped, notes = _repaired_q2(q1, stack)
+    return QMatrix(
+        values=np.column_stack([q1.values, m]),
+        basis=np.column_stack([q1.basis, qm]),
+        leverages=lev,
+        rank=q1.rank + m.shape[1],
+        kind="q2",
+        q1_rank=q1.rank,
+        added_covariate_rank=m.shape[1],
+        dropped_columns=tuple(sorted(dropped)),
+        notes=tuple(notes),
+    )
 
-    raw_norms = np.linalg.norm(raw, axis=0)
-    m_norms = np.linalg.norm(m, axis=0)
-    scale = max(float(raw_norms.max()), 1e-300)
-    degenerate = m_norms <= RANK_TOL * scale
+
+def _repaired_q2(q1: QMatrix, stack: Q2Stack) -> tuple:
+    """``build_q2`` for a one-row stack that is not ok: drop, refactor or raise.
+
+    Returns the kept columns of M, their Q_M, the leverages, and the dropped
+    column indices with their notes.
+    """
+    m, m_norms, degenerate = stack.m[0], stack.m_norms[0], stack.degenerate[0]
+    b = m.shape[0]
     dropped: list[int] = []
     notes: list[str] = []
     if np.any(degenerate):
@@ -278,7 +371,7 @@ def build_q2(design: BlockDesign, xbar=None, poly_degree: int = 1, columns=None)
         notes.append(
             f"covariate columns {idx} vanished after weighting and centering; dropped"
         )
-        warnings.warn(notes[-1], DegenerateCovariateWarning, stacklevel=2)
+        warnings.warn(notes[-1], DegenerateCovariateWarning, stacklevel=3)
     kept_idx = np.flatnonzero(~degenerate).tolist()
     if not kept_idx:
         raise DegenerateCovariate(
@@ -289,12 +382,12 @@ def build_q2(design: BlockDesign, xbar=None, poly_degree: int = 1, columns=None)
     # Greedy in column order, so a later duplicate is dropped. After a drop the
     # survivors are factored again: the dropped column's reflector leaves noise
     # in later R_jj. Columns past the B-th have no R_jj and count as collinear.
-    tol = RANK_TOL * float(m_norms[kept_idx].max())
+    m_max = float(m_norms[kept_idx].max())
     local = list(range(len(kept_idx)))
     m_final = m_kept
     while True:
         qm, r = np.linalg.qr(m_final)
-        small = np.flatnonzero(np.abs(np.diagonal(r)) <= tol)
+        small = np.flatnonzero(_collinear(r, m_max))
         first = int(small[0]) if small.size else min(r.shape)
         if first == len(local):
             break
@@ -304,40 +397,25 @@ def build_q2(design: BlockDesign, xbar=None, poly_degree: int = 1, columns=None)
         collinear_orig = [kept_idx[j] for j in sorted(set(range(len(kept_idx))) - set(local))]
         dropped.extend(collinear_orig)
         notes.append(f"covariate columns {collinear_orig} collinear with earlier ones; dropped")
-    added_rank = m_final.shape[1]
 
-    ncol = q1.rank + added_rank
+    ncol = q1.rank + m_final.shape[1]
     if ncol >= b:
         raise TooManyColumns(
             f"basis would have {ncol} columns for {b} blocks; at least one residual "
             "degree of freedom is required"
         )
-    values = np.column_stack([q1.values, m_final])
-    if np.abs(q1.basis.T @ qm).max() > Q1_LEAK_TOL:
-        # rounding along q1 (large covariate offsets) shows in Q_M: refactor
+    if _q1_leak(q1, qm):
         qm, r = np.linalg.qr(np.column_stack([q1.basis, m_final]))
         qm, r = qm[:, q1.rank :], r[q1.rank :, q1.rank :]
-    # No pivoted |R_jj| falls below the smallest singular value, which for
-    # M orthogonal to q1 is the least of the q1 column norms and R's.
-    q1_norms = np.linalg.norm(q1.values, axis=0)
-    rank_tol = RANK_TOL * max(float(q1_norms.max()), float(m_norms[kept_idx][local].max()))
-    sigma_min = min(float(q1_norms.min()), float(np.linalg.svd(r, compute_uv=False).min()))
-    if sigma_min <= 10.0 * rank_tol:
+    near, rank_tol = _near_rank_tol(q1, r, float(m_norms[kept_idx][local].max()))
+    if near:
+        values = np.column_stack([q1.values, m_final])
         r_piv = scipy.linalg.qr(values, mode="r", pivoting=True)[0]
         rank = int(np.sum(np.abs(np.diag(r_piv)) > rank_tol))
         if rank < ncol:
             raise RankDeficient(f"basis has numerical rank {rank} < {ncol} columns")
-    return QMatrix(
-        values=values,
-        basis=np.column_stack([q1.basis, qm]),
-        leverages=_checked_leverages(q1.leverages + np.einsum("ij,ij->i", qm, qm)),
-        rank=ncol,
-        kind="q2",
-        q1_rank=q1.rank,
-        added_covariate_rank=added_rank,
-        dropped_columns=tuple(sorted(dropped)),
-        notes=tuple(notes),
-    )
+    lev = _checked_leverages(q1.leverages + np.einsum("ij,ij->i", qm, qm))
+    return m_final, qm, lev, dropped, notes
 
 
 def psi_matrices(q: QMatrix) -> PsiMatrices:

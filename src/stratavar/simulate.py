@@ -22,6 +22,20 @@ Studies:
 * ``pate_demo``: shows covariate-adjusted estimators undershooting the
   across-worlds variance while staying conservative for the schedule-level
   target.
+
+Table 1 and the power curve split their replicates into chunks of
+``REP_CHUNK``, the unit of work a worker process takes, and compute each
+chunk as arrays over its replicates. Replicate r draws from its own stream,
+``SeedSequence([seed, r])`` (power: ``[seed, a_index, r]``), in the order a
+one-replicate loop draws, so seeded results do not depend on the batching
+or the worker count. Only these draws loop over replicates; worlds, option
+tables, covariate bases (``projection.q2_stack``), estimators and observed
+test statistics run on sub-batches whose temporaries hold at most
+``BATCH_CELLS`` cells. A power replicate samples its replays once and
+scores them against every q-spec's basis. A replicate whose basis any
+check of ``build_q2`` flags takes the scalar ``build_q2`` (and, for power,
+``permutation_test``) path, in replicate order, so values, warnings and
+the first error are those of the one-replicate loop.
 """
 from __future__ import annotations
 
@@ -31,27 +45,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_rng, map_chunks
-from .design import BlockDesign, block_weights, sample_assignment
+from ._util import as_rng, chunk_rng, map_chunks
+from .design import (
+    Assignment,
+    AssignmentAndOutcomes,
+    BlockDesign,
+    block_weights,
+    n_assignments,
+)
 from .errors import DimensionMismatch, InputError
-from .estimators import _option_groups, _projection_variances, _sample_effects
-from .hettest import permutation_test
+from .estimators import (
+    _arm_means,
+    _draw_options,
+    _drawn_effects,
+    _option_groups,
+    _projection_variances,
+)
+from .hettest import (
+    OPTION_CELLS,
+    _f_values,
+    _mc_chunk_sizes,
+    _replay_threshold,
+    permutation_test,
+)
 from .oracle import (
     CateModel,
     _randomization_variance,
-    draw_world,
     expected_bias_s1,
     expected_bias_s2,
     expected_bias_s3,
     expected_bias_scs,
-    observed_responses,
     true_ate_variance,
 )
-from .projection import QMatrix, build_q1, build_q2
+from .projection import QMatrix, build_q1, build_q2, q2_stack
 
 TABLE1_ESTIMATORS = ("s1", "s2", "s3")
 TABLE1_QSPECS = ("none", "correct", "incorrect")
 REP_CHUNK = 250
+BATCH_CELLS = 1 << 14  # float cells in one temporary of a replicate sub-batch
 
 
 @dataclass(frozen=True)
@@ -89,24 +120,25 @@ class QSpec:
 
 
 def friedman_function(x: np.ndarray) -> np.ndarray:
-    """The block-level response surface; x is (B, K>=5) in [0,1]."""
+    """The block-level response surface; x is (..., B, K>=5) in [0,1]."""
     return (
-        10.0 * np.sin(np.pi * x[:, 0] * x[:, 1])
-        + 20.0 * (x[:, 2] - 0.5) ** 2
-        + 10.0 * np.exp(x[:, 3])
-        + 5.0 * (x[:, 4] - 0.5) ** 3
+        10.0 * np.sin(np.pi * x[..., 0] * x[..., 1])
+        + 20.0 * (x[..., 2] - 0.5) ** 2
+        + 10.0 * np.exp(x[..., 3])
+        + 5.0 * (x[..., 4] - 0.5) ** 3
     )
 
 
 def correct_transforms(x: np.ndarray) -> np.ndarray:
-    """The four covariate transforms whose span contains f."""
-    return np.column_stack(
+    """The four covariate transforms whose span contains f, as (..., B, 4)."""
+    return np.stack(
         [
-            np.sin(np.pi * x[:, 0] * x[:, 1]),
-            (x[:, 2] - 0.5) ** 2,
-            np.exp(x[:, 3]),
-            (x[:, 4] - 0.5) ** 3,
-        ]
+            np.sin(np.pi * x[..., 0] * x[..., 1]),
+            (x[..., 2] - 0.5) ** 2,
+            np.exp(x[..., 3]),
+            (x[..., 4] - 0.5) ** 3,
+        ],
+        axis=-1,
     )
 
 
@@ -142,15 +174,51 @@ def block_level_covariates(design: BlockDesign) -> np.ndarray:
     return np.vstack([np.asarray(blk.covariates)[0] for blk in design.blocks])
 
 
+def _qspec_xbar(spec: QSpec, x: np.ndarray) -> np.ndarray | None:
+    """Block-level covariate columns of a q-spec for (..., B, K) covariates; None for "none"."""
+    if spec.kind == "none":
+        return None
+    if spec.kind == "correct":
+        return correct_transforms(x)
+    if spec.kind == "incorrect":
+        return x
+    return spec.columns
+
+
 def resolve_qspec(spec: QSpec, design: BlockDesign, x: np.ndarray) -> QMatrix:
     """Materialize a q-spec into a basis for a given world's covariates."""
-    if spec.kind == "none":
+    xbar = _qspec_xbar(spec, x)
+    if xbar is None:
         return build_q1(design)
-    if spec.kind == "correct":
-        return build_q2(design, xbar=correct_transforms(x), poly_degree=1)
-    if spec.kind == "incorrect":
-        return build_q2(design, xbar=x, poly_degree=1)
-    return build_q2(design, xbar=spec.columns, poly_degree=1)
+    return build_q2(design, xbar=xbar, poly_degree=1)
+
+
+# ---------------------------------------------------------------------------
+# batched replicates
+# ---------------------------------------------------------------------------
+
+
+def _sub_batches(start: int, count: int, cells_per_rep: int) -> list[tuple[int, int]]:
+    """(first replicate, size) runs covering a chunk, each within BATCH_CELLS."""
+    size = max(1, BATCH_CELLS // cells_per_rep)
+    return [(s, min(size, start + count - s)) for s in range(start, start + count, size)]
+
+
+def _stacked_bases(q1: QMatrix, w: np.ndarray, xbar: np.ndarray | None, reps: int):
+    """q2 bases of an (R, B, K) covariate stack by the one-factorization path.
+
+    Returns the (R,) ok mask, the (R, B, L) bases ``[U_q1 | Q_M]`` and their
+    1 - leverages; rows that are not ok hold unchecked values. The bases are
+    None when no row has one, as for the "none" spec (``xbar`` None). A row
+    that is not ok takes :func:`resolve_qspec` instead.
+    """
+    if xbar is None:
+        return np.zeros(reps, dtype=bool), None, None
+    stack = q2_stack(q1, w[:, None] * xbar)
+    if stack.qm is None:
+        return stack.ok, None, None
+    u1 = np.broadcast_to(q1.basis, stack.qm.shape[:-1] + (q1.rank,))
+    return stack.ok, np.concatenate([u1, stack.qm], axis=-1), 1.0 - stack.leverages
 
 
 # ---------------------------------------------------------------------------
@@ -161,63 +229,68 @@ def resolve_qspec(spec: QSpec, design: BlockDesign, x: np.ndarray) -> QMatrix:
 def _sim_context(config: FriedmanConfig) -> dict:
     sizes, treated = friedman_sizes(config)
     design = BlockDesign.from_sizes(sizes, treated)
+    flat = np.zeros(design.n_units)
     return {
         "config": config,
         "design": design,
         "w": block_weights(design),
         "q1": build_q1(design),
         "order": np.concatenate([idx for _, _, idx, _ in design.size_groups]),
+        "probe": _option_groups(design, flat, flat),  # shapes for the draws
     }
 
 
-def _table1_rep(rng: np.random.Generator, ctx: dict) -> tuple[np.ndarray, float, float]:
-    """One world, one assignment: nine estimator cells, schedule variance, estimate."""
+def _table1_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Sums and sums of squares of the nine cells and the schedule variance,
+    the estimates, and (with ``collect_raw``) the raw rows of ``count``
+    replicates from ``rep_start``.
+
+    Each replicate draws x, the unit noise and one option index per block
+    from its own stream; the rest runs on stacks of replicates.
+    """
+    seed, rep_start, count, ctx, collect_raw = args
     config: FriedmanConfig = ctx["config"]
     design: BlockDesign = ctx["design"]
-    w = ctx["w"]
-    b = design.n_blocks
+    w, q1 = ctx["w"], ctx["q1"]
+    b, k = design.n_blocks, config.n_covariates
+    specs = [QSpec(kind=name) for name in TABLE1_QSPECS[1:]]
+    rows = np.empty((count, len(TABLE1_RAW_COLUMNS)))
+    for start, size in _sub_batches(rep_start, count, b * (k + q1.rank)):
+        x = np.empty((size, b, k))
+        eps = np.empty((size, design.n_units))
+        picks = []
+        for j in range(size):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, start + j]))
+            x[j] = rng.random((b, k))
+            eps[j] = rng.standard_normal(design.n_units)
+            picks.append(_draw_options(rng, ctx["probe"], 1))
+        f = np.repeat(friedman_function(x), design.sizes, axis=-1)
+        r1 = config.a * f + config.b * eps
+        r0 = f + eps
+        draws = [np.stack(d) for d in zip(*picks)]
+        tau = np.empty((size, b))
+        tau[:, ctx["order"]] = _drawn_effects(_option_groups(design, r1, r0), draws)[:, 0]
 
-    x = rng.random((b, config.n_covariates))
-    f = np.repeat(friedman_function(x), design.sizes)
-    eps = rng.standard_normal(design.n_units)
-    r1 = config.a * f + config.b * eps
-    r0 = f + eps
-
-    tau = np.empty(b)
-    tau[ctx["order"]] = _sample_effects(rng, _option_groups(design, r1, r0), 1)[0]
-    sate_var = float(np.sum(w**2 * _randomization_variance(design, r1, r0))) / b**2
-    delta = float(w @ tau) / b
-
-    qs = (  # in TABLE1_QSPECS order
-        ctx["q1"],
-        build_q2(design, xbar=correct_transforms(x), poly_degree=1),
-        build_q2(design, xbar=x, poly_degree=1),
-    )
-    cells = np.array([_projection_variances(tau, w, q) for q in qs]).ravel()
-    return cells, sate_var, delta
-
-
-def _table1_chunk(args) -> tuple[np.ndarray, np.ndarray, float, float, np.ndarray, np.ndarray | None]:
-    seed, rep_start, count, ctx, collect_raw = args
-    sums = np.zeros(9)
-    sumsq = np.zeros(9)
-    sate_sum = 0.0
-    sate_sumsq = 0.0
-    deltas = np.empty(count)
-    raw = np.empty((count, 11)) if collect_raw else None
-    for j in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, rep_start + j]))
-        cells, sate_var, delta = _table1_rep(rng, ctx)
-        sums += cells
-        sumsq += cells**2
-        sate_sum += sate_var
-        sate_sumsq += sate_var**2
-        deltas[j] = delta
-        if raw is not None:
-            raw[j, :9] = cells
-            raw[j, 9] = sate_var
-            raw[j, 10] = delta
-    return sums, sumsq, sate_sum, sate_sumsq, deltas, raw
+        out = rows[start - rep_start : start - rep_start + size]
+        out[:, 9] = np.sum(w**2 * _randomization_variance(design, r1, r0), axis=-1) / b**2
+        out[:, 10] = tau @ w / b
+        out[:, :3] = _projection_variances(tau, w, q1.basis, q1._one_minus_leverage)
+        stacked = [_stacked_bases(q1, w, _qspec_xbar(spec, x), size) for spec in specs]
+        for i, (ok, basis, one_minus) in enumerate(stacked, start=1):
+            if basis is not None:
+                cells = _projection_variances(tau[ok], w, basis[ok], one_minus[ok])
+                out[ok, 3 * i : 3 * i + 3] = cells
+        # flagged bases in replicate order, so the first failing replicate raises
+        flagged = ~np.logical_and.reduce([ok for ok, _, _ in stacked])
+        for j in np.flatnonzero(flagged):
+            for i, (spec, (ok, _, _)) in enumerate(zip(specs, stacked), start=1):
+                if not ok[j]:
+                    q = resolve_qspec(spec, design, x[j])
+                    cells = _projection_variances(tau[j], w, q.basis, q._one_minus_leverage)
+                    out[j, 3 * i : 3 * i + 3] = cells
+    sums = rows[:, :10].sum(axis=0)
+    sumsq = np.square(rows[:, :10]).sum(axis=0)
+    return sums, sumsq, rows[:, 10].copy(), rows if collect_raw else None
 
 
 TABLE1_RAW_COLUMNS = tuple(
@@ -254,18 +327,14 @@ def run_table1(
     if config is None:
         config = FriedmanConfig(n_blocks=100, a=2.0, b=2.0)
     ctx = _sim_context(config)
-    starts = list(range(0, reps, REP_CHUNK))
+    starts = range(0, reps, REP_CHUNK)
     args = [(seed, s, min(REP_CHUNK, reps - s), ctx, collect_raw) for s in starts]
     parts = map_chunks(_table1_chunk, args, threads)
+    deltas = np.concatenate([p[2] for p in parts])
 
-    sums = np.sum([p[0] for p in parts], axis=0)
+    # columns 0-8 are the cells, 9 the schedule variance
+    means = np.sum([p[0] for p in parts], axis=0) / reps
     sumsq = np.sum([p[1] for p in parts], axis=0)
-    sate_sum = float(np.sum([p[2] for p in parts]))
-    sate_sumsq = float(np.sum([p[3] for p in parts]))
-    deltas = np.concatenate([p[4] for p in parts])
-    raw = np.concatenate([p[5] for p in parts], axis=0) if collect_raw else None
-
-    means = sums / reps
     ses = np.sqrt(np.maximum(sumsq / reps - means**2, 0.0) / reps)
     cells = []
     for j, qname in enumerate(TABLE1_QSPECS):
@@ -280,9 +349,6 @@ def run_table1(
                 }
             )
 
-    sate_mean = sate_sum / reps
-    sate_se = math.sqrt(max(sate_sumsq / reps - sate_mean**2, 0.0) / reps)
-
     # the noise-model variance does not depend on the covariate draw
     model = friedman_world(config, seed=0)
     cate_var = true_ate_variance(model)
@@ -294,7 +360,7 @@ def run_table1(
     pate_se = math.sqrt(max(m4 - m2**2 * (reps - 3) / (reps - 1), 0.0) / reps)
 
     targets = {
-        "sate_variance": {"value": sate_mean, "mc_se": sate_se},
+        "sate_variance": {"value": float(means[9]), "mc_se": float(ses[9])},
         "cate_variance": {"value": float(cate_var), "mc_se": 0.0},
         "pate_variance": {"value": pate_var, "mc_se": pate_se},
     }
@@ -304,7 +370,7 @@ def run_table1(
         cells=cells,
         targets=targets,
         delta_mean=float(deltas.mean()),
-        raw=raw,
+        raw=np.concatenate([p[3] for p in parts]) if collect_raw else None,
     )
 
 
@@ -316,22 +382,85 @@ DEFAULT_A_GRID = (1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
 
 
 def _power_chunk(args) -> dict:
+    """Test p-values of ``count`` replicates from ``rep_start`` at one signal scale.
+
+    Each replicate draws x, the unit noise, its assignment and a sampler seed
+    from its own stream; worlds, option tables, bases and observed statistics
+    run on stacks of replicates. Then each replicate samples its replays from
+    the sampler seed's chunk streams, as ``permutation_test`` does, and scores
+    them against every q-spec's basis in one F pass. A space small enough to
+    enumerate, and every flagged basis, goes through ``permutation_test``.
+    """
     seed, a_index, a, rep_start, count, config, qspecs, max_draws = args
     cfg = dataclasses.replace(config, a=a)
+    specs = [QSpec(kind=name) for name in qspecs]
+    model = friedman_world(cfg, 0)  # block sizes and noise law; its covariates go unused
+    design = model.design
+    factor = model._noise_factors[0]
+    b, k, n_units = design.n_blocks, cfg.n_covariates, design.n_units
+    w, q1 = block_weights(design), build_q1(design)
+    order = np.concatenate([idx for _, _, idx, _ in design.size_groups])
+    w_order = w[order]
+    flat = np.zeros(n_units)
+    probe = _option_groups(design, flat, flat, OPTION_CELLS)
+    draw_sizes = _mc_chunk_sizes(probe, b, max_draws)
+    starts = design.unit_starts
+    slots = list(zip(design.sizes.tolist(), design.treated_counts.tolist(), starts.tolist()))
+    exact = n_assignments(design) <= max_draws
     pvals = {name: np.empty(count) for name in qspecs}
-    for j in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, a_index, rep_start + j]))
-        model = friedman_world(cfg, rng)
-        design = model.design
-        world = draw_world(model, rng)
-        assignment = sample_assignment(design, rng)
-        data = observed_responses(world, assignment)
-        x = block_level_covariates(design)
-        perm_seed = int(rng.integers(0, 2**62))
-        for name in qspecs:
-            q2 = resolve_qspec(QSpec(kind=name), design, x)
-            res = permutation_test(design, data, q2, max_draws=max_draws, seed=perm_seed)
-            pvals[name][j] = res.p_value
+    for start, size in _sub_batches(rep_start, count, b * (k + q1.rank)):
+        x = np.empty((size, b, k))
+        noise = np.empty((size, n_units, 2))
+        z = np.zeros((size, n_units), dtype=bool)
+        perm_seeds = []
+        for j in range(size):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, a_index, start + j]))
+            x[j] = rng.random((b, k))
+            noise[j] = rng.standard_normal((n_units, 2))
+            for n, kt, unit in slots:
+                z[j, unit + rng.permutation(n)[:kt]] = True
+            perm_seeds.append(int(rng.integers(0, 2**62)))
+        f = np.repeat(friedman_function(x), design.sizes, axis=-1)
+        e = noise @ factor.T
+        r = np.where(z, a * f + e[..., 0], f + e[..., 1])
+        m1, m0 = _arm_means(design, z, r)
+        tau = (m1 - m0)[:, None, :]
+
+        oks, scored = [], []  # scored: (name, ok, bases in group order, F thresholds, hits)
+        for spec in specs:
+            ok, basis, _ = _stacked_bases(q1, w, None if exact else _qspec_xbar(spec, x), size)
+            oks.append(ok)
+            if basis is not None:
+                qm = basis[..., q1.rank :]
+                t = _f_values(tau, w, qm, basis, b - basis.shape[-1], qm.shape[-1])[:, 0]
+                hits = np.zeros(size, dtype=np.int64)
+                scored.append((spec.kind, ok, basis[:, order], _replay_threshold(t), hits))
+        groups = _option_groups(design, r, r, OPTION_CELLS)
+        for j in range(size) if scored else ():
+            mine = [(idx, kt, a1[j], a0[j], table[j]) for idx, kt, a1, a0, table in groups]
+            for c, m in enumerate(draw_sizes):
+                draws = _draw_options(chunk_rng(perm_seeds[j], c), mine, m)
+                t_mat = _drawn_effects(mine, draws)
+                for _, ok, basis, thresh, hits in scored:
+                    if ok[j]:
+                        qm = basis[j, :, q1.rank :]
+                        df_den = b - basis.shape[-1]
+                        f_rep = _f_values(t_mat, w_order, qm, basis[j], df_den, qm.shape[1])
+                        hits[j] += np.sum(f_rep >= thresh[j])
+        for name, ok, _, _, hits in scored:
+            pvals[name][start - rep_start + np.flatnonzero(ok)] = (1 + hits[ok]) / (1 + max_draws)
+
+        # flagged bases in replicate order, so the first failing replicate raises
+        for j in np.flatnonzero(~np.logical_and.reduce(oks)):
+            data = AssignmentAndOutcomes(
+                assignment=Assignment(z=tuple(map(tuple, np.split(z[j].astype(int), starts[1:])))),
+                responses=tuple(np.split(r[j], starts[1:])),
+            )
+            for spec, ok in zip(specs, oks):
+                if not ok[j]:
+                    q2 = resolve_qspec(spec, design, x[j])
+                    res = permutation_test(design, data, q2, max_draws, seed=perm_seeds[j])
+                    pvals[spec.kind][start - rep_start + j] = res.p_value
     return pvals
 
 

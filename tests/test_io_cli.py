@@ -17,6 +17,7 @@ from stratavar import (
     pairs_quartets_study,
     write_experiment_csv,
 )
+from stratavar import cli
 from stratavar._util import effective_workers
 from stratavar.cli import main
 
@@ -558,3 +559,32 @@ def test_cell_over_the_csv_field_limit_is_a_parse_error(tmp_path, capsys):
         ingest_csv(path)
     assert main(["hettest", "--csv", str(path)]) == 2
     assert "field larger than field limit" in _one_error_line(capsys)
+
+
+def test_repeated_main_calls_match_fresh_parsers(tmp_path, capsys):
+    taus = [1.0, 2.5, -0.5, 3.0, 0.25, 1.75, 0.5]
+    x = [0.1, 0.4, 0.2, 0.9, 0.5, 0.3, 0.7]
+    csv_path = str(_write_pairs_csv(tmp_path / "exp.csv", taus, x=x))
+    calls = [
+        ["analyze", "--csv", csv_path],
+        ["hettest", "--csv", csv_path, "--q-spec", "x1", "--max-draws", "40", "--seed", "3"],
+        ["analyze", "--csv", csv_path, "--alpha", "1.5"],  # a library error: exit 2
+        ["hettest", "--csv"],  # a parse error
+        ["--help"],
+        ["simulate", "power", "--help"],
+        ["analyze", "--csv", csv_path, "--q-spec", "x1", "--estimators", "s1,s3"],
+        ["simulate", "pairs-quartets", "--out-dir", str(tmp_path / "pq")],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert {code for code, *_ in fresh} == {0, 2}
+    for _ in range(2):  # the parser built by the first call serves all the others
+        assert [run(argv) for argv in calls] == fresh

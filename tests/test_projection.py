@@ -19,7 +19,7 @@ from stratavar import (
     build_q2,
     psi_matrices,
 )
-from stratavar.projection import hat_and_leverage
+from stratavar.projection import _checked_leverages, hat_and_leverage
 
 
 def _random_design(seed: int, n_blocks: int = 8) -> BlockDesign:
@@ -179,6 +179,21 @@ def test_leverage_one_is_rejected():
     design = BlockDesign.from_sizes([2, 2, 2], [1, 1, 1])
     with pytest.raises(LeverageOne):
         build_q2(design, xbar=np.array([1.0, 0.0, 0.0]))
+
+
+def test_leverage_one_names_the_first_block_at_one():
+    # argmax would name block 3, whose leverage is larger but equally one
+    with pytest.raises(LeverageOne, match="at block index 1 is"):
+        _checked_leverages(np.array([0.3, 1.0 - 5e-11, 0.2, 1.0]))
+    # Pairs, one triplet (block 2) and one quartet (block 5): col(q1) holds the
+    # weights, so a spike on block 2 also isolates block 5. Both leverages round
+    # to one, block 5's the larger.
+    sizes = [2] * 8
+    sizes[2], sizes[5] = 3, 4
+    xbar = np.zeros(8)
+    xbar[2] = 1.0
+    with pytest.raises(LeverageOne, match="at block index 2 is"):
+        build_q2(BlockDesign.from_sizes(sizes, [1] * 8), xbar=xbar)
 
 
 def test_psi_matrices_diagonals():

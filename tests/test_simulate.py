@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from stratavar import (
     run_power_curve,
     run_table1,
 )
+from stratavar.simulate import BATCH_CELLS
 
 
 def test_friedman_sizes_split_and_alternating_treated():
@@ -225,3 +227,30 @@ def test_pate_demo_flags_covariate_estimators_only():
         assert out["conservative_for_sate"][name] is True
     assert out["pate_variance"] > out["cells"]["correct"]["mean"]
     assert out["reps"] == 400
+
+
+def test_run_power_curve_is_thread_invariant():
+    kwargs = dict(a_grid=(1.0, 1.3), reps=260, max_draws=99, seed=8, collect_raw=True)
+    assert run_power_curve(threads=1, **kwargs) == run_power_curve(threads=2, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "study",
+    [
+        lambda: run_table1(reps=250, seed=1),
+        lambda: run_power_curve(a_grid=(1.2,), reps=250, seed=1),
+    ],
+    ids=["table1", "power"],
+)
+def test_study_chunks_stay_within_the_cell_budget(study):
+    study()  # first-call set-up (imports, caches) is not a chunk's
+    tracemalloc.start()
+    try:
+        study()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a sub-batch keeps about ten float temporaries of at most BATCH_CELLS cells
+    # alive; one 250-replicate chunk at once would need several times this
+    bound = 16 * 8 * BATCH_CELLS
+    assert peak < bound, f"peak traced memory {peak / 2**20:.1f} MiB"

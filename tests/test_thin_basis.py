@@ -24,6 +24,7 @@ from stratavar import (
     true_block_variance,
 )
 from stratavar.errors import LeverageOne, TooManyColumns
+from stratavar.projection import q2_stack
 
 
 def _mixed_design(rng: np.random.Generator, n_blocks: int) -> BlockDesign:
@@ -120,6 +121,15 @@ def test_library_paths_never_build_the_dense_projector(monkeypatch):
 
     monkeypatch.setattr(simulate_module, "build_q1", recording(build_q1))
     monkeypatch.setattr(simulate_module, "build_q2", recording(build_q2))
+    run_table1(reps=2, seed=3)
+    assert len(built) == 1  # q1: the replicates' bases are stacked arrays
+    # with every stacked row flagged, each replicate builds its bases one by one
+    monkeypatch.setattr(
+        simulate_module,
+        "q2_stack",
+        lambda q1, raw: q2_stack(q1, raw)._replace(ok=np.zeros(raw.shape[0], dtype=bool)),
+    )
+    built.clear()
     run_table1(reps=2, seed=3)
     assert len(built) == 5
     assert all("hat" not in q.__dict__ for q in built)
