@@ -251,17 +251,24 @@ def enumerate_assignments(
         yield Assignment(z=tuple(combo))
 
 
+def _draw_treated(design: BlockDesign, rng: np.random.Generator) -> np.ndarray:
+    """(N,) treated flags of one uniform assignment, one permutation per block."""
+    z = np.zeros(design.n_units, dtype=bool)
+    for start, b in zip(design.unit_starts.tolist(), design.blocks):
+        z[start + rng.permutation(b.n)[: b.n_treated]] = True
+    return z
+
+
+def _assignment_of(design: BlockDesign, z: np.ndarray) -> Assignment:
+    """The assignment of (N,) treated flags."""
+    parts = np.split(z.astype(np.int64), design.unit_starts[1:])
+    return Assignment(z=tuple(tuple(part.tolist()) for part in parts))
+
+
 def sample_assignment(design: BlockDesign, seed) -> Assignment:
     """Draw one assignment uniformly at random, independently within blocks.
 
     ``seed`` may be an int (deterministic draws), a numpy Generator, or a
     SeedSequence. The same int seed always reproduces the same assignment.
     """
-    rng = as_rng(seed)
-    zs = []
-    for b in design.blocks:
-        z = np.zeros(b.n, dtype=np.int64)
-        treated = rng.permutation(b.n)[: b.n_treated]
-        z[treated] = 1
-        zs.append(tuple(int(v) for v in z))
-    return Assignment(z=tuple(zs))
+    return _assignment_of(design, _draw_treated(design, as_rng(seed)))

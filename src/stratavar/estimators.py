@@ -301,25 +301,26 @@ def _check_q(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> np.ndarray:
 
 
 def _projection_variances(
-    tau: np.ndarray, w: np.ndarray, basis: np.ndarray, one_minus: np.ndarray
+    tau: np.ndarray, w: np.ndarray, basis: np.ndarray, psi: np.ndarray, psi_tilde: np.ndarray
 ) -> np.ndarray:
     """Unclamped (s1, s2, s3) of the block effects ``tau`` on a basis, as (..., 3).
 
     ``tau`` is (..., B), ``basis`` the (..., B, L) orthonormal factor U of
-    the basis and ``one_minus`` the (..., B) values 1 - h_ii; any leading
-    replicate axes broadcast. Each ``var_s*`` call evaluates all three.
+    the basis, and ``psi``, ``psi_tilde`` its (..., B) leverage reweightings
+    1/(1-h)^2 and 1/(1-h); any leading replicate axes broadcast. Each
+    ``var_s*`` call evaluates all three.
     """
     b2 = tau.shape[-1] ** 2
 
     def residual(v):  # (I - U U') v, along the last axis
         return v - ((v[..., None, :] @ basis) @ basis.swapaxes(-1, -2))[..., 0, :]
 
-    scaled = residual(w * (tau / np.sqrt(one_minus)))
+    scaled = residual(w * (tau * np.sqrt(psi_tilde)))
     resid_sq = residual(w * tau) ** 2
     sums = (
         np.einsum("...i,...i->...", scaled, scaled),
-        np.einsum("...i,...i->...", resid_sq, 1.0 / one_minus**2),
-        np.einsum("...i,...i->...", resid_sq, 1.0 / one_minus),
+        np.einsum("...i,...i->...", resid_sq, psi),
+        np.einsum("...i,...i->...", resid_sq, psi_tilde),
     )
     return np.stack(sums, axis=-1) / b2
 
@@ -330,14 +331,14 @@ def var_s1(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
     B^{-2} y' W (I - H_Q) W y with y_i = tau_hat_i / sqrt(1 - h_ii).
     """
     w = _check_q(effects, w, q)
-    s = _projection_variances(effects.tau_hat, w, q.basis, q._one_minus_leverage)
+    s = _projection_variances(effects.tau_hat, w, q.basis, q.psi, q.psi_tilde)
     return clamp_variance(s[0])
 
 
 def var_s2(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
     """Projection estimator with squared residuals reweighted by 1/(1-h)^2."""
     w = _check_q(effects, w, q)
-    s = _projection_variances(effects.tau_hat, w, q.basis, q._one_minus_leverage)
+    s = _projection_variances(effects.tau_hat, w, q.basis, q.psi, q.psi_tilde)
     return clamp_variance(s[1])
 
 
@@ -355,7 +356,7 @@ def var_s3(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
             EstimatorWarning,
             stacklevel=2,
         )
-    s = _projection_variances(effects.tau_hat, w, q.basis, q._one_minus_leverage)
+    s = _projection_variances(effects.tau_hat, w, q.basis, q.psi, q.psi_tilde)
     return clamp_variance(s[2])
 
 

@@ -163,32 +163,40 @@ def cate(model: CateModel) -> float:
     return float(np.sum(model.design.sizes * model.f_bar)) / model.design.n_units
 
 
+def _revealed(z: np.ndarray, r1: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    """Observed responses for 0/1 treated flags ``z`` over unit arms r1, r0."""
+    return z * r1 + (1.0 - z) * r0
+
+
 def observed_responses(world: PotentialWorld, assignment: Assignment) -> AssignmentAndOutcomes:
     """Reveal the schedule under one assignment."""
-    rs = []
-    for zi, r1, r0 in zip(assignment.z, world.r1, world.r0):
-        z = np.asarray(zi, dtype=float)
-        rs.append(z * r1 + (1.0 - z) * r0)
-    return AssignmentAndOutcomes(assignment=assignment, responses=tuple(rs))
+    rs = tuple(
+        _revealed(np.asarray(zi, dtype=float), r1, r0)
+        for zi, r1, r0 in zip(assignment.z, world.r1, world.r0)
+    )
+    return AssignmentAndOutcomes(assignment=assignment, responses=rs)
+
+
+def _draw_noise(model: CateModel, rng: np.random.Generator) -> np.ndarray:
+    """(N, 2) unit noise, (treated, control) columns, from the model's noise law.
+
+    One (N, 2) draw when every block shares one noise factor, else one per block.
+    """
+    factors = model._noise_factors
+    design = model.design
+    if np.all(factors == factors[0]):
+        return rng.standard_normal((design.n_units, 2)) @ factors[0].T
+    return np.concatenate(
+        [rng.standard_normal((blk.n, 2)) @ factors[i].T for i, blk in enumerate(design.blocks)]
+    )
 
 
 def draw_world(model: CateModel, seed) -> PotentialWorld:
     """Sample one potential-outcome schedule from the model's noise law."""
-    rng = as_rng(seed)
-    factors = model._noise_factors
-    same = np.all(factors == factors[0])
-    design = model.design
-    if same:
-        raw = rng.standard_normal((design.n_units, 2)) @ factors[0].T
-        eps_blocks = np.split(raw, np.cumsum(design.sizes)[:-1])
-    else:
-        eps_blocks = [
-            rng.standard_normal((blk.n, 2)) @ factors[i].T
-            for i, blk in enumerate(design.blocks)
-        ]
+    eps_blocks = np.split(_draw_noise(model, as_rng(seed)), model.design.unit_starts[1:])
     r1 = tuple(f + e[:, 0] for f, e in zip(model.f1, eps_blocks))
     r0 = tuple(f + e[:, 1] for f, e in zip(model.f0, eps_blocks))
-    return PotentialWorld(design=design, r1=r1, r0=r0)
+    return PotentialWorld(design=model.design, r1=r1, r0=r0)
 
 
 def _randomization_variance(design: BlockDesign, r1: np.ndarray, r0: np.ndarray) -> np.ndarray:

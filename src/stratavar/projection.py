@@ -101,12 +101,12 @@ class QMatrix:
     @cached_property
     def psi(self) -> np.ndarray:
         """1/(1-h_ii)^2; raises LeverageOne when a leverage is numerically one."""
-        return 1.0 / self._one_minus_leverage**2
+        return _psi_weights(self._one_minus_leverage)[0]
 
     @cached_property
     def psi_tilde(self) -> np.ndarray:
         """1/(1-h_ii); raises LeverageOne when a leverage is numerically one."""
-        return 1.0 / self._one_minus_leverage
+        return _psi_weights(self._one_minus_leverage)[1]
 
     @cached_property
     def hat(self) -> np.ndarray:
@@ -123,6 +123,11 @@ class PsiMatrices:
 
     psi: np.ndarray
     psi_tilde: np.ndarray
+
+
+def _psi_weights(one_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The leverage reweightings (1/(1-h)^2, 1/(1-h)) of (..., B) values 1 - h_ii."""
+    return 1.0 / one_minus**2, 1.0 / one_minus
 
 
 def _symmetric_outer(u: np.ndarray) -> np.ndarray:

@@ -32,10 +32,14 @@ or the worker count. Only these draws loop over replicates; worlds, option
 tables, covariate bases (``projection.q2_stack``), estimators and observed
 test statistics run on sub-batches whose temporaries hold at most
 ``BATCH_CELLS`` cells. A power replicate samples its replays once and
-scores them against every q-spec's basis. A replicate whose basis any
-check of ``build_q2`` flags takes the scalar ``build_q2`` (and, for power,
-``permutation_test``) path, in replicate order, so values, warnings and
-the first error are those of the one-replicate loop.
+scores them against every q-spec's basis. The draws go through the same
+cores as ``friedman_world``, ``draw_world`` and ``sample_assignment``. A
+replicate whose basis any check of ``build_q2`` flags takes the scalar
+``build_q2`` (and, for power, ``permutation_test``) path, in replicate
+order, so values, warnings and the first error are those of the
+one-replicate loop. So does a power replicate with a non-finite response,
+and every power replicate when ``max_draws`` is below one or the space is
+small enough to enumerate.
 """
 from __future__ import annotations
 
@@ -47,9 +51,10 @@ import numpy as np
 
 from ._util import as_rng, chunk_rng, map_chunks
 from .design import (
-    Assignment,
     AssignmentAndOutcomes,
     BlockDesign,
+    _assignment_of,
+    _draw_treated,
     block_weights,
     n_assignments,
 )
@@ -70,14 +75,16 @@ from .hettest import (
 )
 from .oracle import (
     CateModel,
+    _draw_noise,
     _randomization_variance,
+    _revealed,
     expected_bias_s1,
     expected_bias_s2,
     expected_bias_s3,
     expected_bias_scs,
     true_ate_variance,
 )
-from .projection import QMatrix, build_q1, build_q2, q2_stack
+from .projection import QMatrix, _psi_weights, build_q1, build_q2, q2_stack
 
 TABLE1_ESTIMATORS = ("s1", "s2", "s3")
 TABLE1_QSPECS = ("none", "correct", "incorrect")
@@ -151,15 +158,19 @@ def friedman_sizes(config: FriedmanConfig) -> tuple[list[int], list[int]]:
     return sizes, treated
 
 
+def _draw_covariates(config: FriedmanConfig, rng: np.random.Generator) -> np.ndarray:
+    """(B, K) block covariates x_i ~ U(0,1)^K, the first draw of every world."""
+    return rng.random((config.n_blocks, config.n_covariates))
+
+
 def friedman_world(config: FriedmanConfig, seed) -> CateModel:
     """Draw covariates and return the noise model for one world.
 
     The returned model's design carries the (block-constant) unit covariates;
     realized schedules come from :func:`stratavar.oracle.draw_world`.
     """
-    rng = as_rng(seed)
     sizes, treated = friedman_sizes(config)
-    x = rng.random((config.n_blocks, config.n_covariates))
+    x = _draw_covariates(config, as_rng(seed))
     f = friedman_function(x)
     covariates = [np.repeat(x[i][None, :], n, axis=0) for i, n in enumerate(sizes)]
     design = BlockDesign.from_sizes(sizes, treated, covariates=covariates)
@@ -261,7 +272,7 @@ def _table1_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray 
         picks = []
         for j in range(size):
             rng = np.random.default_rng(np.random.SeedSequence([seed, start + j]))
-            x[j] = rng.random((b, k))
+            x[j] = _draw_covariates(config, rng)
             eps[j] = rng.standard_normal(design.n_units)
             picks.append(_draw_options(rng, ctx["probe"], 1))
         f = np.repeat(friedman_function(x), design.sizes, axis=-1)
@@ -274,11 +285,11 @@ def _table1_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray 
         out = rows[start - rep_start : start - rep_start + size]
         out[:, 9] = np.sum(w**2 * _randomization_variance(design, r1, r0), axis=-1) / b**2
         out[:, 10] = tau @ w / b
-        out[:, :3] = _projection_variances(tau, w, q1.basis, q1._one_minus_leverage)
+        out[:, :3] = _projection_variances(tau, w, q1.basis, q1.psi, q1.psi_tilde)
         stacked = [_stacked_bases(q1, w, _qspec_xbar(spec, x), size) for spec in specs]
         for i, (ok, basis, one_minus) in enumerate(stacked, start=1):
             if basis is not None:
-                cells = _projection_variances(tau[ok], w, basis[ok], one_minus[ok])
+                cells = _projection_variances(tau[ok], w, basis[ok], *_psi_weights(one_minus[ok]))
                 out[ok, 3 * i : 3 * i + 3] = cells
         # flagged bases in replicate order, so the first failing replicate raises
         flagged = ~np.logical_and.reduce([ok for ok, _, _ in stacked])
@@ -286,7 +297,7 @@ def _table1_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray 
             for i, (spec, (ok, _, _)) in enumerate(zip(specs, stacked), start=1):
                 if not ok[j]:
                     q = resolve_qspec(spec, design, x[j])
-                    cells = _projection_variances(tau[j], w, q.basis, q._one_minus_leverage)
+                    cells = _projection_variances(tau[j], w, q.basis, q.psi, q.psi_tilde)
                     out[j, 3 * i : 3 * i + 3] = cells
     sums = rows[:, :10].sum(axis=0)
     sumsq = np.square(rows[:, :10]).sum(axis=0)
@@ -388,15 +399,16 @@ def _power_chunk(args) -> dict:
     from its own stream; worlds, option tables, bases and observed statistics
     run on stacks of replicates. Then each replicate samples its replays from
     the sampler seed's chunk streams, as ``permutation_test`` does, and scores
-    them against every q-spec's basis in one F pass. A space small enough to
-    enumerate, and every flagged basis, goes through ``permutation_test``.
+    them against every q-spec's basis in one F pass. A replicate goes through
+    ``permutation_test`` instead when its basis is flagged or its responses
+    are not finite, and every replicate does when the space is small enough
+    to enumerate or ``max_draws`` is below one.
     """
     seed, a_index, a, rep_start, count, config, qspecs, max_draws = args
     cfg = dataclasses.replace(config, a=a)
     specs = [QSpec(kind=name) for name in qspecs]
     model = friedman_world(cfg, 0)  # block sizes and noise law; its covariates go unused
     design = model.design
-    factor = model._noise_factors[0]
     b, k, n_units = design.n_blocks, cfg.n_covariates, design.n_units
     w, q1 = block_weights(design), build_q1(design)
     order = np.concatenate([idx for _, _, idx, _ in design.size_groups])
@@ -405,30 +417,31 @@ def _power_chunk(args) -> dict:
     probe = _option_groups(design, flat, flat, OPTION_CELLS)
     draw_sizes = _mc_chunk_sizes(probe, b, max_draws)
     starts = design.unit_starts
-    slots = list(zip(design.sizes.tolist(), design.treated_counts.tolist(), starts.tolist()))
-    exact = n_assignments(design) <= max_draws
+    # permutation_test rejects max_draws below one and enumerates a small space
+    scalar = max_draws < 1 or n_assignments(design) <= max_draws
     pvals = {name: np.empty(count) for name in qspecs}
     for start, size in _sub_batches(rep_start, count, b * (k + q1.rank)):
         x = np.empty((size, b, k))
-        noise = np.empty((size, n_units, 2))
-        z = np.zeros((size, n_units), dtype=bool)
+        e = np.empty((size, n_units, 2))
+        z = np.empty((size, n_units), dtype=bool)
         perm_seeds = []
         for j in range(size):
             rng = np.random.default_rng(np.random.SeedSequence([seed, a_index, start + j]))
-            x[j] = rng.random((b, k))
-            noise[j] = rng.standard_normal((n_units, 2))
-            for n, kt, unit in slots:
-                z[j, unit + rng.permutation(n)[:kt]] = True
+            x[j] = _draw_covariates(cfg, rng)
+            e[j] = _draw_noise(model, rng)
+            z[j] = _draw_treated(design, rng)
             perm_seeds.append(int(rng.integers(0, 2**62)))
         f = np.repeat(friedman_function(x), design.sizes, axis=-1)
-        e = noise @ factor.T
-        r = np.where(z, a * f + e[..., 0], f + e[..., 1])
+        r = _revealed(z, a * f + e[..., 0], f + e[..., 1])
+        # non-finite responses go to permutation_test, which rejects them
+        finite = np.isfinite(r).all(axis=-1)
         m1, m0 = _arm_means(design, z, r)
         tau = (m1 - m0)[:, None, :]
 
         oks, scored = [], []  # scored: (name, ok, bases in group order, F thresholds, hits)
         for spec in specs:
-            ok, basis, _ = _stacked_bases(q1, w, None if exact else _qspec_xbar(spec, x), size)
+            ok, basis, _ = _stacked_bases(q1, w, None if scalar else _qspec_xbar(spec, x), size)
+            ok = ok & finite
             oks.append(ok)
             if basis is not None:
                 qm = basis[..., q1.rank :]
@@ -436,7 +449,7 @@ def _power_chunk(args) -> dict:
                 hits = np.zeros(size, dtype=np.int64)
                 scored.append((spec.kind, ok, basis[:, order], _replay_threshold(t), hits))
         groups = _option_groups(design, r, r, OPTION_CELLS)
-        for j in range(size) if scored else ():
+        for j in np.flatnonzero(np.logical_or.reduce([ok for _, ok, *_ in scored])):
             mine = [(idx, kt, a1[j], a0[j], table[j]) for idx, kt, a1, a0, table in groups]
             for c, m in enumerate(draw_sizes):
                 draws = _draw_options(chunk_rng(perm_seeds[j], c), mine, m)
@@ -453,7 +466,7 @@ def _power_chunk(args) -> dict:
         # flagged bases in replicate order, so the first failing replicate raises
         for j in np.flatnonzero(~np.logical_and.reduce(oks)):
             data = AssignmentAndOutcomes(
-                assignment=Assignment(z=tuple(map(tuple, np.split(z[j].astype(int), starts[1:])))),
+                assignment=_assignment_of(design, z[j]),
                 responses=tuple(np.split(r[j], starts[1:])),
             )
             for spec, ok in zip(specs, oks):

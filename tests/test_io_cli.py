@@ -357,6 +357,17 @@ def test_cli_simulate_power_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_simulate_power_rejects_bad_draws_and_scales(tmp_path, capsys):
+    base = ["simulate", "power", "--reps", "3", "--out-dir", str(tmp_path / "power")]
+    assert main(base + ["--max-draws", "0"]) == 2
+    assert "max_draws must be at least 1" in capsys.readouterr().err
+    with np.errstate(all="ignore"):
+        for scale in ("nan", "inf", "1e308"):
+            assert main(base + ["--a-grid", scale]) == 2
+            assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "power").exists()
+
+
 def test_cli_simulate_pairs_quartets_matches_library(tmp_path, capsys):
     outdir = tmp_path / "pq"
     assert main(["simulate", "pairs-quartets", "--out-dir", str(outdir)]) == 0

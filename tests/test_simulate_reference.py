@@ -39,7 +39,7 @@ from stratavar import (
     run_table1,
     sample_assignment,
 )
-from stratavar.errors import BadQPair, StratavarError
+from stratavar.errors import BadQPair, InputError, NonFiniteResponse, StratavarError
 from stratavar.oracle import _randomization_variance
 from stratavar.projection import q2_stack
 
@@ -184,6 +184,30 @@ def test_failing_basis_raises_as_in_the_one_replicate_loop():
             lambda: run_power_curve(config=config, a_grid=(1.0,), reps=3, max_draws=49, qspecs=qspecs)
         )
         assert got == want
+
+
+@pytest.mark.parametrize(
+    "config, a, max_draws",
+    [
+        (FriedmanConfig(n_blocks=20), 1.0, 0),
+        (FriedmanConfig(n_blocks=20), 1.0, -1),
+        (FriedmanConfig(n_blocks=20), float("nan"), 49),
+        (FriedmanConfig(n_blocks=20), float("inf"), 49),
+        (FriedmanConfig(n_blocks=20), 1e308, 49),  # a f overflows
+        (FriedmanConfig(n_blocks=20, b=float("nan")), 1.0, 49),
+    ],
+)
+def test_bad_power_inputs_raise_as_in_the_one_replicate_loop(config, a, max_draws):
+    qspecs = ("correct", "incorrect")
+    with np.errstate(all="ignore"):
+        want = _outcome(lambda: reference_power_pvalues(config, (a,), 3, max_draws, 0, qspecs))
+        got = _outcome(
+            lambda: run_power_curve(
+                config=config, a_grid=(a,), reps=3, max_draws=max_draws, qspecs=qspecs
+            )
+        )
+    assert want[0] in (InputError, NonFiniteResponse)
+    assert got == want
 
 
 def _covariate_stacks(design: BlockDesign, rng: np.random.Generator) -> np.ndarray:

@@ -123,6 +123,7 @@ def test_library_paths_never_build_the_dense_projector(monkeypatch):
     monkeypatch.setattr(simulate_module, "build_q2", recording(build_q2))
     run_table1(reps=2, seed=3)
     assert len(built) == 1  # q1: the replicates' bases are stacked arrays
+    assert all("hat" not in q.__dict__ for q in built)
     # with every stacked row flagged, each replicate builds its bases one by one
     monkeypatch.setattr(
         simulate_module,
