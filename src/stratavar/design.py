@@ -182,22 +182,40 @@ def validate_design(design: BlockDesign) -> BlockDesign:
     if any(has_cov):
         if not all(has_cov):
             raise DimensionMismatch("covariates must be supplied for all blocks or none")
-        covs = [np.asarray(b.covariates, dtype=float) for b in design.blocks]
-        for b, arr in zip(design.blocks, covs):
-            if arr.ndim != 2 or arr.shape[0] != b.n:
-                raise DimensionMismatch(
-                    f"block {b.block_id!r} covariates have shape {arr.shape}, expected ({b.n}, K)"
-                )
-        dims = {arr.shape[1] for arr in covs}
-        if len(dims) > 1:
-            raise DimensionMismatch(f"covariate dimension differs across blocks: {sorted(dims)}")
-        finite = np.isfinite(np.concatenate(covs)).all(axis=1)
-        if not finite.all():
+        covs = [b.covariates for b in design.blocks]
+        try:
+            stacked = np.concatenate(covs).astype(float, copy=False)
+        except (ValueError, TypeError):  # ranks, widths or types differ
+            stacked = None
+        if stacked is None or stacked.ndim != 2 or not np.array_equal(
+            np.fromiter(map(len, covs), dtype=np.int64, count=len(covs)), design.sizes
+        ):
+            stacked = _stack_block_by_block(design)
+        if not np.isfinite(stacked).all():
+            finite = np.isfinite(stacked).all(axis=1)
             i = int(np.searchsorted(design.unit_starts, np.argmin(finite), side="right")) - 1
             raise DimensionMismatch(
                 f"block {design.blocks[i].block_id!r} covariates contain non-finite values"
             )
     return design
+
+
+def _stack_block_by_block(design: BlockDesign) -> np.ndarray:
+    """The (N, K) covariates, converted and checked one block at a time.
+
+    Names the first block whose covariates are misshapen, then a dimension
+    that differs across blocks.
+    """
+    covs = [np.asarray(b.covariates, dtype=float) for b in design.blocks]
+    for b, arr in zip(design.blocks, covs):
+        if arr.ndim != 2 or arr.shape[0] != b.n:
+            raise DimensionMismatch(
+                f"block {b.block_id!r} covariates have shape {arr.shape}, expected ({b.n}, K)"
+            )
+    dims = {arr.shape[1] for arr in covs}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"covariate dimension differs across blocks: {sorted(dims)}")
+    return np.concatenate(covs)
 
 
 def classify_design(design: BlockDesign) -> DesignClass:

@@ -38,8 +38,9 @@ replicate whose basis any check of ``build_q2`` flags takes the scalar
 ``build_q2`` (and, for power, ``permutation_test``) path, in replicate
 order, so values, warnings and the first error are those of the
 one-replicate loop. So does a power replicate with a non-finite response,
-and every power replicate when ``max_draws`` is below one or the space is
-small enough to enumerate.
+and every power replicate when the space is small enough to enumerate.
+``run_power_curve`` rejects a ``max_draws`` that ``permutation_test``
+would reject before it starts.
 """
 from __future__ import annotations
 
@@ -68,6 +69,7 @@ from .estimators import (
 )
 from .hettest import (
     OPTION_CELLS,
+    _check_max_draws,
     _f_values,
     _mc_chunk_sizes,
     _replay_threshold,
@@ -402,7 +404,7 @@ def _power_chunk(args) -> dict:
     them against every q-spec's basis in one F pass. A replicate goes through
     ``permutation_test`` instead when its basis is flagged or its responses
     are not finite, and every replicate does when the space is small enough
-    to enumerate or ``max_draws`` is below one.
+    to enumerate.
     """
     seed, a_index, a, rep_start, count, config, qspecs, max_draws = args
     cfg = dataclasses.replace(config, a=a)
@@ -417,8 +419,7 @@ def _power_chunk(args) -> dict:
     probe = _option_groups(design, flat, flat, OPTION_CELLS)
     draw_sizes = _mc_chunk_sizes(probe, b, max_draws)
     starts = design.unit_starts
-    # permutation_test rejects max_draws below one and enumerates a small space
-    scalar = max_draws < 1 or n_assignments(design) <= max_draws
+    scalar = n_assignments(design) <= max_draws  # permutation_test enumerates a small space
     pvals = {name: np.empty(count) for name in qspecs}
     for start, size in _sub_batches(rep_start, count, b * (k + q1.rank)):
         x = np.empty((size, b, k))
@@ -493,10 +494,12 @@ def run_power_curve(
     The config's ``a`` is overridden by each grid value; defaults follow the
     twenty-block study (eight triplets, twelve pairs, unit noise). With
     ``collect_raw`` every row also carries the per-replicate p-values.
-    Raises InputError for fewer than one replicate.
+    Raises InputError for fewer than one replicate, and for ``max_draws``
+    below one or above ``hettest.MAX_DRAWS``.
     """
     if reps < 1:
         raise InputError(f"reps must be at least 1, got {reps}")
+    _check_max_draws(max_draws)
     if config is None:
         config = FriedmanConfig(n_blocks=20, a=1.0, b=1.0)
     rows = []

@@ -19,10 +19,11 @@ import pytest
 
 pytest.importorskip("hypothesis")
 jsonschema = pytest.importorskip("jsonschema")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from stratavar.cli import main  # noqa: E402
+from stratavar.hettest import MAX_DRAWS  # noqa: E402
 
 BAD_CELLS = ("nan", "inf", "-Infinity", "1e999", "abc", "")
 # Argument values that a well-formed run may use, per subcommand.
@@ -52,7 +53,7 @@ BAD_ARGS = {
 FAULTS = (
     None, None, None, "cell", "arm", "argument",
     "padded name", "duplicate column", "blank line", "short row",
-    "raw byte", "oversize cell",
+    "raw byte", "oversize cell", "draws over the ceiling",
 )
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -64,8 +65,8 @@ def cli_runs(draw, command: str) -> tuple[str, list[str]]:
     The file has 2-6 blocks of 2-4 units and 0-2 covariates. The fault, if
     any, is a bad cell, a block without one of the arms, a bad argument, a
     header name padded with blanks, a duplicated column, a blank line, a
-    row missing its last cells, a byte that is not UTF-8, or a cell over the
-    csv module's field size limit.
+    row missing its last cells, a byte that is not UTF-8, a cell over the
+    csv module's field size limit, or a ``--max-draws`` above ``MAX_DRAWS``.
     """
     n_cov = draw(st.sampled_from((2, 1, 0)))
     value = st.one_of(
@@ -125,6 +126,9 @@ def cli_runs(draw, command: str) -> tuple[str, list[str]]:
         rows[row][j] += draw(st.sampled_from(("\udcff", "\udc80", "\udcc3")))
     elif fault == "oversize cell":  # over the csv module's 131,072-character field limit
         rows[row][draw(st.integers(0, len(header) - 1))] = "1" * 140_000
+    elif fault == "draws over the ceiling" and "--max-draws" in argv:
+        over = draw(st.sampled_from((MAX_DRAWS + 1, 10**26)))
+        argv[argv.index("--max-draws") + 1] = str(over)
     return "\n".join(",".join(r) for r in [header] + rows) + "\n", argv
 
 
@@ -148,6 +152,8 @@ def _check_contract(run: tuple[str, list[str]], schema_name: str) -> None:
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
         code, out, err, caught = _run([argv[0], "--csv", str(path), *argv[1:]])
     assert "Traceback" not in err
+    if "--max-draws" in argv:  # a draw count over the ceiling is never run
+        assert code != 0 or int(argv[argv.index("--max-draws") + 1]) <= MAX_DRAWS, argv
     if code == 0:
         payload = json.loads(out, parse_constant=_reject_constant)
         schema_text = resources.files("stratavar").joinpath(f"schemas/{schema_name}").read_text()
@@ -166,7 +172,16 @@ def test_analyze_exits_cleanly_or_prints_schema_valid_json(run):
     _check_contract(run, "variance_report.schema.json")
 
 
+# four pairs that a run with an admissible --max-draws enumerates exactly
+FOUR_PAIRS = "block_id,unit_id,treated,response,x1\n" + "".join(
+    f"b{b},{j},{int(j == 0)},{(b * 7 + j * 3) % 5}.5,{b + j / 4}\n"
+    for b in range(4)
+    for j in range(2)
+)
+
+
 @PROPERTY_SETTINGS
 @given(run=cli_runs("hettest"))
+@example(run=(FOUR_PAIRS, ["hettest", "--q-spec", "x1", "--max-draws", str(10**26)]))
 def test_hettest_exits_cleanly_or_prints_schema_valid_json(run):
     _check_contract(run, "het_test.schema.json")

@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 from stratavar import (
+    Block,
     BlockDesign,
     DesignClass,
     DimensionMismatch,
@@ -79,6 +80,53 @@ def test_validate_names_the_block_with_a_non_finite_covariate():
     design = BlockDesign.from_sizes(sizes, [1, 1, 2, 1, 2], covariates=covariates)
     with pytest.raises(DimensionMismatch, match="block '3' covariates contain non-finite"):
         validate_design(design)
+
+
+def _block_by_block_covariate_error(design):
+    """Message of the covariate check done one block at a time, or None."""
+    covs = [np.asarray(b.covariates, dtype=float) for b in design.blocks]
+    for b, arr in zip(design.blocks, covs):
+        if arr.ndim != 2 or arr.shape[0] != b.n:
+            return f"block {b.block_id!r} covariates have shape {arr.shape}, expected ({b.n}, K)"
+    dims = {arr.shape[1] for arr in covs}
+    if len(dims) > 1:
+        return f"covariate dimension differs across blocks: {sorted(dims)}"
+    finite = np.isfinite(np.concatenate(covs)).all(axis=1)
+    if not finite.all():
+        i = int(np.searchsorted(design.unit_starts, np.argmin(finite), side="right")) - 1
+        return f"block {design.blocks[i].block_id!r} covariates contain non-finite values"
+    return None
+
+
+@pytest.mark.parametrize(
+    "covariates",
+    [
+        [np.ones((2, 2)), np.ones((3, 2)), np.ones((4, 2))],  # well formed
+        [np.ones((2, 2)), np.ones((2, 2)), np.ones((4, 3))],  # rows of block 2, then width
+        [np.ones((2, 2)), np.ones((3, 1)), np.ones((4, 3))],  # widths only
+        [np.ones(2), np.ones(3), np.ones(4)],  # every block one-dimensional
+        [np.ones((2, 2)), np.ones(3), np.ones((4, 2))],  # ranks differ
+        [np.ones((2, 1, 1)), np.ones((3, 1, 1)), np.ones((4, 1, 1))],  # three-dimensional
+        [np.ones((2, 2)), np.full((3, 1), np.nan), np.ones((4, 3))],  # width before finiteness
+        [np.ones((2, 2)), np.ones((3, 2)), np.array([[1.0, 2.0]] * 3 + [[np.inf, 0.0]])],
+        [[[1, 2], [3, 4]], [[5, 6]] * 3, [["7", "8"]] * 4],  # lists, integers and strings
+        [[[1.0]] * 2, [[2.0]] * 3, [[3.0]] * 5],  # rows of the last block
+    ],
+)
+def test_validate_covariate_messages_match_the_block_by_block_check(covariates):
+    design = BlockDesign(
+        tuple(
+            Block(str(i + 1), n, 1, covariates=c)
+            for i, (n, c) in enumerate(zip([2, 3, 4], covariates))
+        )
+    )
+    want = _block_by_block_covariate_error(design)
+    if want is None:
+        assert validate_design(design) is design
+    else:
+        with pytest.raises(DimensionMismatch) as caught:
+            validate_design(design)
+        assert str(caught.value) == want
 
 
 def test_classification():
