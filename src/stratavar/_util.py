@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,6 +45,8 @@ def map_chunks(fn: Callable, args_list: Sequence, threads: int = 1) -> list:
     workers = effective_workers(threads, len(args_list), os.cpu_count())
     if workers <= 1:
         return [fn(a) for a in args_list]
+    from concurrent.futures import ProcessPoolExecutor  # only a parallel run needs the pool
+
     batch = -(-len(args_list) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list, chunksize=batch))

@@ -25,9 +25,9 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-import scipy.stats
 
 from ._util import clamp_variance
 from .design import (
@@ -361,12 +361,18 @@ def var_s3(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
 
 
 def confidence_interval(delta_hat: float, s2: float, alpha: float) -> tuple[float, float]:
-    """Normal-approximation interval Delta_hat +/- z_{1-alpha/2} sqrt(s2)."""
+    """Normal-approximation interval Delta_hat +/- z_{1-alpha/2} sqrt(s2).
+
+    z is the standard library's ``NormalDist().inv_cdf``, within a few ulp
+    of ``scipy.stats.norm.ppf``. An alpha so small that 1 - alpha/2 rounds
+    to one has no finite z and raises InvalidAlpha.
+    """
     if not (0.0 < alpha < 1.0):
         raise InvalidAlpha(f"alpha must lie in (0, 1), got {alpha}")
-    z = float(scipy.stats.norm.ppf(1.0 - alpha / 2.0))
-    if np.isinf(z):
+    p = 1.0 - alpha / 2.0
+    if p >= 1.0:
         raise InvalidAlpha(f"alpha {alpha} is too small: 1 - alpha/2 rounds to one")
+    z = NormalDist().inv_cdf(p)
     half = z * float(np.sqrt(max(s2, 0.0)))
     return (float(delta_hat) - half, float(delta_hat) + half)
 

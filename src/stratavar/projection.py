@@ -9,11 +9,14 @@ the column space of a B x L basis Q. Two standard bases are provided:
   of covariates, optionally expanded in polynomials of the unit values.
 
 Rank decisions use the tolerance ``1e-10 * (largest column norm)``.
-``build_q1`` checks its columns with a column-pivoted QR. ``build_q2``
-factors M, the q1-orthogonalized covariate block, with one unpivoted QR;
-column j is collinear when its |R_jj| is at most the tolerance for M's
-columns. A column-pivoted QR of ``[q1 | M]`` decides RankDeficient, and
-runs only when the basis's smallest singular value nears the tolerance.
+``build_q1`` factors its columns, largest norm first, with an unpivoted
+QR; for its one or two columns that is the column-pivoted QR's own order
+and factor. ``build_q2`` factors M, the q1-orthogonalized covariate block,
+with one unpivoted QR; column j is collinear when its |R_jj| is at most the
+tolerance for M's columns. In both, a column-pivoted QR (``scipy.linalg``,
+imported only then) decides RankDeficient, and runs only when the basis's
+smallest singular value nears the tolerance: no pivoted |R_jj| falls below
+it, so a basis clear of the tolerance is of full rank.
 ``q2_stack`` runs that factorization, and every check, on a stack of
 covariate blocks at once; ``build_q2`` is its one-row case, and repairs
 (drops, refactors or raises) only a row that some check flags.
@@ -33,7 +36,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .design import BlockDesign, block_weights
 from .errors import (
@@ -138,6 +140,11 @@ def _symmetric_outer(u: np.ndarray) -> np.ndarray:
 def orthonormal_basis(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal factor and leverages for a full-column-rank basis.
 
+    The columns are factored largest norm first (ties in column order), the
+    first pivot of a column-pivoted QR, so for one or two columns the factor
+    is the pivoted QR's. A basis whose smallest singular value is within 10x
+    of the rank tolerance is factored by that pivoted QR instead.
+
     Args:
         values: (B, L) array, L >= 1.
 
@@ -156,12 +163,29 @@ def orthonormal_basis(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b, ncol = v.shape
     if ncol > b:
         raise RankDeficient(f"basis has {ncol} columns but only {b} rows")
-    q, r, _ = scipy.linalg.qr(v, mode="economic", pivoting=True)
-    tol = RANK_TOL * float(np.linalg.norm(v, axis=0).max())
-    rank = int(np.sum(np.abs(np.diag(r)) > tol))
-    if rank < ncol:
-        raise RankDeficient(f"basis has numerical rank {rank} < {ncol} columns")
+    norms = np.linalg.norm(v, axis=0)
+    tol = RANK_TOL * float(norms.max())
+    q, r = np.linalg.qr(v[:, np.argsort(-norms, kind="stable")])
+    if np.linalg.svd(r, compute_uv=False).min() <= 10.0 * tol:
+        q = _pivoted_factor(v, tol)
+    else:  # column-major, as the pivoted QR returns it: products with q round by layout
+        q = np.asfortranarray(q)
     return q, _checked_leverages(np.einsum("ij,ij->i", q, q))
+
+
+def _pivoted_factor(values: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal factor of a column-pivoted QR of ``values``.
+
+    Raises RankDeficient when some |R_jj| is at or below ``tol``. Only bases
+    near the rank tolerance get here, so scipy is imported here alone.
+    """
+    import scipy.linalg
+
+    q, r, _ = scipy.linalg.qr(values, mode="economic", pivoting=True)
+    rank = int(np.sum(np.abs(np.diag(r)) > tol))
+    if rank < values.shape[1]:
+        raise RankDeficient(f"basis has numerical rank {rank} < {values.shape[1]} columns")
+    return q
 
 
 def _leverages(squared_row_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -414,11 +438,7 @@ def _repaired_q2(q1: QMatrix, stack: Q2Stack) -> tuple:
         qm, r = qm[:, q1.rank :], r[q1.rank :, q1.rank :]
     near, rank_tol = _near_rank_tol(q1, r, float(m_norms[kept_idx][local].max()))
     if near:
-        values = np.column_stack([q1.values, m_final])
-        r_piv = scipy.linalg.qr(values, mode="r", pivoting=True)[0]
-        rank = int(np.sum(np.abs(np.diag(r_piv)) > rank_tol))
-        if rank < ncol:
-            raise RankDeficient(f"basis has numerical rank {rank} < {ncol} columns")
+        _pivoted_factor(np.column_stack([q1.values, m_final]), rank_tol)  # raises RankDeficient
     lev = _checked_leverages(q1.leverages + np.einsum("ij,ij->i", qm, qm))
     return m_final, qm, lev, dropped, notes
 

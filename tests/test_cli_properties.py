@@ -59,7 +59,9 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, d
 
 
 @st.composite
-def cli_runs(draw, command: str) -> tuple[str, list[str]]:
+def cli_runs(
+    draw, command: str, faults=FAULTS, bad_args=BAD_ARGS
+) -> tuple[str, list[str]]:
     """An experiment CSV and an argument list; at most one fault per run.
 
     The file has 2-6 blocks of 2-4 units and 0-2 covariates. The fault, if
@@ -67,6 +69,7 @@ def cli_runs(draw, command: str) -> tuple[str, list[str]]:
     header name padded with blanks, a duplicated column, a blank line, a
     row missing its last cells, a byte that is not UTF-8, a cell over the
     csv module's field size limit, or a ``--max-draws`` above ``MAX_DRAWS``.
+    It is drawn from ``faults``, and a bad argument from ``bad_args``.
     """
     n_cov = draw(st.sampled_from((2, 1, 0)))
     value = st.one_of(
@@ -96,7 +99,7 @@ def cli_runs(draw, command: str) -> tuple[str, list[str]]:
             choices = tuple(c for c in choices if n_cov or "x1" not in c) or ("q1",)
         argv += [flag, draw(st.sampled_from(choices))]
 
-    fault = draw(st.sampled_from(FAULTS))
+    fault = draw(st.sampled_from(faults))
     row = draw(st.integers(0, len(rows) - 1))
     if fault == "cell":
         rows[row][draw(st.integers(0, len(header) - 1))] = draw(st.sampled_from(BAD_CELLS))
@@ -106,8 +109,8 @@ def cli_runs(draw, command: str) -> tuple[str, list[str]]:
             if r[0] == rows[row][0]:
                 r[2] = arm
     elif fault == "argument":
-        flag = draw(st.sampled_from([f for f in GOOD_ARGS[command] if f in BAD_ARGS]))
-        argv[argv.index(flag) + 1] = draw(st.sampled_from(BAD_ARGS[flag]))
+        flag = draw(st.sampled_from([f for f in GOOD_ARGS[command] if f in bad_args]))
+        argv[argv.index(flag) + 1] = draw(st.sampled_from(bad_args[flag]))
     elif fault == "padded name":
         j = draw(st.integers(0, len(header) - 1))
         pad = draw(st.sampled_from((" ", "  ", "\t")))
@@ -185,3 +188,28 @@ FOUR_PAIRS = "block_id,unit_id,treated,response,x1\n" + "".join(
 @example(run=(FOUR_PAIRS, ["hettest", "--q-spec", "x1", "--max-draws", str(10**26)]))
 def test_hettest_exits_cleanly_or_prints_schema_valid_json(run):
     _check_contract(run, "het_test.schema.json")
+
+
+# Every fault kind, and every bad value of every flag a command takes, pinned
+# in its own case, so that each runs whatever the property tests above draw.
+SCHEMAS = {"analyze": "variance_report.schema.json", "hettest": "het_test.schema.json"}
+PINNED = [
+    pytest.param(command, (fault,), BAD_ARGS, id=f"{command} {fault}")
+    for command in SCHEMAS
+    for fault in dict.fromkeys(FAULTS)
+    if fault not in (None, "argument")
+    and (fault != "draws over the ceiling" or "--max-draws" in GOOD_ARGS[command])
+] + [
+    pytest.param(command, ("argument",), {flag: (value,)}, id=f"{command} {flag}={value}")
+    for command in SCHEMAS
+    for flag, values in BAD_ARGS.items()
+    if flag in GOOD_ARGS[command]
+    for value in values
+]
+
+
+@pytest.mark.parametrize("command, faults, bad_args", PINNED)
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_fault_exits_cleanly(command, faults, bad_args, data):
+    _check_contract(data.draw(cli_runs(command, faults, bad_args)), SCHEMAS[command])
