@@ -1,16 +1,23 @@
 """Block-randomized designs and treatment assignments.
 
-A design is a list of blocks (strata). Block ``i`` holds ``n_i`` units of
-which exactly ``n_treated_i`` receive treatment, and the randomization
-distribution is uniform over the product of within-block treated subsets.
-Everything downstream (weights, enumeration, sampling, estimation) consumes
-these two dataclasses, so they are treated as immutable once validated.
+A design is an ordered set of blocks (strata) held as packed unit arrays:
+one entry per block in ``ids``, ``sizes`` and ``treated_counts``, and one
+(N, K) ``covariates`` array over the units of all blocks, concatenated in
+block order. Block ``i`` holds ``n_i`` units of which exactly
+``n_treated_i`` receive treatment, and the randomization distribution is
+uniform over the product of within-block treated subsets. Assignments and
+observed data are packed the same way, as flat (N,) indicators and
+responses. The per-block views (``BlockDesign.blocks``, ``Assignment.z``,
+``AssignmentAndOutcomes.responses``) are built on first access, and a
+design, assignment or data set built from them packs itself on first use.
+Everything downstream (weights, enumeration, sampling, estimation) reads
+the packed arrays, which are treated as immutable once validated.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -53,14 +60,42 @@ class Block:
         return self.n - self.n_treated
 
 
-@dataclass(frozen=True)
-class BlockDesign:
-    """An ordered collection of blocks."""
+class _Frozen:
+    """Attributes are set once, in ``__dict__``, by a constructor or a cached property."""
 
-    blocks: tuple[Block, ...]
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _bounds(lengths: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each block's units in the concatenated unit arrays."""
+    ends = np.cumsum(lengths).tolist()
+    return list(zip([0] + ends[:-1], ends))
+
+
+class BlockDesign(_Frozen):
+    """An ordered collection of blocks, held as packed unit arrays.
+
+    ``BlockDesign(blocks)`` packs a sequence of :class:`Block` on first use;
+    ``blocks`` rebuilds them from the packed arrays of a design that was
+    built without them.
+    """
+
+    def __init__(self, blocks: Sequence[Block]):
+        self.__dict__["blocks"] = tuple(blocks)
+
+    @classmethod
+    def _from_arrays(cls, ids, sizes, treated_counts, covariates=None) -> "BlockDesign":
+        """A design over packed arrays, taken as they are: (B,) ids, int64 sizes
+        and treated counts, and an (N, K) float covariate array or None."""
+        design = cls.__new__(cls)
+        design.__dict__.update(
+            ids=tuple(ids), sizes=sizes, treated_counts=treated_counts, covariates=covariates
+        )
+        return design
 
     @classmethod
     def from_sizes(
@@ -87,13 +122,30 @@ class BlockDesign:
             blocks.append(Block(block_id=str(ids[i]), n=int(n), n_treated=int(k), covariates=cov))
         return cls(tuple(blocks))
 
-    @cached_property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash(self.blocks)
+
+    def __repr__(self):
+        return f"BlockDesign(blocks={self.blocks!r})"
 
     @cached_property
-    def n_units(self) -> int:
-        return int(sum(b.n for b in self.blocks))
+    def blocks(self) -> tuple[Block, ...]:
+        if self.covariates is None:
+            covs = itertools.repeat(None)
+        else:
+            covs = (self.covariates[a:b] for a, b in _bounds(self.sizes))
+        return tuple(
+            map(Block, self.ids, self.sizes.tolist(), self.treated_counts.tolist(), covs)
+        )
+
+    @cached_property
+    def ids(self) -> tuple[str, ...]:
+        return tuple(b.block_id for b in self.blocks)
 
     @cached_property
     def sizes(self) -> np.ndarray:
@@ -102,6 +154,38 @@ class BlockDesign:
     @cached_property
     def treated_counts(self) -> np.ndarray:
         return np.array([b.n_treated for b in self.blocks], dtype=np.int64)
+
+    @cached_property
+    def covariates(self) -> np.ndarray | None:
+        """(N, K) unit-level covariates over the concatenated units, None when none were supplied.
+
+        Packing a design's blocks raises DimensionMismatch when only some
+        blocks carry covariates, or when they do not stack to (n_i, K) rows
+        of one width.
+        """
+        has_cov = [b.covariates is not None for b in self.blocks]
+        if not any(has_cov):
+            return None
+        if not all(has_cov):
+            raise DimensionMismatch("covariates must be supplied for all blocks or none")
+        covs = [b.covariates for b in self.blocks]
+        try:
+            stacked = np.concatenate(covs).astype(float, copy=False)
+        except (ValueError, TypeError):  # ranks, widths or types differ
+            stacked = None
+        if stacked is None or stacked.ndim != 2 or not np.array_equal(
+            np.fromiter(map(len, covs), dtype=np.int64, count=len(covs)), self.sizes
+        ):
+            stacked = _stack_block_by_block(self.blocks)
+        return stacked
+
+    @cached_property
+    def n_blocks(self) -> int:
+        return len(self.sizes)
+
+    @cached_property
+    def n_units(self) -> int:
+        return int(self.sizes.sum())
 
     @cached_property
     def control_counts(self) -> np.ndarray:
@@ -129,8 +213,7 @@ class BlockDesign:
     @cached_property
     def covariate_dim(self) -> int:
         """Number of unit-level covariates (0 when none were supplied)."""
-        first = self.blocks[0].covariates if self.blocks else None
-        return 0 if first is None else int(np.asarray(first).shape[1])
+        return 0 if self.covariates is None else int(self.covariates.shape[1])
 
     def block_covariates(self) -> list[np.ndarray]:
         """Per-block (n_i, K) covariate arrays; raises if none were supplied."""
@@ -139,24 +222,85 @@ class BlockDesign:
         return [np.asarray(b.covariates, dtype=float) for b in self.blocks]
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """Realized treatment indicators, one binary tuple per block."""
+class Assignment(_Frozen):
+    """Realized treatment indicators, one binary tuple per block.
 
-    z: tuple[tuple[int, ...], ...]
+    Packed as flat (N,) int64 ``indicators`` and the (B,) ``lengths`` of the
+    blocks; either form is built from the other on first access.
+    """
+
+    def __init__(self, z):
+        self.__dict__["z"] = z
+
+    @classmethod
+    def _from_flat(cls, indicators: np.ndarray, lengths: np.ndarray) -> "Assignment":
+        assignment = cls.__new__(cls)
+        assignment.__dict__.update(indicators=indicators, lengths=lengths)
+        return assignment
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.z == other.z
+
+    def __hash__(self):
+        return hash(self.z)
+
+    def __repr__(self):
+        return f"Assignment(z={self.z!r})"
+
+    @cached_property
+    def z(self) -> tuple[tuple[int, ...], ...]:
+        flat = self.indicators.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in _bounds(self.lengths))
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        return np.fromiter(map(len, self.z), dtype=np.int64, count=len(self.z))
+
+    @cached_property
+    def indicators(self) -> np.ndarray:
+        count = int(self.lengths.sum())
+        return np.fromiter(itertools.chain.from_iterable(self.z), dtype=np.int64, count=count)
 
 
-@dataclass(frozen=True)
-class AssignmentAndOutcomes:
-    """An assignment together with observed responses aligned to units."""
+class AssignmentAndOutcomes(_Frozen):
+    """An assignment together with observed responses aligned to units.
 
-    assignment: Assignment
-    responses: tuple[np.ndarray, ...]
+    Packed as the flat (N,) float responses ``r`` and the (B,) ``lengths``
+    of the per-block ``responses``; either form is built from the other on
+    first access.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "responses", tuple(np.asarray(r, dtype=float) for r in self.responses)
+    def __init__(self, assignment: Assignment, responses):
+        self.__dict__.update(
+            assignment=assignment,
+            responses=tuple(np.asarray(r, dtype=float) for r in responses),
         )
+
+    @classmethod
+    def _from_flat(cls, z: np.ndarray, r: np.ndarray, lengths: np.ndarray):
+        """Data over flat (N,) int64 indicators ``z`` and float responses ``r``."""
+        data = cls.__new__(cls)
+        data.__dict__.update(assignment=Assignment._from_flat(z, lengths), r=r, lengths=lengths)
+        return data
+
+    def __repr__(self):
+        return (
+            f"AssignmentAndOutcomes(assignment={self.assignment!r}, responses={self.responses!r})"
+        )
+
+    @cached_property
+    def responses(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.r[a:b] for a, b in _bounds(self.lengths))
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        return np.fromiter(map(len, self.responses), dtype=np.int64, count=len(self.responses))
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return np.concatenate(self.responses)
 
 
 def validate_design(design: BlockDesign) -> BlockDesign:
@@ -172,42 +316,31 @@ def validate_design(design: BlockDesign) -> BlockDesign:
     sizes, treated = design.sizes, design.treated_counts
     bad = (sizes < 2) | (treated < 1) | (treated > sizes - 1)
     if bad.any():
-        b = design.blocks[int(np.argmax(bad))]
-        if b.n < 2:
-            raise InfeasibleBlock(f"block {b.block_id!r} has n={b.n} < 2")
+        i = int(np.argmax(bad))
+        block_id, n, n_treated = design.ids[i], int(sizes[i]), int(treated[i])
+        if n < 2:
+            raise InfeasibleBlock(f"block {block_id!r} has n={n} < 2")
         raise InfeasibleBlock(
-            f"block {b.block_id!r} has n_treated={b.n_treated} outside [1, {b.n - 1}]"
+            f"block {block_id!r} has n_treated={n_treated} outside [1, {n - 1}]"
         )
-    has_cov = [b.covariates is not None for b in design.blocks]
-    if any(has_cov):
-        if not all(has_cov):
-            raise DimensionMismatch("covariates must be supplied for all blocks or none")
-        covs = [b.covariates for b in design.blocks]
-        try:
-            stacked = np.concatenate(covs).astype(float, copy=False)
-        except (ValueError, TypeError):  # ranks, widths or types differ
-            stacked = None
-        if stacked is None or stacked.ndim != 2 or not np.array_equal(
-            np.fromiter(map(len, covs), dtype=np.int64, count=len(covs)), design.sizes
-        ):
-            stacked = _stack_block_by_block(design)
-        if not np.isfinite(stacked).all():
-            finite = np.isfinite(stacked).all(axis=1)
-            i = int(np.searchsorted(design.unit_starts, np.argmin(finite), side="right")) - 1
-            raise DimensionMismatch(
-                f"block {design.blocks[i].block_id!r} covariates contain non-finite values"
-            )
+    stacked = design.covariates
+    if stacked is not None and not np.isfinite(stacked).all():
+        finite = np.isfinite(stacked).all(axis=1)
+        i = int(np.searchsorted(design.unit_starts, np.argmin(finite), side="right")) - 1
+        raise DimensionMismatch(
+            f"block {design.ids[i]!r} covariates contain non-finite values"
+        )
     return design
 
 
-def _stack_block_by_block(design: BlockDesign) -> np.ndarray:
+def _stack_block_by_block(blocks: tuple[Block, ...]) -> np.ndarray:
     """The (N, K) covariates, converted and checked one block at a time.
 
     Names the first block whose covariates are misshapen, then a dimension
     that differs across blocks.
     """
-    covs = [np.asarray(b.covariates, dtype=float) for b in design.blocks]
-    for b, arr in zip(design.blocks, covs):
+    covs = [np.asarray(b.covariates, dtype=float) for b in blocks]
+    for b, arr in zip(blocks, covs):
         if arr.ndim != 2 or arr.shape[0] != b.n:
             raise DimensionMismatch(
                 f"block {b.block_id!r} covariates have shape {arr.shape}, expected ({b.n}, K)"
@@ -235,10 +368,7 @@ def block_weights(design: BlockDesign) -> np.ndarray:
 
 def n_assignments(design: BlockDesign) -> int:
     """Exact size of the assignment space, prod_i C(n_i, n_treated_i)."""
-    count = 1
-    for b in design.blocks:
-        count *= math.comb(b.n, b.n_treated)
-    return count
+    return math.prod(map(math.comb, design.sizes.tolist(), design.treated_counts.tolist()))
 
 
 def _block_subset_tuples(block: Block) -> list[tuple[int, ...]]:
@@ -272,15 +402,10 @@ def enumerate_assignments(
 def _draw_treated(design: BlockDesign, rng: np.random.Generator) -> np.ndarray:
     """(N,) treated flags of one uniform assignment, one permutation per block."""
     z = np.zeros(design.n_units, dtype=bool)
-    for start, b in zip(design.unit_starts.tolist(), design.blocks):
-        z[start + rng.permutation(b.n)[: b.n_treated]] = True
+    layout = zip(design.unit_starts.tolist(), design.sizes.tolist(), design.treated_counts.tolist())
+    for start, n, k in layout:
+        z[start + rng.permutation(n)[:k]] = True
     return z
-
-
-def _assignment_of(design: BlockDesign, z: np.ndarray) -> Assignment:
-    """The assignment of (N,) treated flags."""
-    parts = np.split(z.astype(np.int64), design.unit_starts[1:])
-    return Assignment(z=tuple(tuple(part.tolist()) for part in parts))
 
 
 def sample_assignment(design: BlockDesign, seed) -> Assignment:
@@ -289,4 +414,5 @@ def sample_assignment(design: BlockDesign, seed) -> Assignment:
     ``seed`` may be an int (deterministic draws), a numpy Generator, or a
     SeedSequence. The same int seed always reproduces the same assignment.
     """
-    return _assignment_of(design, _draw_treated(design, as_rng(seed)))
+    z = _draw_treated(design, as_rng(seed))
+    return Assignment._from_flat(z.astype(np.int64), design.sizes)

@@ -80,48 +80,41 @@ class BlockEffects:
 def block_effects(design: BlockDesign, data: AssignmentAndOutcomes) -> BlockEffects:
     """Treated-minus-control means and within-arm sample variances per block.
 
-    Works on the concatenated unit arrays: every per-block sum is one
-    ``np.add.reduceat``. Variances are sums of squared deviations from the
-    arm means (two passes, as ``np.var`` computes them). Non-finite
-    responses raise NonFiniteResponse.
+    Works on the packed unit arrays of the design and the data: every
+    per-block sum is one ``np.add.reduceat``. Variances are sums of squared
+    deviations from the arm means (two passes, as ``np.var`` computes
+    them). Non-finite responses raise NonFiniteResponse.
     """
     b = design.n_blocks
-    if len(data.assignment.z) != b or len(data.responses) != b:
-        raise DimensionMismatch(
-            f"data covers {len(data.responses)} blocks, design has {b}"
-        )
+    z_lens, r_lens = data.assignment.lengths, data.lengths
+    if z_lens.shape[0] != b or r_lens.shape[0] != b:
+        raise DimensionMismatch(f"data covers {r_lens.shape[0]} blocks, design has {b}")
     sizes = design.sizes
-    z_lens = np.fromiter(map(len, data.assignment.z), dtype=np.int64, count=b)
-    r_lens = np.fromiter(map(len, data.responses), dtype=np.int64, count=b)
     misaligned = (z_lens != sizes) | (r_lens != sizes)
     if misaligned.any():
         i = int(np.argmax(misaligned))
-        blk = design.blocks[i]
         raise DimensionMismatch(
-            f"block {blk.block_id!r}: got {z_lens[i]} indicators and {r_lens[i]} "
-            f"responses for n={blk.n}"
+            f"block {design.ids[i]!r}: got {z_lens[i]} indicators and {r_lens[i]} "
+            f"responses for n={sizes[i]}"
         )
     starts = design.unit_starts
-    z = np.fromiter(
-        itertools.chain.from_iterable(data.assignment.z), dtype=np.int64, count=design.n_units
-    )
+    z = data.assignment.indicators
     n1 = design.treated_counts
     n0 = design.control_counts
     treated_sums = np.add.reduceat(z, starts)
     wrong = treated_sums != n1
     if wrong.any():
         i = int(np.argmax(wrong))
-        blk = design.blocks[i]
         raise DimensionMismatch(
-            f"block {blk.block_id!r}: assignment treats {int(treated_sums[i])} units, "
-            f"design says {blk.n_treated}"
+            f"block {design.ids[i]!r}: assignment treats {int(treated_sums[i])} units, "
+            f"design says {n1[i]}"
         )
-    r = np.concatenate(data.responses)
+    r = data.r
     finite = np.isfinite(r)
     if not finite.all():
         i = int(np.searchsorted(starts, np.argmin(finite), side="right")) - 1
         raise NonFiniteResponse(
-            f"block {design.blocks[i].block_id!r}: responses contain non-finite values"
+            f"block {design.ids[i]!r}: responses contain non-finite values"
         )
     t = z == 1
     m1, m0 = _arm_means(design, t, r)
@@ -210,29 +203,31 @@ def _draw_options(rng: np.random.Generator, groups: list, m: int) -> list[np.nda
     return draws
 
 
+def _group_effects(group: tuple, d: np.ndarray) -> np.ndarray:
+    """(..., m, G) block effects of one group's draws ``d`` (m draws, or any slice of them).
+
+    ``group`` is one entry of :func:`_option_groups` and ``d`` the matching
+    array of :func:`_draw_options`; both may carry the same leading
+    replicate axes.
+    """
+    _, kt, r1, r0, table = group
+    if table is not None:  # one flat take: row g of the table starts at g * C
+        offsets = np.arange(0, table.size, table.shape[-1]).reshape(table.shape[:-1])
+        return table.ravel().take(d + offsets[..., None, :])
+    treated = np.argpartition(d, kt - 1, axis=-1)[..., :kt]
+    t1 = np.take_along_axis(r1[..., None, :, :], treated, axis=-1).sum(axis=-1)
+    t0 = np.take_along_axis(r0[..., None, :, :], treated, axis=-1).sum(axis=-1)
+    rest = r0.sum(axis=-1)[..., None, :] - t0
+    return t1 / kt - rest / (r1.shape[-1] - kt)
+
+
 def _drawn_effects(groups: list, draws: list) -> np.ndarray:
     """(..., m, B) block effects of drawn assignments, columns in group order.
 
     ``groups`` come from :func:`_option_groups` and ``draws`` from
     :func:`_draw_options`; both may carry the same leading replicate axes.
     """
-    lead = groups[0][2].shape[:-2]
-    m = draws[0].shape[len(lead)]
-    t_mat = np.empty(lead + (m, sum(idx.shape[0] for idx, *_ in groups)))
-    start = 0
-    for (_, kt, r1, r0, table), d in zip(groups, draws):
-        g, n = r1.shape[-2:]
-        if table is not None:
-            offsets = np.arange(0, table.size, table.shape[-1]).reshape(table.shape[:-1])
-            t_mat[..., start : start + g] = table.ravel().take(d + offsets[..., None, :])
-        else:
-            treated = np.argpartition(d, kt - 1, axis=-1)[..., :kt]
-            t1 = np.take_along_axis(r1[..., None, :, :], treated, axis=-1).sum(axis=-1)
-            t0 = np.take_along_axis(r0[..., None, :, :], treated, axis=-1).sum(axis=-1)
-            rest = r0.sum(axis=-1)[..., None, :] - t0
-            t_mat[..., start : start + g] = t1 / kt - rest / (n - kt)
-        start += g
-    return t_mat
+    return np.concatenate([_group_effects(g, d) for g, d in zip(groups, draws)], axis=-1)
 
 
 def _sample_effects(rng: np.random.Generator, groups: list, m: int) -> np.ndarray:
@@ -308,7 +303,8 @@ def _projection_variances(
     ``tau`` is (..., B), ``basis`` the (..., B, L) orthonormal factor U of
     the basis, and ``psi``, ``psi_tilde`` its (..., B) leverage reweightings
     1/(1-h)^2 and 1/(1-h); any leading replicate axes broadcast. Each
-    ``var_s*`` call evaluates all three.
+    ``var_s*`` call evaluates all three; :func:`analyze_experiment` evaluates
+    them once for all three.
     """
     b2 = tau.shape[-1] ** 2
 
@@ -349,15 +345,20 @@ def var_s3(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
     because the smaller correction is not guaranteed conservative there.
     """
     w = _check_q(effects, w, q)
+    _warn_unequal_s3(w)
+    s = _projection_variances(effects.tau_hat, w, q.basis, q.psi, q.psi_tilde)
+    return clamp_variance(s[2])
+
+
+def _warn_unequal_s3(w: np.ndarray) -> None:
+    """Warn that s3 is not established as conservative when block weights differ."""
     if not np.allclose(w, 1.0, rtol=0.0, atol=WEIGHT_EQUAL_ATOL):
         warnings.warn(
             "s3 reweighting applied to unequal block sizes; conservativeness "
             "is only established for equal sizes",
             EstimatorWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    s = _projection_variances(effects.tau_hat, w, q.basis, q.psi, q.psi_tilde)
-    return clamp_variance(s[2])
 
 
 def confidence_interval(delta_hat: float, s2: float, alpha: float) -> tuple[float, float]:
@@ -452,12 +453,26 @@ def analyze_experiment(
         if unknown:
             raise InputError(f"unknown estimators: {unknown}")
 
+    sums = None
+
+    def projection(i: int) -> float:
+        """Clamped s1, s2 or s3 (i = 0, 1, 2) from one evaluation of the three sums."""
+        nonlocal sums
+        if sums is None:
+            checked = _check_q(effects, w, q)
+            sums = _projection_variances(effects.tau_hat, checked, q.basis, q.psi, q.psi_tilde)
+        return clamp_variance(sums[i])
+
+    def s3() -> float:
+        _warn_unequal_s3(w)
+        return projection(2)
+
     fns = {
         "paired": lambda: var_paired_classical(effects, w),
         "coarse": lambda: var_coarse_classical(effects, w),
-        "s1": lambda: var_s1(effects, w, q),
-        "s2": lambda: var_s2(effects, w, q),
-        "s3": lambda: var_s3(effects, w, q),
+        "s1": lambda: projection(0),
+        "s2": lambda: projection(1),
+        "s3": s3,
     }
     estimates: dict[str, float] = {}
     intervals: dict[str, tuple[float, float]] = {}

@@ -14,20 +14,14 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import operator
 import re
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from ._util import fmt_raw
-from .design import (
-    Assignment,
-    AssignmentAndOutcomes,
-    Block,
-    BlockDesign,
-    validate_design,
-)
+from .design import Assignment, AssignmentAndOutcomes, BlockDesign, validate_design
 from .errors import ParseError, SchemaError
 
 REQUIRED_COLUMNS = ("block_id", "unit_id", "treated", "response")
@@ -57,10 +51,10 @@ def _number_fault(raw: str) -> str | None:
     return None if math.isfinite(value) else "is not finite"
 
 
-def _finite_floats(cells: list[str]) -> np.ndarray | None:
+def _finite_floats(cells: Sequence[str]) -> np.ndarray | None:
     """``float()`` of every cell as one array, or None when a cell is not a finite number."""
     try:
-        values = np.array(list(map(float, cells)))
+        values = np.array(cells, dtype=float)  # converts each str by float()
     except ValueError:
         return None
     return values if np.isfinite(values).all() else None
@@ -168,17 +162,16 @@ def ingest_csv(path) -> tuple[BlockDesign, AssignmentAndOutcomes | None]:
     width = len(header)
     if min(map(len, rows)) < width:
         rows = [row + [""] * (width - len(row)) for row in rows]
-    columns = {
-        name: list(map(str.strip, map(operator.itemgetter(j), rows)))
-        for j, name in enumerate(header)
-    }
+    columns = dict(zip(header, zip(*rows)))
     del rows
-    bids, uids, treated, responses = (columns[c] for c in REQUIRED_COLUMNS)
+    bids, uids, treated = (list(map(str.strip, columns[c])) for c in REQUIRED_COLUMNS[:3])
     n_rows = len(bids)
-    n_empty = responses.count("")
-    has_responses = n_empty == 0
-    r = _finite_floats(responses) if has_responses else None
+    # float() ignores surrounding blanks, so numeric cells need stripping only
+    # to tell an empty response from a faulty one
+    r = _finite_floats(columns["response"])
     x = [_finite_floats(columns[c]) for c in xnames]
+    n_empty = 0 if r is not None else list(map(str.strip, columns["response"])).count("")
+    has_responses = n_empty == 0
     if (
         "" in bids
         or "" in uids
@@ -188,7 +181,8 @@ def ingest_csv(path) -> tuple[BlockDesign, AssignmentAndOutcomes | None]:
         or any(v is None for v in x)
         or 0 < n_empty < n_rows
     ):
-        fault = _first_fault(columns, xnames)
+        stripped = {name: list(map(str.strip, cells)) for name, cells in columns.items()}
+        fault = _first_fault(stripped, xnames)
         if fault is None:
             raise ParseError(f"{path}: responses must be given for all units or none")
         row, message = fault
@@ -201,41 +195,35 @@ def ingest_csv(path) -> tuple[BlockDesign, AssignmentAndOutcomes | None]:
     z = np.array(list(map(_INDICATORS.__getitem__, treated)))
     sizes = np.bincount(codes)
     n_treated = np.bincount(codes[z == 1], minlength=len(sizes))
-    ends = np.cumsum(sizes).tolist()
-    bounds = list(zip([0] + ends[:-1], ends))
-    if xnames:
-        cov = np.column_stack(x)[order]
-        covs = [cov[a:b] for a, b in bounds]
-    else:
-        covs = itertools.repeat(None)
-    blocks = tuple(map(Block, index, sizes.tolist(), n_treated.tolist(), covs))
-    design = validate_design(BlockDesign(blocks))
+    cov = np.column_stack(x)[order] if xnames else None
+    design = validate_design(BlockDesign._from_arrays(index, sizes, n_treated, cov))
     if not has_responses:
         return design, None
-    z_sorted = z[order].tolist()
-    r_sorted = r[order]
-    data = AssignmentAndOutcomes(
-        assignment=Assignment(z=tuple(tuple(z_sorted[a:b]) for a, b in bounds)),
-        responses=tuple(r_sorted[a:b] for a, b in bounds),
-    )
-    return design, data
+    return design, AssignmentAndOutcomes._from_flat(z[order], r[order], sizes)
 
 
 def write_experiment_csv(
     path, design: BlockDesign, assignment: Assignment, responses=None
 ) -> None:
-    """Serialize a design and assignment (plus optional responses) to the CSV schema."""
+    """Serialize a design and assignment (plus optional per-block responses) to the CSV schema.
+
+    Units are numbered 1..n_i within each block. Numbers are written as the
+    shortest text that parses back to the same float, so :func:`ingest_csv`
+    of the file returns the same packed arrays.
+    """
     path = Path(path)
     k = design.covariate_dim
     header = list(REQUIRED_COLUMNS) + [f"x{j}" for j in range(1, k + 1)]
+    sizes = design.sizes.tolist()
+    columns = [
+        [bid for bid, n in zip(design.ids, sizes) for _ in range(n)],
+        [str(j) for n in sizes for j in range(1, n + 1)],
+        map(str, assignment.indicators.tolist()),
+        itertools.repeat("") if responses is None else map(fmt_raw, np.concatenate(responses)),
+    ]
+    if k:
+        columns.extend(map(fmt_raw, col) for col in design.covariates.T)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i, blk in enumerate(design.blocks):
-            z = assignment.z[i]
-            for j in range(blk.n):
-                row = [blk.block_id, str(j + 1), str(int(z[j]))]
-                row.append("" if responses is None else fmt_raw(responses[i][j]))
-                if k:
-                    row.extend(fmt_raw(v) for v in np.asarray(blk.covariates)[j])
-                writer.writerow(row)
+        writer.writerows(zip(*columns))

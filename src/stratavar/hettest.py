@@ -30,6 +30,14 @@ formula; the count of replays at or above the threshold, and so the exact
 p-value, is that of scoring every assignment with that formula. Blocks with
 too many options for a table are decoded by range within each tile, so
 every temporary stays within ``CELLS`` cells.
+
+Monte Carlo chunks and the power study's replays share that scorer and its
+guard (:func:`_replay_hits`). Each block group's sampled effects add their
+GEMM term to P and their square norms to S, so no draws x B matrix is
+formed, and the power study scores every q-spec with one GEMM against
+[U_q1 | Q_M of each]. A chunk with any draw the guard does not clear is
+scored again as a whole by the per-assignment formula, so the hit count
+is that formula's, bit for bit, and seeded p-values do not change.
 """
 from __future__ import annotations
 
@@ -41,7 +49,13 @@ import numpy as np
 from ._util import chunk_rng, map_chunks
 from .design import AssignmentAndOutcomes, BlockDesign, block_weights, n_assignments
 from .errors import BadQPair, InputError, ZeroDenominator
-from .estimators import _option_groups, _sample_effects, block_effects
+from .estimators import (
+    _draw_options,
+    _drawn_effects,
+    _group_effects,
+    _option_groups,
+    block_effects,
+)
 from .projection import QMatrix
 
 DENOMINATOR_TOL = 1e-12
@@ -205,12 +219,9 @@ def _exact_tile(args) -> tuple[int, int]:
     A tile scores every (outer, high) row against every low row from the
     partial sums: with P = v [U_q1 | Q_M] and S = |v|^2 split as high side
     plus low side, |P_M|^2 and |P|^2 are the two side norms plus twice one
-    small GEMM, and the residual is S - |P|^2. That sum cancels, so a row is
-    scored again by ``_f_values`` on its decoded assignment unless its
-    residual is clearly above the degenerate cut and its F clearly on one
-    side of ``thresh``; "clearly" allows ``delta`` * S of error in each
-    square norm, which bounds the rounding of this path and of
-    ``_f_values`` both (see ``_exact_error``).
+    small GEMM, and the residual is S - |P|^2. A cell that
+    :func:`_clear_hits` does not clear is scored again by ``_f_values`` on
+    its decoded assignment.
     """
     o0, o1, h0, h1, outer, high_p, high_s, low_p, low_s, q1_rank, delta, replay = args
     options, strides, w, qm, basis, df_den, k, thresh = replay
@@ -227,21 +238,9 @@ def _exact_tile(args) -> tuple[int, int]:
     den += np.einsum("ij,ij->i", h1q, h1q)[:, None]
     den += np.einsum("ij,ij->i", l1q, l1q)
     den += num
-    lim = np.add.outer(sh, low_s)
-    np.subtract(lim, den, out=den)
-    lim *= delta  # error allowance of each square norm
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f = num
-        f /= den
-        f *= df_den / k
-        clear = den > lim * (DENOMINATOR_TOL / delta + 2.0)
-        slack = np.abs(f)
-        slack += df_den / k
-        slack *= lim
-        den -= lim
-        slack /= den
-        clear &= np.abs(f - thresh) > slack
-    hits = int(np.count_nonzero(clear & (f >= thresh)))
+    s = np.add.outer(sh, low_s)
+    np.subtract(s, den, out=den)
+    hits, clear = _clear_hits(num, den, s, delta, df_den / k, thresh)
 
     redo = np.flatnonzero(~clear)
     batch = max(1, CELLS // len(options))
@@ -308,6 +307,35 @@ def _exact_error(basis: np.ndarray) -> float:
     return 8.0 * np.finfo(float).eps * (b + 2) * (width + 1) + 2.0 * defect * (1.0 + defect)
 
 
+def _clear_hits(num, den, s, delta: float, ratio: float, thresh) -> tuple[int, np.ndarray]:
+    """Hits among the cells whose F is clearly on one side of ``thresh``, and their mask.
+
+    ``num`` and ``den`` are the explained square norm |P_M|^2 and the
+    residual S - |P|^2 of each cell, formed from projection sums; F is
+    num / den * ``ratio`` (df_den / k). The residual cancels when v nearly
+    lies in the basis, so a cell is clear only when its residual is clearly
+    above the degenerate cut and its F clearly on one side of ``thresh``:
+    "clearly" allows ``delta`` * S of error in each square norm, which
+    bounds the rounding of the projection sums and of ``_f_values`` both
+    (see ``_exact_error``). ``_f_values`` decides every clear cell the same
+    way, so only the others need scoring by it. All three arrays are
+    overwritten.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        clear = den > s * (DENOMINATOR_TOL + 2.0 * delta)
+        s *= delta  # error allowance of each square norm
+        f = num
+        f /= den
+        f *= ratio
+        slack = np.abs(f)
+        slack += ratio
+        slack *= s
+        den -= s
+        slack /= den
+        clear &= np.abs(f - thresh) > slack
+    return int(np.count_nonzero(clear & (f >= thresh))), clear
+
+
 def _mc_chunk_sizes(groups: list, n_blocks: int, max_draws: int) -> list[int]:
     """Draws of each Monte Carlo chunk; chunk c samples from ``chunk_rng(seed, c)``.
 
@@ -318,11 +346,58 @@ def _mc_chunk_sizes(groups: list, n_blocks: int, max_draws: int) -> list[int]:
     return [min(rows, max_draws - c * rows) for c in range(math.ceil(max_draws / rows))]
 
 
+def _replay_hits(groups: list, draws: list, w: np.ndarray, specs: list) -> list[int]:
+    """Hits of drawn replays against each ``(qm, basis, df_den, thresh, delta)`` of ``specs``.
+
+    ``groups`` and ``draws`` are as for ``_drawn_effects``, without leading
+    axes; ``w`` and every basis have their rows in group order, and the
+    bases share their first columns U_q1. The replays v = W tau are
+    scored from their projection sums: each group adds its GEMM term to
+    P = v [U_q1 | Q_M of every spec], and its square norms to S = |v|^2,
+    in runs of draws of at most ``TILE_CELLS`` cells, so no (m, B) array
+    is formed and every temporary stays in cache. If :func:`_clear_hits`
+    leaves any replay unclear for a spec, all of them are scored again by
+    ``_f_values`` for it: a GEMM's rounding of one row can depend on the
+    rows batched with it, so only the whole batch reproduces the count of
+    that formula bit for bit.
+    """
+    q1_rank = specs[0][1].shape[1] - specs[0][0].shape[1]
+    joint = np.concatenate([specs[0][1]] + [qm for qm, *_ in specs[1:]], axis=1)
+    m = draws[0].shape[0]
+    p, s = np.zeros((m, joint.shape[1])), np.zeros(m)
+    start = 0
+    for group, d in zip(groups, draws):
+        stop = start + group[0].shape[0]
+        w_g, basis_g = w[start:stop], joint[start:stop]
+        rows = max(1, TILE_CELLS // (stop - start))  # draws whose temporaries stay in cache
+        for i in range(0, m, rows):
+            v = _group_effects(group, d[i : i + rows])
+            v *= w_g
+            p[i : i + rows] += v @ basis_g
+            s[i : i + rows] += np.einsum("ij,ij->i", v, v)
+        start = stop
+    p1 = p[:, :q1_rank]
+    explained_q1 = np.einsum("ij,ij->i", p1, p1)
+    hits, col, t_mat = [], q1_rank, None
+    for qm, basis, df_den, thresh, delta in specs:
+        k = qm.shape[1]
+        pm = p[:, col : col + k]
+        num = np.einsum("ij,ij->i", pm, pm)
+        den = s - (explained_q1 + num)
+        n_hits, clear = _clear_hits(num, den, s.copy(), delta, df_den / k, thresh)
+        if not clear.all():
+            t_mat = _drawn_effects(groups, draws) if t_mat is None else t_mat
+            n_hits = int(np.sum(_f_values(t_mat, w, qm, basis, df_den, k) >= thresh))
+        hits.append(n_hits)
+        col += k
+    return hits
+
+
 def _mc_chunk(args) -> tuple[int, int]:
-    seed, chunk_index, m, groups, w, qm, basis, df_den, k, thresh = args
-    t_mat = _sample_effects(chunk_rng(seed, chunk_index), groups, m)
-    f = _f_values(t_mat, w, qm, basis, df_den, k)
-    return int(np.sum(f >= thresh)), m
+    """Hits among the ``m`` replays of one Monte Carlo chunk, and ``m``."""
+    seed, chunk_index, m, groups, w, qm, basis, df_den, _, thresh, delta = args
+    draws = _draw_options(chunk_rng(seed, chunk_index), groups, m)
+    return _replay_hits(groups, draws, w, [(qm, basis, df_den, thresh, delta)])[0], m
 
 
 def _check_max_draws(max_draws: int) -> None:
@@ -377,8 +452,7 @@ def permutation_test(
             f"exact enumeration of {total} assignments needs a {cells}-cell option table for "
             f"one block, above the limit of {EXACT_OPTION_CELLS}; sampled {max_draws} instead"
         )
-    observed = np.concatenate(data.responses)
-    groups = _option_groups(design, observed, observed, math.inf if exact else OPTION_CELLS)
+    groups = _option_groups(design, data.r, data.r, math.inf if exact else OPTION_CELLS)
     order = np.concatenate([idx for idx, *_ in groups])
     fixed = (w[order], qm[order], q2.basis[order], df_den, k, thresh)
     if exact:
@@ -386,7 +460,8 @@ def permutation_test(
         results = map_chunks(_exact_tile, args, threads)
     else:
         sizes = _mc_chunk_sizes(groups, design.n_blocks, max_draws)
-        args = [(seed, c, m, groups, *fixed) for c, m in enumerate(sizes)]
+        delta = _exact_error(q2.basis)
+        args = [(seed, c, m, groups, *fixed, delta) for c, m in enumerate(sizes)]
         results = map_chunks(_mc_chunk, args, threads)
     hits = sum(h for h, _ in results)
     draws = sum(m for _, m in results)

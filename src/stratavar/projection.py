@@ -269,7 +269,9 @@ def _expanded_block_means(
                 f"xbar has {x.shape[0]} rows for {design.n_blocks} blocks"
             )
         return np.column_stack([x**p for p in range(1, poly_degree + 1)])
-    units = np.concatenate(design.block_covariates())
+    units = design.covariates
+    if units is None:
+        raise DimensionMismatch("design carries no unit-level covariates")
     if columns is not None:
         bad = [j for j in columns if not 0 <= j < design.covariate_dim]
         if bad:

@@ -54,7 +54,6 @@ from ._util import as_rng, chunk_rng, map_chunks
 from .design import (
     AssignmentAndOutcomes,
     BlockDesign,
-    _assignment_of,
     _draw_treated,
     block_weights,
     n_assignments,
@@ -70,8 +69,10 @@ from .estimators import (
 from .hettest import (
     OPTION_CELLS,
     _check_max_draws,
+    _exact_error,
     _f_values,
     _mc_chunk_sizes,
+    _replay_hits,
     _replay_threshold,
     permutation_test,
 )
@@ -401,8 +402,8 @@ def _power_chunk(args) -> dict:
     from its own stream; worlds, option tables, bases and observed statistics
     run on stacks of replicates. Then each replicate samples its replays from
     the sampler seed's chunk streams, as ``permutation_test`` does, and scores
-    them against every q-spec's basis in one F pass. A replicate goes through
-    ``permutation_test`` instead when its basis is flagged or its responses
+    them against every q-spec's basis with one GEMM (``hettest._replay_hits``).
+    A replicate goes through ``permutation_test`` instead when its basis is flagged or its responses
     are not finite, and every replicate does when the space is small enough
     to enumerate.
     """
@@ -418,7 +419,6 @@ def _power_chunk(args) -> dict:
     flat = np.zeros(n_units)
     probe = _option_groups(design, flat, flat, OPTION_CELLS)
     draw_sizes = _mc_chunk_sizes(probe, b, max_draws)
-    starts = design.unit_starts
     scalar = n_assignments(design) <= max_draws  # permutation_test enumerates a small space
     pvals = {name: np.empty(count) for name in qspecs}
     for start, size in _sub_batches(rep_start, count, b * (k + q1.rank)):
@@ -452,24 +452,21 @@ def _power_chunk(args) -> dict:
         groups = _option_groups(design, r, r, OPTION_CELLS)
         for j in np.flatnonzero(np.logical_or.reduce([ok for _, ok, *_ in scored])):
             mine = [(idx, kt, a1[j], a0[j], table[j]) for idx, kt, a1, a0, table in groups]
+            live = [(basis[j], thresh[j], hits) for _, ok, basis, thresh, hits in scored if ok[j]]
+            scoring = [
+                (basis[:, q1.rank :], basis, b - basis.shape[-1], thresh, _exact_error(basis))
+                for basis, thresh, _ in live
+            ]
             for c, m in enumerate(draw_sizes):
                 draws = _draw_options(chunk_rng(perm_seeds[j], c), mine, m)
-                t_mat = _drawn_effects(mine, draws)
-                for _, ok, basis, thresh, hits in scored:
-                    if ok[j]:
-                        qm = basis[j, :, q1.rank :]
-                        df_den = b - basis.shape[-1]
-                        f_rep = _f_values(t_mat, w_order, qm, basis[j], df_den, qm.shape[1])
-                        hits[j] += np.sum(f_rep >= thresh[j])
+                for (_, _, hits), n_hits in zip(live, _replay_hits(mine, draws, w_order, scoring)):
+                    hits[j] += n_hits
         for name, ok, _, _, hits in scored:
             pvals[name][start - rep_start + np.flatnonzero(ok)] = (1 + hits[ok]) / (1 + max_draws)
 
         # flagged bases in replicate order, so the first failing replicate raises
         for j in np.flatnonzero(~np.logical_and.reduce(oks)):
-            data = AssignmentAndOutcomes(
-                assignment=_assignment_of(design, z[j]),
-                responses=tuple(np.split(r[j], starts[1:])),
-            )
+            data = AssignmentAndOutcomes._from_flat(z[j].astype(np.int64), r[j], design.sizes)
             for spec, ok in zip(specs, oks):
                 if not ok[j]:
                     q2 = resolve_qspec(spec, design, x[j])

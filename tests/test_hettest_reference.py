@@ -8,6 +8,11 @@ draw count, observed F and notes, bit for bit, on designs with mixed block
 sizes, tied F values, degenerate and near-degenerate residuals, constant
 responses, one to three covariate columns, tiny cell budgets (so that
 blocks become outer digits and tiles split) and one or two workers.
+
+The Monte Carlo path is held to the same standard against sampling that
+gathers each chunk's effects with one flat ``take`` and scores the chunk
+with ``_f_values``: same draws, so the same p-value, draw count, observed
+F and notes, bit for bit.
 """
 from __future__ import annotations
 
@@ -32,7 +37,8 @@ from stratavar import (
     run_power_curve,
 )
 from stratavar import hettest
-from stratavar.estimators import _option_groups
+from stratavar._util import chunk_rng
+from stratavar.estimators import _draw_options, _option_groups
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
@@ -177,3 +183,108 @@ def test_max_draws_above_the_ceiling_is_rejected():
     with pytest.raises(InputError) as caught:
         run_power_curve(a_grid=(1.0,), reps=2, max_draws=hettest.MAX_DRAWS + 1)
     assert str(caught.value) == message
+
+
+def _parent_effects(rng, groups, m) -> np.ndarray:
+    """(m, B) effects of m draws, gathered as the Monte Carlo path did before
+    it scored from projection sums: one flat ``take`` with row offsets."""
+    draws = _draw_options(rng, groups, m)
+    t_mat = np.empty((m, sum(idx.shape[0] for idx, *_ in groups)))
+    start = 0
+    for (idx, kt, r1, r0, table), d in zip(groups, draws):
+        g, n = r1.shape
+        if table is not None:
+            offsets = np.arange(0, table.size, table.shape[-1])
+            t_mat[:, start : start + g] = table.ravel().take(d + offsets)
+        else:
+            treated = np.argpartition(d, kt - 1, axis=-1)[..., :kt]
+            t1 = np.take_along_axis(r1[None], treated, axis=-1).sum(axis=-1)
+            t0 = np.take_along_axis(r0[None], treated, axis=-1).sum(axis=-1)
+            t_mat[:, start : start + g] = t1 / kt - (r0.sum(axis=-1) - t0) / (n - kt)
+        start += g
+    return t_mat
+
+
+def sampled_reference(design, data, q2, max_draws, seed) -> tuple[float, int, float, tuple]:
+    """p-value, draws, observed F and notes of Monte Carlo sampling, each
+    chunk scored by ``_f_values``."""
+    w = block_weights(design)
+    qm = q2.basis[:, q2.q1_rank :]
+    k = q2.added_covariate_rank
+    df_den = design.n_blocks - q2.rank
+    tau_hat = block_effects(design, data).tau_hat[None, :]
+    t = hettest._f_values(tau_hat, w, qm, q2.basis, df_den, k)[0]
+    notes = ()
+    if np.isinf(t):
+        notes = ("observed residual beyond the basis is zero; p-value is the smallest attainable",)
+    thresh = hettest._replay_threshold(t)
+    observed = np.concatenate(data.responses)
+    groups = _option_groups(design, observed, observed, hettest.OPTION_CELLS)
+    order = np.concatenate([idx for idx, *_ in groups])
+    hits = 0
+    for c, m in enumerate(hettest._mc_chunk_sizes(groups, design.n_blocks, max_draws)):
+        t_mat = _parent_effects(chunk_rng(seed, c), groups, m)
+        f = hettest._f_values(t_mat, w[order], qm[order], q2.basis[order], df_den, k)
+        hits += int(np.sum(f >= thresh))
+    return (1 + hits) / (1 + max_draws), max_draws, float(t), notes
+
+
+@st.composite
+def sampled_experiments(draw):
+    """A design of 3-9 blocks of 2-5 units, too many assignments for ``max_draws``.
+
+    Block effects are exactly linear in the first covariate, linear up to
+    noise of 1e-7 (a residual below the degenerate cut) or 1e-5 and 1e-3
+    (small residuals above it, where |v|^2 - |U'v|^2 loses most digits),
+    rounded to a few integers (tied F values) or constant.
+    """
+    n_blocks = draw(st.integers(3, 9))
+    layout = []
+    for _ in range(n_blocks):
+        n = draw(st.integers(2, 5))
+        layout.append((n, draw(st.integers(1, n - 1))))
+    design = BlockDesign.from_sizes([n for n, _ in layout], [kt for _, kt in layout])
+    max_draws = draw(st.sampled_from((99, 999)))
+    assume(n_assignments(design) > max_draws)
+    n_cov = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xbar = rng.normal(size=(n_blocks, n_cov))
+    noise = draw(st.sampled_from((0.0, 1e-7, 1e-5, 1e-3, "rounded", "constant")))
+    if noise == "rounded":
+        base, tau = rng.integers(0, 3, design.n_units), rng.integers(-1, 2, n_blocks)
+    elif noise == "constant":
+        base, tau = np.full(design.n_units, 2.5), np.zeros(n_blocks)
+    else:
+        base = np.zeros(design.n_units)
+        tau = 0.5 + 2.0 * xbar[:, 0] + noise * rng.normal(size=n_blocks)
+    z = tuple(tuple(int(j < kt) for j in range(n)) for n, kt in layout)
+    responses = np.split(
+        base + np.concatenate([np.array(zi) * ti for zi, ti in zip(z, tau)]),
+        design.unit_starts[1:],
+    )
+    data = AssignmentAndOutcomes(assignment=Assignment(z=z), responses=tuple(responses))
+    return design, data, xbar, max_draws
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    experiment=sampled_experiments(),
+    option_cells=st.sampled_from((hettest.OPTION_CELLS, hettest.OPTION_CELLS, 0)),
+    threads=st.sampled_from((1, 1, 2)),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_monte_carlo_path_matches_chunkwise_f_values(experiment, option_cells, threads, seed):
+    design, data, xbar, max_draws = experiment
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            q2 = build_q2(design, xbar=xbar)
+    except StratavarError:
+        assume(False)
+    assume(q2.added_covariate_rank >= 1 and q2.rank < design.n_blocks)
+    # a zero option budget samples every block by random keys, not option tables
+    with mock.patch.object(hettest, "OPTION_CELLS", option_cells):
+        want = sampled_reference(design, data, q2, max_draws, seed)
+        got = permutation_test(design, data, q2, max_draws=max_draws, seed=seed, threads=threads)
+    assert not got.exact
+    assert (got.p_value, got.draws, got.f_observed, got.notes) == want
