@@ -7,11 +7,14 @@ block order. Block ``i`` holds ``n_i`` units of which exactly
 ``n_treated_i`` receive treatment, and the randomization distribution is
 uniform over the product of within-block treated subsets. Assignments and
 observed data are packed the same way, as flat (N,) indicators and
-responses. The per-block views (``BlockDesign.blocks``, ``Assignment.z``,
-``AssignmentAndOutcomes.responses``) are built on first access, and a
-design, assignment or data set built from them packs itself on first use.
-Everything downstream (weights, enumeration, sampling, estimation) reads
-the packed arrays, which are treated as immutable once validated.
+responses with the (B,) lengths of their blocks.
+
+Every constructor packs its input once; the arrays are the only state the
+library reads and are treated as immutable once validated. The per-block
+forms (``BlockDesign.blocks``, ``Assignment.z``,
+``AssignmentAndOutcomes.responses``) are read-only views over the arrays,
+built on first access. Only a design's covariates are packed lazily, so
+that misshapen ones raise at :func:`validate_design`.
 """
 from __future__ import annotations
 
@@ -70,22 +73,38 @@ class _Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _bounds(lengths: np.ndarray) -> list[tuple[int, int]]:
-    """(start, stop) of each block's units in the concatenated unit arrays."""
+def _views(flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Read-only per-block slices of a flat unit array with blocks of ``lengths`` units."""
+    view = flat.view()
+    view.flags.writeable = False
     ends = np.cumsum(lengths).tolist()
-    return list(zip([0] + ends[:-1], ends))
+    return tuple(view[a:b] for a, b in zip([0] + ends[:-1], ends))
+
+
+def _pack(parts, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block sequences as one flat array, and the (B,) lengths of the blocks."""
+    arrays = [np.asarray(p, dtype=dtype) for p in parts]
+    lengths = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
+    return (np.concatenate(arrays) if arrays else np.empty(0, dtype)), lengths
 
 
 class BlockDesign(_Frozen):
     """An ordered collection of blocks, held as packed unit arrays.
 
-    ``BlockDesign(blocks)`` packs a sequence of :class:`Block` on first use;
-    ``blocks`` rebuilds them from the packed arrays of a design that was
-    built without them.
+    ``BlockDesign(blocks)`` packs a sequence of :class:`Block` into ``ids``,
+    ``sizes`` and ``treated_counts`` and keeps the blocks, whose covariates
+    it packs on first use; a design built from arrays derives ``blocks``
+    from them on first access.
     """
 
     def __init__(self, blocks: Sequence[Block]):
-        self.__dict__["blocks"] = tuple(blocks)
+        blocks = tuple(blocks)
+        self.__dict__.update(
+            blocks=blocks,
+            ids=tuple(b.block_id for b in blocks),
+            sizes=np.array([b.n for b in blocks], dtype=np.int64),
+            treated_counts=np.array([b.n_treated for b in blocks], dtype=np.int64),
+        )
 
     @classmethod
     def _from_arrays(cls, ids, sizes, treated_counts, covariates=None) -> "BlockDesign":
@@ -125,10 +144,16 @@ class BlockDesign(_Frozen):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.blocks == other.blocks
+        x, y = self.covariates, other.covariates
+        return (
+            self.ids == other.ids
+            and np.array_equal(self.sizes, other.sizes)
+            and np.array_equal(self.treated_counts, other.treated_counts)
+            and (x is y or (x is not None and y is not None and np.array_equal(x, y)))
+        )
 
     def __hash__(self):
-        return hash(self.blocks)
+        return hash((self.ids, tuple(self.sizes.tolist()), tuple(self.treated_counts.tolist())))
 
     def __repr__(self):
         return f"BlockDesign(blocks={self.blocks!r})"
@@ -138,46 +163,34 @@ class BlockDesign(_Frozen):
         if self.covariates is None:
             covs = itertools.repeat(None)
         else:
-            covs = (self.covariates[a:b] for a, b in _bounds(self.sizes))
+            covs = _views(self.covariates, self.sizes)
         return tuple(
             map(Block, self.ids, self.sizes.tolist(), self.treated_counts.tolist(), covs)
         )
-
-    @cached_property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(b.block_id for b in self.blocks)
-
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        return np.array([b.n for b in self.blocks], dtype=np.int64)
-
-    @cached_property
-    def treated_counts(self) -> np.ndarray:
-        return np.array([b.n_treated for b in self.blocks], dtype=np.int64)
 
     @cached_property
     def covariates(self) -> np.ndarray | None:
         """(N, K) unit-level covariates over the concatenated units, None when none were supplied.
 
         Packing a design's blocks raises DimensionMismatch when only some
-        blocks carry covariates, or when they do not stack to (n_i, K) rows
-        of one width.
+        blocks carry covariates, then names the first block whose covariates
+        are not (n_i, K) rows, then a width that differs across blocks.
         """
         has_cov = [b.covariates is not None for b in self.blocks]
         if not any(has_cov):
             return None
         if not all(has_cov):
             raise DimensionMismatch("covariates must be supplied for all blocks or none")
-        covs = [b.covariates for b in self.blocks]
-        try:
-            stacked = np.concatenate(covs).astype(float, copy=False)
-        except (ValueError, TypeError):  # ranks, widths or types differ
-            stacked = None
-        if stacked is None or stacked.ndim != 2 or not np.array_equal(
-            np.fromiter(map(len, covs), dtype=np.int64, count=len(covs)), self.sizes
-        ):
-            stacked = _stack_block_by_block(self.blocks)
-        return stacked
+        covs = [np.asarray(b.covariates, dtype=float) for b in self.blocks]
+        for b, arr in zip(self.blocks, covs):
+            if arr.ndim != 2 or arr.shape[0] != b.n:
+                raise DimensionMismatch(
+                    f"block {b.block_id!r} covariates have shape {arr.shape}, expected ({b.n}, K)"
+                )
+        dims = {arr.shape[1] for arr in covs}
+        if len(dims) > 1:
+            raise DimensionMismatch(f"covariate dimension differs across blocks: {sorted(dims)}")
+        return np.concatenate(covs)
 
     @cached_property
     def n_blocks(self) -> int:
@@ -219,18 +232,19 @@ class BlockDesign(_Frozen):
         """Per-block (n_i, K) covariate arrays; raises if none were supplied."""
         if self.covariate_dim == 0:
             raise DimensionMismatch("design carries no unit-level covariates")
-        return [np.asarray(b.covariates, dtype=float) for b in self.blocks]
+        return list(_views(self.covariates, self.sizes))
 
 
 class Assignment(_Frozen):
     """Realized treatment indicators, one binary tuple per block.
 
-    Packed as flat (N,) int64 ``indicators`` and the (B,) ``lengths`` of the
-    blocks; either form is built from the other on first access.
+    Packed once, as flat (N,) int64 ``indicators`` and the (B,) ``lengths``
+    of the blocks; ``z`` is a view over them, built on first access.
     """
 
     def __init__(self, z):
-        self.__dict__["z"] = z
+        indicators, lengths = _pack(z, np.int64)
+        self.__dict__.update(indicators=indicators, lengths=lengths)
 
     @classmethod
     def _from_flat(cls, indicators: np.ndarray, lengths: np.ndarray) -> "Assignment":
@@ -241,42 +255,32 @@ class Assignment(_Frozen):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.z == other.z
+        return np.array_equal(self.lengths, other.lengths) and np.array_equal(
+            self.indicators, other.indicators
+        )
 
     def __hash__(self):
-        return hash(self.z)
+        return hash((tuple(self.lengths.tolist()), tuple(self.indicators.tolist())))
 
     def __repr__(self):
         return f"Assignment(z={self.z!r})"
 
     @cached_property
     def z(self) -> tuple[tuple[int, ...], ...]:
-        flat = self.indicators.tolist()
-        return tuple(tuple(flat[a:b]) for a, b in _bounds(self.lengths))
-
-    @cached_property
-    def lengths(self) -> np.ndarray:
-        return np.fromiter(map(len, self.z), dtype=np.int64, count=len(self.z))
-
-    @cached_property
-    def indicators(self) -> np.ndarray:
-        count = int(self.lengths.sum())
-        return np.fromiter(itertools.chain.from_iterable(self.z), dtype=np.int64, count=count)
+        return tuple(tuple(v.tolist()) for v in _views(self.indicators, self.lengths))
 
 
 class AssignmentAndOutcomes(_Frozen):
     """An assignment together with observed responses aligned to units.
 
     Packed as the flat (N,) float responses ``r`` and the (B,) ``lengths``
-    of the per-block ``responses``; either form is built from the other on
+    of its blocks; ``responses``, one array per block, is a view built on
     first access.
     """
 
     def __init__(self, assignment: Assignment, responses):
-        self.__dict__.update(
-            assignment=assignment,
-            responses=tuple(np.asarray(r, dtype=float) for r in responses),
-        )
+        r, lengths = _pack(responses, float)
+        self.__dict__.update(assignment=assignment, r=r, lengths=lengths)
 
     @classmethod
     def _from_flat(cls, z: np.ndarray, r: np.ndarray, lengths: np.ndarray):
@@ -292,15 +296,7 @@ class AssignmentAndOutcomes(_Frozen):
 
     @cached_property
     def responses(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.r[a:b] for a, b in _bounds(self.lengths))
-
-    @cached_property
-    def lengths(self) -> np.ndarray:
-        return np.fromiter(map(len, self.responses), dtype=np.int64, count=len(self.responses))
-
-    @cached_property
-    def r(self) -> np.ndarray:
-        return np.concatenate(self.responses)
+        return _views(self.r, self.lengths)
 
 
 def validate_design(design: BlockDesign) -> BlockDesign:
@@ -333,24 +329,6 @@ def validate_design(design: BlockDesign) -> BlockDesign:
     return design
 
 
-def _stack_block_by_block(blocks: tuple[Block, ...]) -> np.ndarray:
-    """The (N, K) covariates, converted and checked one block at a time.
-
-    Names the first block whose covariates are misshapen, then a dimension
-    that differs across blocks.
-    """
-    covs = [np.asarray(b.covariates, dtype=float) for b in blocks]
-    for b, arr in zip(blocks, covs):
-        if arr.ndim != 2 or arr.shape[0] != b.n:
-            raise DimensionMismatch(
-                f"block {b.block_id!r} covariates have shape {arr.shape}, expected ({b.n}, K)"
-            )
-    dims = {arr.shape[1] for arr in covs}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"covariate dimension differs across blocks: {sorted(dims)}")
-    return np.concatenate(covs)
-
-
 def classify_design(design: BlockDesign) -> DesignClass:
     """FINE if every block has a singleton arm, COARSE if no block does, else MIXED."""
     mins = np.minimum(design.treated_counts, design.control_counts)
@@ -371,15 +349,10 @@ def n_assignments(design: BlockDesign) -> int:
     return math.prod(map(math.comb, design.sizes.tolist(), design.treated_counts.tolist()))
 
 
-def _block_subset_tuples(block: Block) -> list[tuple[int, ...]]:
-    """All binary treated indicators for one block, in lexicographic subset order."""
-    out = []
-    for combo in itertools.combinations(range(block.n), block.n_treated):
-        z = [0] * block.n
-        for j in combo:
-            z[j] = 1
-        out.append(tuple(z))
-    return out
+def _treated_subsets(n: int, k: int) -> np.ndarray:
+    """(C(n, k), k) unit indices of every k-subset of n units, in lexicographic order."""
+    combos = list(itertools.combinations(range(n), k))
+    return np.array(combos, dtype=np.int64).reshape(math.comb(n, k), k)
 
 
 def enumerate_assignments(
@@ -394,9 +367,13 @@ def enumerate_assignments(
         raise SpaceTooLarge(
             f"assignment space has {total} elements, above the cap of {cap}"
         )
-    per_block = [_block_subset_tuples(b) for b in design.blocks]
+    per_block = [np.zeros((1, 0), dtype=np.int64)]  # so that no blocks give one empty assignment
+    for n, k in zip(design.sizes.tolist(), design.treated_counts.tolist()):
+        rows = np.zeros((math.comb(n, k), n), dtype=np.int64)
+        np.put_along_axis(rows, _treated_subsets(n, k), 1, axis=1)
+        per_block.append(rows)
     for combo in itertools.product(*per_block):
-        yield Assignment(z=tuple(combo))
+        yield Assignment._from_flat(np.concatenate(combo), design.sizes)
 
 
 def _draw_treated(design: BlockDesign, rng: np.random.Generator) -> np.ndarray:

@@ -21,7 +21,6 @@ are nonnegative up to round-off; results are clamped at zero.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -34,6 +33,7 @@ from .design import (
     AssignmentAndOutcomes,
     BlockDesign,
     DesignClass,
+    _treated_subsets,
     block_weights,
     classify_design,
 )
@@ -177,7 +177,7 @@ def _option_groups(
         a1, a0 = r1[..., units], r0[..., units]
         table = None
         if math.comb(n, kt) * kt <= max_cells:
-            combos = np.array(list(itertools.combinations(range(n), kt)), dtype=np.int64)
+            combos = _treated_subsets(n, kt)
             t0 = a0[..., combos].sum(axis=-1)
             rest = a0.sum(axis=-1, keepdims=True) - t0
             table = a1[..., combos].sum(axis=-1) / kt - rest / (n - kt)

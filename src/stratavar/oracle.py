@@ -14,6 +14,13 @@ difference in means and for the exact expectation gaps (biases) of every
 variance estimator in :mod:`stratavar.estimators`. ``brute_force_expectation``
 averages an arbitrary statistic over the full assignment space and is the
 independent check the closed forms are tested against.
+
+Both truths hold their arms as flat (N,) unit arrays in the design's packed
+layout. The public constructors take one array per block and pack them
+once; ``r1``/``r0`` and ``f1``/``f0`` are read-only per-block views. Noise
+draws, revealed responses and the enumeration behind the brute-force
+expectations stay on the flat arrays: every assignment is packed, and its
+responses are revealed in one vectorized pass.
 """
 from __future__ import annotations
 
@@ -27,6 +34,8 @@ from .design import (
     Assignment,
     AssignmentAndOutcomes,
     BlockDesign,
+    _Frozen,
+    _views,
     block_weights,
     enumerate_assignments,
     n_assignments,
@@ -38,36 +47,40 @@ from .estimators import _block_mean, _block_var, block_effects, var_s1
 DEFAULT_BRUTE_FORCE_CAP = 10_000
 
 
-def _per_block_arrays(design: BlockDesign, values, label: str) -> tuple[np.ndarray, ...]:
+def _flat_arm(design: BlockDesign, values, label: str) -> np.ndarray:
+    """Per-block unit values, checked against the design and packed into one (N,) array."""
     if len(values) != design.n_blocks:
         raise DimensionMismatch(f"{label} covers {len(values)} blocks, design has {design.n_blocks}")
-    out = []
-    for blk, arr in zip(design.blocks, values):
-        a = np.asarray(arr, dtype=float)
-        if a.shape != (blk.n,):
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    for block_id, n, a in zip(design.ids, design.sizes.tolist(), arrays):
+        if a.shape != (n,):
             raise DimensionMismatch(
-                f"{label} for block {blk.block_id!r} has shape {a.shape}, expected ({blk.n},)"
+                f"{label} for block {block_id!r} has shape {a.shape}, expected ({n},)"
             )
-        out.append(a)
-    return tuple(out)
+    return np.concatenate(arrays)
 
 
-@dataclass(frozen=True)
-class PotentialWorld:
-    """A complete potential-outcome schedule over a design."""
+class PotentialWorld(_Frozen):
+    """A complete potential-outcome schedule over a design.
 
-    design: BlockDesign
-    r1: tuple[np.ndarray, ...]
-    r0: tuple[np.ndarray, ...]
+    ``PotentialWorld(design, r1, r0)`` packs per-block arms into the flat
+    (N,) unit arrays ``_arms``; ``r1`` and ``r0`` are read-only per-block
+    views over them, built on first access.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "r1", _per_block_arrays(self.design, self.r1, "r1"))
-        object.__setattr__(self, "r0", _per_block_arrays(self.design, self.r0, "r0"))
+    r1 = cached_property(lambda self: _views(self._arms[0], self.design.sizes))
+    r0 = cached_property(lambda self: _views(self._arms[1], self.design.sizes))
 
-    @cached_property
-    def _arms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(r1, r0) as flat unit arrays."""
-        return np.concatenate(self.r1), np.concatenate(self.r0)
+    def __init__(self, design: BlockDesign, r1, r0):
+        arms = (_flat_arm(design, r1, "r1"), _flat_arm(design, r0, "r0"))
+        self.__dict__.update(design=design, _arms=arms)
+
+    @classmethod
+    def _from_flat(cls, design: BlockDesign, r1: np.ndarray, r0: np.ndarray) -> "PotentialWorld":
+        """A schedule over flat (N,) arms, taken as they are."""
+        world = cls.__new__(cls)
+        world.__dict__.update(design=design, _arms=(r1, r0))
+        return world
 
     @cached_property
     def tau_bar(self) -> np.ndarray:
@@ -86,36 +99,43 @@ class PotentialWorld:
         return _block_var(self.design, self._arms[0] - self._arms[1])
 
 
-@dataclass(frozen=True)
-class CateModel:
+def _noise_cov(design: BlockDesign, noise_cov) -> np.ndarray:
+    """(B, 2, 2) noise covariances from one (2, 2) array or one per block."""
+    cov = np.asarray(noise_cov, dtype=float)
+    if cov.shape == (2, 2):
+        cov = np.broadcast_to(cov, (design.n_blocks, 2, 2)).copy()
+    if cov.shape != (design.n_blocks, 2, 2):
+        raise DimensionMismatch(
+            f"noise_cov must be (2, 2) or (B, 2, 2), got {np.asarray(noise_cov).shape}"
+        )
+    return cov
+
+
+class CateModel(_Frozen):
     """Systematic potential outcomes plus unit-level between-arm noise.
 
     ``noise_cov`` is the 2x2 covariance of (treated-arm, control-arm) noise
     for every unit, or a (B, 2, 2) array for block-specific covariances.
-    Noise is independent across units.
+    Noise is independent across units. ``CateModel(design, f1, f0,
+    noise_cov)`` packs per-block systematic arms into the flat (N,) unit
+    arrays ``_arms``; ``f1`` and ``f0`` are read-only per-block views over
+    them, built on first access.
     """
 
-    design: BlockDesign
-    f1: tuple[np.ndarray, ...]
-    f0: tuple[np.ndarray, ...]
-    noise_cov: np.ndarray
+    f1 = cached_property(lambda self: _views(self._arms[0], self.design.sizes))
+    f0 = cached_property(lambda self: _views(self._arms[1], self.design.sizes))
 
-    def __post_init__(self):
-        object.__setattr__(self, "f1", _per_block_arrays(self.design, self.f1, "f1"))
-        object.__setattr__(self, "f0", _per_block_arrays(self.design, self.f0, "f0"))
-        cov = np.asarray(self.noise_cov, dtype=float)
-        if cov.shape == (2, 2):
-            cov = np.broadcast_to(cov, (self.design.n_blocks, 2, 2)).copy()
-        if cov.shape != (self.design.n_blocks, 2, 2):
-            raise DimensionMismatch(
-                f"noise_cov must be (2, 2) or (B, 2, 2), got {np.asarray(self.noise_cov).shape}"
-            )
-        object.__setattr__(self, "noise_cov", cov)
+    def __init__(self, design: BlockDesign, f1, f0, noise_cov):
+        arms = (_flat_arm(design, f1, "f1"), _flat_arm(design, f0, "f0"))
+        self.__dict__.update(design=design, _arms=arms, noise_cov=_noise_cov(design, noise_cov))
 
-    @cached_property
-    def _arms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(f1, f0) as flat unit arrays."""
-        return np.concatenate(self.f1), np.concatenate(self.f0)
+    @classmethod
+    def _from_flat(cls, design: BlockDesign, f1: np.ndarray, f0: np.ndarray, noise_cov):
+        """A model over flat (N,) systematic arms, taken as they are."""
+        model = cls.__new__(cls)
+        cov = _noise_cov(design, noise_cov)
+        model.__dict__.update(design=design, _arms=(f1, f0), noise_cov=cov)
+        return model
 
     @cached_property
     def f_bar(self) -> np.ndarray:
@@ -170,11 +190,8 @@ def _revealed(z: np.ndarray, r1: np.ndarray, r0: np.ndarray) -> np.ndarray:
 
 def observed_responses(world: PotentialWorld, assignment: Assignment) -> AssignmentAndOutcomes:
     """Reveal the schedule under one assignment."""
-    rs = tuple(
-        _revealed(np.asarray(zi, dtype=float), r1, r0)
-        for zi, r1, r0 in zip(assignment.z, world.r1, world.r0)
-    )
-    return AssignmentAndOutcomes(assignment=assignment, responses=rs)
+    z = assignment.indicators
+    return AssignmentAndOutcomes._from_flat(z, _revealed(z, *world._arms), assignment.lengths)
 
 
 def _draw_noise(model: CateModel, rng: np.random.Generator) -> np.ndarray:
@@ -187,16 +204,15 @@ def _draw_noise(model: CateModel, rng: np.random.Generator) -> np.ndarray:
     if np.all(factors == factors[0]):
         return rng.standard_normal((design.n_units, 2)) @ factors[0].T
     return np.concatenate(
-        [rng.standard_normal((blk.n, 2)) @ factors[i].T for i, blk in enumerate(design.blocks)]
+        [rng.standard_normal((n, 2)) @ factors[i].T for i, n in enumerate(design.sizes.tolist())]
     )
 
 
 def draw_world(model: CateModel, seed) -> PotentialWorld:
     """Sample one potential-outcome schedule from the model's noise law."""
-    eps_blocks = np.split(_draw_noise(model, as_rng(seed)), model.design.unit_starts[1:])
-    r1 = tuple(f + e[:, 0] for f, e in zip(model.f1, eps_blocks))
-    r0 = tuple(f + e[:, 1] for f, e in zip(model.f0, eps_blocks))
-    return PotentialWorld(design=model.design, r1=r1, r0=r0)
+    eps = _draw_noise(model, as_rng(seed))
+    f1, f0 = model._arms
+    return PotentialWorld._from_flat(model.design, f1 + eps[:, 0], f0 + eps[:, 1])
 
 
 def _randomization_variance(design: BlockDesign, r1: np.ndarray, r0: np.ndarray) -> np.ndarray:

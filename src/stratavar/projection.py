@@ -116,17 +116,6 @@ class QMatrix:
         return _symmetric_outer(self.basis)
 
 
-@dataclass(frozen=True)
-class PsiMatrices:
-    """Diagonals of the leverage reweighting matrices.
-
-    ``psi`` holds 1/(1-h_ii)^2 and ``psi_tilde`` holds 1/(1-h_ii).
-    """
-
-    psi: np.ndarray
-    psi_tilde: np.ndarray
-
-
 def _psi_weights(one_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The leverage reweightings (1/(1-h)^2, 1/(1-h)) of (..., B) values 1 - h_ii."""
     return 1.0 / one_minus**2, 1.0 / one_minus
@@ -443,8 +432,3 @@ def _repaired_q2(q1: QMatrix, stack: Q2Stack) -> tuple:
         _pivoted_factor(np.column_stack([q1.values, m_final]), rank_tol)  # raises RankDeficient
     lev = _checked_leverages(q1.leverages + np.einsum("ij,ij->i", qm, qm))
     return m_final, qm, lev, dropped, notes
-
-
-def psi_matrices(q: QMatrix) -> PsiMatrices:
-    """Leverage reweighting diagonals 1/(1-h)^2 and 1/(1-h) for a basis (cached on q)."""
-    return PsiMatrices(psi=q.psi, psi_tilde=q.psi_tilde)

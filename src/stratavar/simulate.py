@@ -175,17 +175,17 @@ def friedman_world(config: FriedmanConfig, seed) -> CateModel:
     sizes, treated = friedman_sizes(config)
     x = _draw_covariates(config, as_rng(seed))
     f = friedman_function(x)
-    covariates = [np.repeat(x[i][None, :], n, axis=0) for i, n in enumerate(sizes)]
-    design = BlockDesign.from_sizes(sizes, treated, covariates=covariates)
-    f1 = tuple(np.full(n, config.a * f[i]) for i, n in enumerate(sizes))
-    f0 = tuple(np.full(n, f[i]) for i, n in enumerate(sizes))
+    sizes = np.array(sizes, dtype=np.int64)
+    ids = [str(i + 1) for i in range(len(sizes))]
+    covariates = np.repeat(x, sizes, axis=0)
+    design = BlockDesign._from_arrays(ids, sizes, np.array(treated, dtype=np.int64), covariates)
     cov = np.array([[config.b**2, config.b], [config.b, 1.0]])
-    return CateModel(design=design, f1=f1, f0=f0, noise_cov=cov)
+    return CateModel._from_flat(design, np.repeat(config.a * f, sizes), np.repeat(f, sizes), cov)
 
 
 def block_level_covariates(design: BlockDesign) -> np.ndarray:
     """First-unit covariate row per block (valid when covariates are block-constant)."""
-    return np.vstack([np.asarray(blk.covariates)[0] for blk in design.blocks])
+    return design.covariates[design.unit_starts]
 
 
 def _qspec_xbar(spec: QSpec, x: np.ndarray) -> np.ndarray | None:
@@ -533,32 +533,18 @@ def run_power_curve(
 
 
 def _grid_models() -> tuple[CateModel, CateModel, np.ndarray]:
+    """Pairs at x_i and quartets at (x_2j, x_2j+1), both over the units of np.repeat(x, 2)."""
     x = 0.25 * np.arange(1, 41, dtype=float)
+    units = np.repeat(x, 2)
     cov = np.array([[100.0, 100.0], [100.0, 100.0]])
-
-    pair_design = BlockDesign.from_sizes(
-        [2] * 40, [1] * 40, covariates=[np.full((2, 1), xi) for xi in x]
-    )
-    pairs = CateModel(
-        design=pair_design,
-        f1=tuple(np.full(2, 100.0 + 30.0 * xi) for xi in x),
-        f0=tuple(np.full(2, 20.0 * xi) for xi in x),
-        noise_cov=cov,
-    )
-
-    xq = x.reshape(20, 2)
-    quartet_design = BlockDesign.from_sizes(
-        [4] * 20,
-        [2] * 20,
-        covariates=[np.repeat(pair, 2)[:, None] for pair in xq],
-    )
-    quartets = CateModel(
-        design=quartet_design,
-        f1=tuple(100.0 + 30.0 * np.repeat(pair, 2) for pair in xq),
-        f0=tuple(20.0 * np.repeat(pair, 2) for pair in xq),
-        noise_cov=cov,
-    )
-    return pairs, quartets, x
+    models = []
+    for n, k in ((2, 1), (4, 2)):
+        b = len(units) // n
+        ids = [str(i + 1) for i in range(b)]
+        sizes, treated = np.full(b, n, dtype=np.int64), np.full(b, k, dtype=np.int64)
+        design = BlockDesign._from_arrays(ids, sizes, treated, units[:, None])
+        models.append(CateModel._from_flat(design, 100.0 + 30.0 * units, 20.0 * units, cov))
+    return models[0], models[1], x
 
 
 PAIRS_QUARTETS_SPECS = (

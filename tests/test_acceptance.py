@@ -37,7 +37,6 @@ from stratavar import (
     n_assignments,
     observed_responses,
     pairs_quartets_study,
-    psi_matrices,
     run_power_curve,
     run_table1,
     sample_assignment,
@@ -228,7 +227,7 @@ def test_s3_unbiasedness_and_trace_identity():
                 q2 = build_q2(d2, xbar=probe.normal(size=(nb, 2)))
             else:
                 q2 = build_q1(d2)
-            psi_tilde = psi_matrices(q2).psi_tilde
+            psi_tilde = q2.psi_tilde
         except (LeverageOne, TooManyColumns):
             continue
         annihilator = np.eye(nb) - q2.hat

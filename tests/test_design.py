@@ -2,22 +2,26 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from stratavar import (
+    AssignmentAndOutcomes,
     Block,
     BlockDesign,
     DesignClass,
     DimensionMismatch,
     InfeasibleBlock,
+    PotentialWorld,
     SpaceTooLarge,
     TooFewBlocks,
     block_weights,
     classify_design,
     enumerate_assignments,
+    ingest_csv,
     n_assignments,
     sample_assignment,
     validate_design,
@@ -229,3 +233,46 @@ def test_block_covariates_requires_covariates():
     design = BlockDesign.from_sizes([2, 2], [1, 1])
     with pytest.raises(DimensionMismatch):
         design.block_covariates()
+
+
+def test_designs_compare_and_hash_by_their_packed_arrays(tmp_path):
+    rng = np.random.default_rng(12)
+    sizes = [2, 3, 4, 2]
+    lines = ["block_id,unit_id,treated,response,x1,x2"]
+    for i, n in enumerate(sizes):
+        for j in range(n):
+            r, x1, x2 = rng.normal(size=3).tolist()
+            lines.append(f"b{i},{j},{int(j == 0)},{r!r},{x1!r},{x2!r}")
+    path = tmp_path / "exp.csv"
+    path.write_text("\n".join(lines) + "\n")
+    design, _ = ingest_csv(path)
+
+    copy = pickle.loads(pickle.dumps(design))
+    assert copy is not design
+    assert copy == design
+    assert hash(copy) == hash(design)
+
+    shifted = design.covariates.copy()
+    shifted[4, 1] += 1.0
+    other = BlockDesign._from_arrays(design.ids, design.sizes, design.treated_counts, shifted)
+    assert other != design
+    bare = BlockDesign._from_arrays(design.ids, design.sizes, design.treated_counts)
+    assert bare != design
+    assert {design, copy, other, bare} == {design, other, bare}
+
+    # a design built from blocks equals the same design packed from arrays
+    covariates = design.block_covariates()
+    blocks = BlockDesign.from_sizes(sizes, [1] * 4, covariates=covariates, ids=list(design.ids))
+    assert blocks == design
+    assert hash(blocks) == hash(design)
+
+
+def test_per_block_views_are_read_only():
+    sizes = np.array([2, 3], dtype=np.int64)
+    design = BlockDesign._from_arrays(("a", "b"), sizes, np.array([1, 1]), np.ones((5, 2)))
+    data = AssignmentAndOutcomes(next(enumerate_assignments(design)), (np.zeros(2), np.ones(3)))
+    world = PotentialWorld(design, data.responses, data.responses)
+    for view in (design.blocks[1].covariates, data.responses[0], world.r1[1], world.r0[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 7.0
+    assert data.r.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]

@@ -357,6 +357,13 @@ def test_confidence_interval_rejects_bad_alpha():
             confidence_interval(0.0, 1.0, alpha)
 
 
+def test_analyze_checks_alpha_when_no_interval_is_built():
+    # with no estimators no confidence_interval runs, so analyze_experiment's check is the only one
+    design, data = _pair_data([1.0, 2.0, 4.0])
+    with pytest.raises(InvalidAlpha):
+        analyze_experiment(design, data, estimators=[], alpha=2.0)
+
+
 def test_analyze_auto_selects_by_design_class():
     pairs, pdata = _pair_data([1.0, 2.0, 4.0])
     report = analyze_experiment(pairs, pdata)

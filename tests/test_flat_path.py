@@ -1,12 +1,18 @@
-"""The analyst path runs on packed unit arrays alone.
+"""The analyst path, the oracle and the study worlds run on packed unit arrays alone.
 
 ``analyze`` and ``hettest`` (exact and Monte Carlo) must read a CSV into
 flat arrays and work on them without building a ``Block``, an
-``Assignment`` from per-block tuples, or any ``np.split``. The test runs
-the command line on a file shaped like the trial-analysis benchmark's
-(blocks of 2-4 units, two covariates, ``--q-spec x1,x2 --poly 2``) with
-those three patched to raise, and checks that the output is the same as
-without the patches.
+``Assignment`` from per-block tuples, or any ``np.split``. The first test
+runs the command line on a file shaped like the trial-analysis
+benchmark's (blocks of 2-4 units, two covariates, ``--q-spec x1,x2 --poly
+2``) with those three patched to raise, and checks that the output is the
+same as without the patches.
+
+The second test does the same for the oracle and the studies:
+``brute_force_expectations`` over a small world, ``draw_world`` followed by
+``observed_responses`` and ``block_effects``, and ``friedman_world`` must
+build no ``Block``, and no ``Assignment`` or ``AssignmentAndOutcomes``
+from per-block tuples, and must give the same bits as without the patches.
 """
 from __future__ import annotations
 
@@ -17,7 +23,25 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from stratavar import Assignment, Block
+from stratavar import (
+    Assignment,
+    AssignmentAndOutcomes,
+    Block,
+    BlockDesign,
+    CateModel,
+    FriedmanConfig,
+    block_effects,
+    block_weights,
+    brute_force_expectations,
+    build_q1,
+    draw_world,
+    estimate_ate,
+    friedman_world,
+    observed_responses,
+    sample_assignment,
+    var_s1,
+    var_s2,
+)
 from stratavar.cli import main
 
 
@@ -45,7 +69,7 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 
 def _refuse(what: str):
     def refuse(*args, **kwargs):
-        raise AssertionError(f"the analyst path called {what}")
+        raise AssertionError(f"the packed path called {what}")
 
     return refuse
 
@@ -74,3 +98,55 @@ def test_analyze_and_hettest_build_no_per_block_objects(tmp_path, sizes, max_dra
         got = [_run(argv) for argv in runs]
     assert got == want
     assert ('"exact": true' in got[1][1]) == (max_draws == 50_000)
+
+
+def _oracle_inputs() -> tuple[BlockDesign, CateModel]:
+    """A small mixed design and a noise model over it, built through the per-block constructors."""
+    rng = np.random.default_rng(31)
+    layout = [(2, 1), (3, 1), (2, 1), (3, 2), (2, 1), (4, 2)]
+    design = BlockDesign.from_sizes([n for n, _ in layout], [k for _, k in layout])
+    f0 = tuple(rng.normal(size=n) for n, _ in layout)
+    f1 = tuple(f + rng.normal(1.0, 0.5) for f in f0)
+    cov = np.array([[1.0, 0.3], [0.3, 0.5]])
+    return design, CateModel(design=design, f1=f1, f0=f0, noise_cov=cov)
+
+
+def _oracle_and_study_bits(design: BlockDesign, model: CateModel) -> list[bytes]:
+    w, q = block_weights(design), build_q1(design)
+    world = draw_world(model, 5)
+    statistics = {
+        "delta": lambda data: estimate_ate(block_effects(design, data), w),
+        "s1": lambda data: var_s1(block_effects(design, data), w, q),
+        "s2": lambda data: var_s2(block_effects(design, data), w, q),
+    }
+    expected = brute_force_expectations(world, statistics)
+    data = observed_responses(world, sample_assignment(design, 9))
+    effects = block_effects(design, data)
+    study = friedman_world(FriedmanConfig(n_blocks=12, a=1.5, b=2.0), 3)
+    study_world = draw_world(study, 4)
+    arrays = [
+        np.array([expected[name] for name in statistics]),
+        *world._arms,
+        data.r,
+        effects.tau_hat,
+        effects.var_treated,
+        study.design.covariates,
+        *study._arms,
+        study.noise_cov,
+        *study_world._arms,
+    ]
+    return [a.tobytes() for a in arrays]
+
+
+def test_oracle_and_study_worlds_build_no_per_block_objects():
+    want = _oracle_and_study_bits(*_oracle_inputs())
+    design, model = _oracle_inputs()
+    with (
+        mock.patch.object(Block, "__init__", _refuse("Block.__init__")),
+        mock.patch.object(Assignment, "__init__", _refuse("Assignment.__init__")),
+        mock.patch.object(
+            AssignmentAndOutcomes, "__init__", _refuse("AssignmentAndOutcomes.__init__")
+        ),
+    ):
+        got = _oracle_and_study_bits(design, model)
+    assert got == want

@@ -17,7 +17,6 @@ from stratavar import (
     block_weights,
     build_q1,
     build_q2,
-    psi_matrices,
 )
 from stratavar.projection import _checked_leverages, hat_and_leverage
 
@@ -199,10 +198,9 @@ def test_leverage_one_names_the_first_block_at_one():
 def test_psi_matrices_diagonals():
     design = _random_design(91)
     q = build_q1(design)
-    psis = psi_matrices(q)
     one_minus = 1.0 - q.leverages
-    assert psis.psi == pytest.approx(1.0 / one_minus**2, abs=1e-12)
-    assert psis.psi_tilde == pytest.approx(1.0 / one_minus, abs=1e-12)
+    assert q.psi == pytest.approx(1.0 / one_minus**2, abs=1e-12)
+    assert q.psi_tilde == pytest.approx(1.0 / one_minus, abs=1e-12)
 
 
 def test_qmatrix_reports_block_count():
