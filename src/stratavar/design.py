@@ -224,6 +224,11 @@ class BlockDesign(_Frozen):
         return tuple(groups)
 
     @cached_property
+    def _group_order(self) -> np.ndarray:
+        """Block indices in the order of ``size_groups``: the columns of grouped block arrays."""
+        return np.concatenate([idx for _, _, idx, _ in self.size_groups])
+
+    @cached_property
     def covariate_dim(self) -> int:
         """Number of unit-level covariates (0 when none were supplied)."""
         return 0 if self.covariates is None else int(self.covariates.shape[1])
@@ -376,12 +381,17 @@ def enumerate_assignments(
         yield Assignment._from_flat(np.concatenate(combo), design.sizes)
 
 
+def _smallest_keys(keys: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` smallest of each row of uniform ``keys``: a uniform k-subset."""
+    return np.argpartition(keys, k - 1, axis=-1)[..., :k]
+
+
 def _draw_treated(design: BlockDesign, rng: np.random.Generator) -> np.ndarray:
-    """(N,) treated flags of one uniform assignment, one permutation per block."""
+    """(N,) treated flags of one uniform assignment, one (G, n) key draw per group."""
     z = np.zeros(design.n_units, dtype=bool)
-    layout = zip(design.unit_starts.tolist(), design.sizes.tolist(), design.treated_counts.tolist())
-    for start, n, k in layout:
-        z[start + rng.permutation(n)[:k]] = True
+    for n, kt, idx, units in design.size_groups:
+        keys = rng.random((idx.shape[0], n))
+        z[units[:, :1] + _smallest_keys(keys, kt)] = True  # a block's units are consecutive
     return z
 
 
@@ -390,6 +400,8 @@ def sample_assignment(design: BlockDesign, seed) -> Assignment:
 
     ``seed`` may be an int (deterministic draws), a numpy Generator, or a
     SeedSequence. The same int seed always reproduces the same assignment.
+    Each (size, treated count) group draws a uniform key per unit, and each
+    block treats its units with the smallest keys.
     """
     z = _draw_treated(design, as_rng(seed))
     return Assignment._from_flat(z.astype(np.int64), design.sizes)

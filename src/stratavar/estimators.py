@@ -21,6 +21,7 @@ are nonnegative up to round-off; results are clamped at zero.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .design import (
     AssignmentAndOutcomes,
     BlockDesign,
     DesignClass,
+    _smallest_keys,
     _treated_subsets,
     block_weights,
     classify_design,
@@ -214,7 +216,7 @@ def _group_effects(group: tuple, d: np.ndarray) -> np.ndarray:
     if table is not None:  # one flat take: row g of the table starts at g * C
         offsets = np.arange(0, table.size, table.shape[-1]).reshape(table.shape[:-1])
         return table.ravel().take(d + offsets[..., None, :])
-    treated = np.argpartition(d, kt - 1, axis=-1)[..., :kt]
+    treated = _smallest_keys(d, kt)
     t1 = np.take_along_axis(r1[..., None, :, :], treated, axis=-1).sum(axis=-1)
     t0 = np.take_along_axis(r0[..., None, :, :], treated, axis=-1).sum(axis=-1)
     rest = r0.sum(axis=-1)[..., None, :] - t0
@@ -228,11 +230,6 @@ def _drawn_effects(groups: list, draws: list) -> np.ndarray:
     :func:`_draw_options`; both may carry the same leading replicate axes.
     """
     return np.concatenate([_group_effects(g, d) for g, d in zip(groups, draws)], axis=-1)
-
-
-def _sample_effects(rng: np.random.Generator, groups: list, m: int) -> np.ndarray:
-    """(m, B) block effects of m uniform assignments, columns in group order."""
-    return _drawn_effects(groups, _draw_options(rng, groups, m))
 
 
 def estimate_ate(effects: BlockEffects, w: np.ndarray) -> float:
@@ -284,17 +281,6 @@ def var_coarse_classical(effects: BlockEffects, w: np.ndarray) -> float:
     return clamp_variance(value)
 
 
-def _check_q(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.shape != effects.tau_hat.shape:
-        raise DimensionMismatch(f"weights shape {w.shape} vs effects {effects.tau_hat.shape}")
-    if q.n_blocks != effects.n_blocks:
-        raise DimensionMismatch(
-            f"basis has {q.n_blocks} rows, effects have {effects.n_blocks} blocks"
-        )
-    return w
-
-
 def _projection_variances(
     tau: np.ndarray, w: np.ndarray, basis: np.ndarray, psi: np.ndarray, psi_tilde: np.ndarray
 ) -> np.ndarray:
@@ -302,9 +288,7 @@ def _projection_variances(
 
     ``tau`` is (..., B), ``basis`` the (..., B, L) orthonormal factor U of
     the basis, and ``psi``, ``psi_tilde`` its (..., B) leverage reweightings
-    1/(1-h)^2 and 1/(1-h); any leading replicate axes broadcast. Each
-    ``var_s*`` call evaluates all three; :func:`analyze_experiment` evaluates
-    them once for all three.
+    1/(1-h)^2 and 1/(1-h); any leading replicate axes broadcast.
     """
     b2 = tau.shape[-1] ** 2
 
@@ -321,21 +305,33 @@ def _projection_variances(
     return np.stack(sums, axis=-1) / b2
 
 
+def _projection_estimates(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> list[float]:
+    """Clamped (s1, s2, s3) of the effects on basis ``q``, from one evaluation of the sums.
+
+    Raises DimensionMismatch when the weights or the basis rows do not match the blocks.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.shape != effects.tau_hat.shape:
+        raise DimensionMismatch(f"weights shape {w.shape} vs effects {effects.tau_hat.shape}")
+    if q.n_blocks != effects.n_blocks:
+        raise DimensionMismatch(
+            f"basis has {q.n_blocks} rows, effects have {effects.n_blocks} blocks"
+        )
+    sums = _projection_variances(effects.tau_hat, w, q.basis, q.psi, q.psi_tilde)
+    return [clamp_variance(s) for s in sums]
+
+
 def var_s1(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
     """Projection estimator with effects pre-scaled by 1/sqrt(1 - h).
 
     B^{-2} y' W (I - H_Q) W y with y_i = tau_hat_i / sqrt(1 - h_ii).
     """
-    w = _check_q(effects, w, q)
-    s = _projection_variances(effects.tau_hat, w, q.basis, q.psi, q.psi_tilde)
-    return clamp_variance(s[0])
+    return _projection_estimates(effects, w, q)[0]
 
 
 def var_s2(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
     """Projection estimator with squared residuals reweighted by 1/(1-h)^2."""
-    w = _check_q(effects, w, q)
-    s = _projection_variances(effects.tau_hat, w, q.basis, q.psi, q.psi_tilde)
-    return clamp_variance(s[1])
+    return _projection_estimates(effects, w, q)[1]
 
 
 def var_s3(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
@@ -344,10 +340,9 @@ def var_s3(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
     Aimed at equal-size designs; emits a warning when block weights differ
     because the smaller correction is not guaranteed conservative there.
     """
-    w = _check_q(effects, w, q)
+    s3 = _projection_estimates(effects, w, q)[2]  # checks shapes before the warning
     _warn_unequal_s3(w)
-    s = _projection_variances(effects.tau_hat, w, q.basis, q.psi, q.psi_tilde)
-    return clamp_variance(s[2])
+    return s3
 
 
 def _warn_unequal_s3(w: np.ndarray) -> None:
@@ -453,25 +448,17 @@ def analyze_experiment(
         if unknown:
             raise InputError(f"unknown estimators: {unknown}")
 
-    sums = None
-
-    def projection(i: int) -> float:
-        """Clamped s1, s2 or s3 (i = 0, 1, 2) from one evaluation of the three sums."""
-        nonlocal sums
-        if sums is None:
-            checked = _check_q(effects, w, q)
-            sums = _projection_variances(effects.tau_hat, checked, q.basis, q.psi, q.psi_tilde)
-        return clamp_variance(sums[i])
+    projected = functools.cache(lambda: _projection_estimates(effects, w, q))
 
     def s3() -> float:
         _warn_unequal_s3(w)
-        return projection(2)
+        return projected()[2]
 
     fns = {
         "paired": lambda: var_paired_classical(effects, w),
         "coarse": lambda: var_coarse_classical(effects, w),
-        "s1": lambda: projection(0),
-        "s2": lambda: projection(1),
+        "s1": lambda: projected()[0],
+        "s2": lambda: projected()[1],
         "s3": s3,
     }
     estimates: dict[str, float] = {}

@@ -18,29 +18,32 @@ the p-value do not depend on the imputed constant.
 
 Exact enumeration never decodes an assignment block by block. F depends on
 v only through P = v' [U_q1 | Q_M] and S = |v|^2, and v is a sum of one
-term per block, so the blocks split into a leading and a trailing part
-whose partial sums are each tabled once by broadcast-add. A tile pairs a
-range of leading sums with every trailing one: the two sides' square norms
-plus one small GEMM give |Q_M' v|^2 and |U' v|^2, and the residual is
-S - |U' v|^2, at O(K + L) per assignment instead of O(B L). That difference
-cancels when v nearly lies in the basis, so an assignment whose F is within
-a rounding bound of the threshold, or whose residual is not clearly above
-the degenerate cut, is decoded and scored again by the per-assignment
-formula; the count of replays at or above the threshold, and so the exact
-p-value, is that of scoring every assignment with that formula. Blocks with
-too many options for a table are decoded by range within each tile, so
-every temporary stays within ``CELLS`` cells.
+term per block, so the blocks split into two parts: the partial sums of
+the trailing blocks are tabled once by broadcast-add, and each tile
+decodes those of a range of leading indices and pairs them with every
+trailing one. The two sides' square norms plus one small GEMM give
+|Q_M' v|^2 and |U' v|^2, and the residual is S - |U' v|^2, at O(K + L) per
+assignment instead of O(B L). That difference cancels when v nearly lies
+in the basis, so an assignment whose F is within a rounding bound of the
+threshold, or whose residual is not clearly above the degenerate cut, is
+decoded and scored again by the per-assignment formula; the count of
+replays at or above the threshold, and so the exact p-value, is that of
+scoring every assignment with that formula. The trailing table and every
+tile stay within ``CELLS`` cells.
 
-Monte Carlo chunks and the power study's replays share that scorer and its
-guard (:func:`_replay_hits`). Each block group's sampled effects add their
-GEMM term to P and their square norms to S, so no draws x B matrix is
-formed, and the power study scores every q-spec with one GEMM against
+One driver, :func:`_mc_hits`, runs the Monte Carlo path of the test and
+each replicate of the power study: chunk c of the replays comes from
+``chunk_rng(seed, c)`` and is scored with the same guard
+(:func:`_replay_hits`). Each block group's sampled effects add their GEMM
+term to P and their square norms to S, so no draws x B matrix is formed,
+and the power study scores every q-spec with one GEMM against
 [U_q1 | Q_M of each]. A chunk with any draw the guard does not clear is
 scored again as a whole by the per-assignment formula, so the hit count
 is that formula's, bit for bit, and seeded p-values do not change.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -188,66 +191,39 @@ def _table_sums(vals: list, rows: list, width: int) -> tuple:
     return p, s
 
 
-def _exact_layout(counts: list[int], budget: int) -> tuple[list[int], list[int], list[int]]:
-    """Blocks (by position) of the outer, high and low parts of an exact enumeration.
-
-    The high and low tables hold at most ``budget`` rows each, the low one
-    about the square root of the space that the tabled blocks span.
-    Blocks with more options than ``budget``, and any that fit neither
-    table, are outer digits, decoded by range in each tile. The layout
-    depends only on the option counts.
-    """
-    tabled = [i for i, c in enumerate(counts) if c <= budget]
-    target = min(budget, math.isqrt(math.prod(counts[i] for i in tabled)))
-    outer, high, low = [i for i, c in enumerate(counts) if c > budget], [], []
-    n_high = n_low = 1
-    for i in reversed(tabled):
-        if n_low * counts[i] <= target:
-            low.append(i)
-            n_low *= counts[i]
-        elif n_high * counts[i] <= budget:
-            high.append(i)
-            n_high *= counts[i]
-        else:
-            outer.append(i)
-    return sorted(outer), sorted(high), sorted(low)
-
-
 def _exact_tile(args) -> tuple[int, int]:
-    """Hits among the assignments of one tile: outer indices o0..o1-1, high rows h0..h1-1.
+    """Hits among one tile's assignments: leading indices lo..hi-1, each with every trailing row.
 
-    A tile scores every (outer, high) row against every low row from the
-    partial sums: with P = v [U_q1 | Q_M] and S = |v|^2 split as high side
-    plus low side, |P_M|^2 and |P|^2 are the two side norms plus twice one
-    small GEMM, and the residual is S - |P|^2. A cell that
+    A tile decodes the partial sums of its leading range and scores each
+    against every trailing row: with P = v [U_q1 | Q_M] and S = |v|^2 split
+    as leading plus trailing side, |P_M|^2 and |P|^2 are the two side norms
+    plus twice one small GEMM, and the residual is S - |P|^2. A cell that
     :func:`_clear_hits` does not clear is scored again by ``_f_values`` on
     its decoded assignment.
     """
-    o0, o1, h0, h1, outer, high_p, high_s, low_p, low_s, q1_rank, delta, replay = args
-    options, strides, w, qm, basis, df_den, k, thresh = replay
-    width = low_p.shape[1]
-    p_o, s_o = _digit_sums(*outer, width, o0, o1)
-    ph = (p_o[:, None, :] + high_p[None, h0:h1]).reshape(-1, width)
-    sh = (s_o[:, None] + high_s[None, h0:h1]).reshape(-1)
-    hm, lm, h1q, l1q = ph[:, q1_rank:], low_p[:, q1_rank:], ph[:, :q1_rank], low_p[:, :q1_rank]
+    lo, hi, leading, trail_p, trail_s, q1_rank, delta, options, strides, w, basis, thresh = args
+    qm, df_den = basis[:, q1_rank:], basis.shape[0] - basis.shape[1]
+    k = qm.shape[1]
+    lead_p, lead_s = _digit_sums(*leading, trail_p.shape[1], lo, hi)
+    lm, tm = lead_p[:, q1_rank:], trail_p[:, q1_rank:]
+    l1q, t1q = lead_p[:, :q1_rank], trail_p[:, :q1_rank]
 
-    num = (2.0 * hm) @ lm.T  # |P_M|^2, the explained square norm
-    num += np.einsum("ij,ij->i", hm, hm)[:, None]
-    num += np.einsum("ij,ij->i", lm, lm)
-    den = (2.0 * h1q) @ l1q.T  # then |P|^2, then the residual S - |P|^2
-    den += np.einsum("ij,ij->i", h1q, h1q)[:, None]
-    den += np.einsum("ij,ij->i", l1q, l1q)
+    num = (2.0 * lm) @ tm.T  # |P_M|^2, the explained square norm
+    num += np.einsum("ij,ij->i", lm, lm)[:, None]
+    num += np.einsum("ij,ij->i", tm, tm)
+    den = (2.0 * l1q) @ t1q.T  # then |P|^2, then the residual S - |P|^2
+    den += np.einsum("ij,ij->i", l1q, l1q)[:, None]
+    den += np.einsum("ij,ij->i", t1q, t1q)
     den += num
-    s = np.add.outer(sh, low_s)
+    s = np.add.outer(lead_s, trail_s)
     np.subtract(s, den, out=den)
     hits, clear = _clear_hits(num, den, s, delta, df_den / k, thresh)
 
     redo = np.flatnonzero(~clear)
     batch = max(1, CELLS // len(options))
     for start in range(0, redo.shape[0], batch):
-        row, low = np.divmod(redo[start : start + batch], low_p.shape[0])
-        o, h = np.divmod(row, h1 - h0)
-        flat = ((o + o0) * high_p.shape[0] + h + h0) * low_p.shape[0] + low
+        row, trail = np.divmod(redo[start : start + batch], trail_p.shape[0])
+        flat = (row + lo) * trail_p.shape[0] + trail
         t_mat = np.empty((flat.shape[0], len(options)))
         for i, opts in enumerate(options):
             t_mat[:, i] = opts[(flat // strides[i]) % opts.shape[0]]
@@ -255,41 +231,39 @@ def _exact_tile(args) -> tuple[int, int]:
     return hits, int(clear.size)
 
 
-def _exact_tiles(options: list, w, qm, basis, df_den, k, thresh) -> list:
+def _exact_tiles(options: list, w, q1_rank: int, basis, thresh) -> list:
     """Arguments of ``_exact_tile`` for every tile of an exact enumeration.
 
-    ``options`` holds each block's option table and ``w``, ``qm``, ``basis``
-    their rows, all in group order. High and low tables hold at most
-    CELLS // (L + 1) rows and a tile at most TILE_CELLS assignments, or
-    one row of leading sums, so every temporary stays within CELLS cells;
-    the tiles depend only on the design.
+    ``options`` holds each block's option table, and ``w`` and the basis
+    [U_q1 | Q_M] their rows, all in group order. The trailing blocks, picked
+    from the last block back, form one table of at most about the square
+    root of the space and at most CELLS // (L + 1) rows; the other blocks
+    lead. A tile holds at most TILE_CELLS assignments, or one leading index,
+    so every temporary stays within CELLS cells. The tiles depend only on
+    the design.
     """
     width = basis.shape[1]
+    budget = CELLS // (width + 1)
     vals = [o * wi for o, wi in zip(options, w)]  # entries of v = W tau, as _f_values forms them
     counts = [o.shape[0] for o in options]
-    outer, high, low = _exact_layout(counts, CELLS // (width + 1))
-    layout = outer + high + low
+    target = min(budget, math.isqrt(math.prod(c for c in counts if c <= budget)))
+    trailing, n_trail = [], 1
+    for i in reversed(range(len(counts))):
+        if n_trail * counts[i] <= target:
+            trailing.insert(0, i)
+            n_trail *= counts[i]
+    leading = [i for i in range(len(counts)) if i not in trailing]
+    layout = leading + trailing
     strides = np.empty(len(options), dtype=np.int64)
     strides[layout] = [math.prod(counts[j] for j in layout[n + 1 :]) for n in range(len(layout))]
-    high_p, high_s = _table_sums([vals[i] for i in high], [basis[i] for i in high], width)
-    low_p, low_s = _table_sums([vals[i] for i in low], [basis[i] for i in low], width)
-    n_outer, n_high, n_low = (math.prod(counts[i] for i in part) for part in (outer, high, low))
-    rows = max(1, min(CELLS // (width + 1), TILE_CELLS // n_low))  # high-side rows of a tile
-    if n_high <= rows:
-        step = rows // n_high
-        spans = [(o, min(o + step, n_outer), 0, n_high) for o in range(0, n_outer, step)]
-    else:
-        spans = [
-            (o, o + 1, h, min(h + rows, n_high))
-            for o in range(n_outer)
-            for h in range(0, n_high, rows)
-        ]
+    trail_p, trail_s = _table_sums([vals[i] for i in trailing], [basis[i] for i in trailing], width)
+    n_lead = math.prod(counts[i] for i in leading)
+    rows = max(1, min(budget, TILE_CELLS // n_trail))  # leading indices of a tile
     fixed = (
-        ([vals[i] for i in outer], [basis[i] for i in outer]),
-        high_p, high_s, low_p, low_s, width - qm.shape[1], _exact_error(basis),
-        (options, strides, w, qm, basis, df_den, k, thresh),
+        ([vals[i] for i in leading], [basis[i] for i in leading]),
+        trail_p, trail_s, q1_rank, _exact_error(basis), options, strides, w, basis, thresh,
     )
-    return [(*span, *fixed) for span in spans]
+    return [(lo, min(lo + rows, n_lead), *fixed) for lo in range(0, n_lead, rows)]
 
 
 def _exact_error(basis: np.ndarray) -> float:
@@ -346,24 +320,25 @@ def _mc_chunk_sizes(groups: list, n_blocks: int, max_draws: int) -> list[int]:
     return [min(rows, max_draws - c * rows) for c in range(math.ceil(max_draws / rows))]
 
 
-def _replay_hits(groups: list, draws: list, w: np.ndarray, specs: list) -> list[int]:
-    """Hits of drawn replays against each ``(qm, basis, df_den, thresh, delta)`` of ``specs``.
+def _replay_hits(groups: list, w, q1_rank: int, specs: list, chunk: tuple) -> list[int]:
+    """Hits of one Monte Carlo chunk for each ``(basis, thresh, delta)`` of ``specs``.
 
-    ``groups`` and ``draws`` are as for ``_drawn_effects``, without leading
-    axes; ``w`` and every basis have their rows in group order, and the
-    bases share their first columns U_q1. The replays v = W tau are
-    scored from their projection sums: each group adds its GEMM term to
-    P = v [U_q1 | Q_M of every spec], and its square norms to S = |v|^2,
-    in runs of draws of at most ``TILE_CELLS`` cells, so no (m, B) array
-    is formed and every temporary stays in cache. If :func:`_clear_hits`
-    leaves any replay unclear for a spec, all of them are scored again by
-    ``_f_values`` for it: a GEMM's rounding of one row can depend on the
-    rows batched with it, so only the whole batch reproduces the count of
-    that formula bit for bit.
+    ``chunk`` is ``(seed, c, m)``: m replays drawn by ``_draw_options``
+    from ``chunk_rng(seed, c)``. ``groups`` are as for ``_drawn_effects``,
+    without leading axes; ``w`` and every basis have their rows in group
+    order, and the bases share their first ``q1_rank`` columns U_q1. The
+    replays v = W tau are scored from their projection sums: each group adds
+    its GEMM term to P = v [U_q1 | Q_M of every spec], and its square norms to
+    S = |v|^2, in runs of draws of at most ``TILE_CELLS`` cells, so no
+    (m, B) array is formed and every temporary stays in cache. If
+    :func:`_clear_hits` leaves any replay unclear for a spec, all of them
+    are scored again by ``_f_values`` for it: a GEMM's rounding of one row
+    can depend on the rows batched with it, so only the whole batch
+    reproduces the count of that formula bit for bit.
     """
-    q1_rank = specs[0][1].shape[1] - specs[0][0].shape[1]
-    joint = np.concatenate([specs[0][1]] + [qm for qm, *_ in specs[1:]], axis=1)
-    m = draws[0].shape[0]
+    seed, c, m = chunk
+    draws = _draw_options(chunk_rng(seed, c), groups, m)
+    joint = np.concatenate([specs[0][0]] + [basis[:, q1_rank:] for basis, *_ in specs[1:]], axis=1)
     p, s = np.zeros((m, joint.shape[1])), np.zeros(m)
     start = 0
     for group, d in zip(groups, draws):
@@ -379,7 +354,8 @@ def _replay_hits(groups: list, draws: list, w: np.ndarray, specs: list) -> list[
     p1 = p[:, :q1_rank]
     explained_q1 = np.einsum("ij,ij->i", p1, p1)
     hits, col, t_mat = [], q1_rank, None
-    for qm, basis, df_den, thresh, delta in specs:
+    for basis, thresh, delta in specs:
+        qm, df_den = basis[:, q1_rank:], w.shape[0] - basis.shape[1]
         k = qm.shape[1]
         pm = p[:, col : col + k]
         num = np.einsum("ij,ij->i", pm, pm)
@@ -393,11 +369,21 @@ def _replay_hits(groups: list, draws: list, w: np.ndarray, specs: list) -> list[
     return hits
 
 
-def _mc_chunk(args) -> tuple[int, int]:
-    """Hits among the ``m`` replays of one Monte Carlo chunk, and ``m``."""
-    seed, chunk_index, m, groups, w, qm, basis, df_den, _, thresh, delta = args
-    draws = _draw_options(chunk_rng(seed, chunk_index), groups, m)
-    return _replay_hits(groups, draws, w, [(qm, basis, df_den, thresh, delta)])[0], m
+def _mc_hits(
+    seed, groups: list, w, q1_rank: int, bases: list, thresholds: list, max_draws: int, threads: int
+) -> list[int]:
+    """Hits per basis and F threshold among ``max_draws`` replays sampled from ``seed``.
+
+    ``groups`` come from :func:`_option_groups`; ``w`` and each (B, L) basis
+    [U_q1 | Q_M], all sharing the first ``q1_rank`` columns, have their rows
+    in group order. Chunk c of ``_mc_chunk_sizes`` is drawn from
+    ``chunk_rng(seed, c)`` and scored by :func:`_replay_hits`, so the counts
+    do not depend on ``threads``.
+    """
+    specs = [(basis, thresh, _exact_error(basis)) for basis, thresh in zip(bases, thresholds)]
+    chunks = [(seed, c, m) for c, m in enumerate(_mc_chunk_sizes(groups, w.shape[0], max_draws))]
+    parts = map_chunks(functools.partial(_replay_hits, groups, w, q1_rank, specs), chunks, threads)
+    return [sum(hits) for hits in zip(*parts)]
 
 
 def _check_max_draws(max_draws: int) -> None:
@@ -453,18 +439,15 @@ def permutation_test(
             f"one block, above the limit of {EXACT_OPTION_CELLS}; sampled {max_draws} instead"
         )
     groups = _option_groups(design, data.r, data.r, math.inf if exact else OPTION_CELLS)
-    order = np.concatenate([idx for idx, *_ in groups])
-    fixed = (w[order], qm[order], q2.basis[order], df_den, k, thresh)
+    order = design._group_order
+    w_g, basis_g = w[order], q2.basis[order]  # rows in group order
     if exact:
-        args = _exact_tiles([row for *_, table in groups for row in table], *fixed)
-        results = map_chunks(_exact_tile, args, threads)
+        options = [row for *_, table in groups for row in table]
+        args = _exact_tiles(options, w_g, q2.q1_rank, basis_g, thresh)
+        hits, draws = (sum(col) for col in zip(*map_chunks(_exact_tile, args, threads)))
     else:
-        sizes = _mc_chunk_sizes(groups, design.n_blocks, max_draws)
-        delta = _exact_error(q2.basis)
-        args = [(seed, c, m, groups, *fixed, delta) for c, m in enumerate(sizes)]
-        results = map_chunks(_mc_chunk, args, threads)
-    hits = sum(h for h, _ in results)
-    draws = sum(m for _, m in results)
+        hits = _mc_hits(seed, groups, w_g, q2.q1_rank, [basis_g], [thresh], max_draws, threads)[0]
+        draws = max_draws
     return HetTestResult(
         f_observed=float(t),
         p_value=hits / draws if exact else (1 + hits) / (1 + draws),

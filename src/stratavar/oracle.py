@@ -189,7 +189,21 @@ def _revealed(z: np.ndarray, r1: np.ndarray, r0: np.ndarray) -> np.ndarray:
 
 
 def observed_responses(world: PotentialWorld, assignment: Assignment) -> AssignmentAndOutcomes:
-    """Reveal the schedule under one assignment."""
+    """Reveal the schedule under one assignment.
+
+    Raises DimensionMismatch, naming the first block, when the sizes differ.
+    """
+    sizes, lengths = world.design.sizes, assignment.lengths
+    # sampled and enumerated assignments share their design's sizes array
+    if lengths is not sizes and not np.array_equal(lengths, sizes):
+        if len(lengths) != len(sizes):
+            raise DimensionMismatch(
+                f"assignment covers {len(lengths)} blocks, design has {len(sizes)}"
+            )
+        i = int(np.argmax(lengths != sizes))
+        raise DimensionMismatch(
+            f"block {world.design.ids[i]!r}: assignment has {lengths[i]} units for n={sizes[i]}"
+        )
     z = assignment.indicators
     return AssignmentAndOutcomes._from_flat(z, _revealed(z, *world._arms), assignment.lengths)
 

@@ -32,8 +32,9 @@ or the worker count. Only these draws loop over replicates; worlds, option
 tables, covariate bases (``projection.q2_stack``), estimators and observed
 test statistics run on sub-batches whose temporaries hold at most
 ``BATCH_CELLS`` cells. A power replicate samples its replays once and
-scores them against every q-spec's basis. The draws go through the same
-cores as ``friedman_world``, ``draw_world`` and ``sample_assignment``. A
+scores them against every q-spec's basis, through the Monte Carlo driver of
+``permutation_test``. The draws go through the same cores as
+``friedman_world``, ``draw_world`` and ``sample_assignment``. A
 replicate whose basis any check of ``build_q2`` flags takes the scalar
 ``build_q2`` (and, for power, ``permutation_test``) path, in replicate
 order, so values, warnings and the first error are those of the
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_rng, chunk_rng, map_chunks
+from ._util import as_rng, map_chunks
 from .design import (
     AssignmentAndOutcomes,
     BlockDesign,
@@ -69,10 +70,8 @@ from .estimators import (
 from .hettest import (
     OPTION_CELLS,
     _check_max_draws,
-    _exact_error,
     _f_values,
-    _mc_chunk_sizes,
-    _replay_hits,
+    _mc_hits,
     _replay_threshold,
     permutation_test,
 )
@@ -249,7 +248,6 @@ def _sim_context(config: FriedmanConfig) -> dict:
         "design": design,
         "w": block_weights(design),
         "q1": build_q1(design),
-        "order": np.concatenate([idx for _, _, idx, _ in design.size_groups]),
         "probe": _option_groups(design, flat, flat),  # shapes for the draws
     }
 
@@ -283,7 +281,7 @@ def _table1_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray 
         r0 = f + eps
         draws = [np.stack(d) for d in zip(*picks)]
         tau = np.empty((size, b))
-        tau[:, ctx["order"]] = _drawn_effects(_option_groups(design, r1, r0), draws)[:, 0]
+        tau[:, design._group_order] = _drawn_effects(_option_groups(design, r1, r0), draws)[:, 0]
 
         out = rows[start - rep_start : start - rep_start + size]
         out[:, 9] = np.sum(w**2 * _randomization_variance(design, r1, r0), axis=-1) / b**2
@@ -400,12 +398,12 @@ def _power_chunk(args) -> dict:
 
     Each replicate draws x, the unit noise, its assignment and a sampler seed
     from its own stream; worlds, option tables, bases and observed statistics
-    run on stacks of replicates. Then each replicate samples its replays from
-    the sampler seed's chunk streams, as ``permutation_test`` does, and scores
-    them against every q-spec's basis with one GEMM (``hettest._replay_hits``).
-    A replicate goes through ``permutation_test`` instead when its basis is flagged or its responses
-    are not finite, and every replicate does when the space is small enough
-    to enumerate.
+    run on stacks of replicates. Then each replicate samples and scores its
+    replays against every q-spec's basis through ``hettest._mc_hits``, the
+    driver of ``permutation_test``'s Monte Carlo path, from the sampler seed.
+    A replicate goes through ``permutation_test`` instead when its basis is
+    flagged or its responses are not finite, and every replicate does when
+    the space is small enough to enumerate.
     """
     seed, a_index, a, rep_start, count, config, qspecs, max_draws = args
     cfg = dataclasses.replace(config, a=a)
@@ -414,11 +412,7 @@ def _power_chunk(args) -> dict:
     design = model.design
     b, k, n_units = design.n_blocks, cfg.n_covariates, design.n_units
     w, q1 = block_weights(design), build_q1(design)
-    order = np.concatenate([idx for _, _, idx, _ in design.size_groups])
-    w_order = w[order]
-    flat = np.zeros(n_units)
-    probe = _option_groups(design, flat, flat, OPTION_CELLS)
-    draw_sizes = _mc_chunk_sizes(probe, b, max_draws)
+    order = design._group_order
     scalar = n_assignments(design) <= max_draws  # permutation_test enumerates a small space
     pvals = {name: np.empty(count) for name in qspecs}
     for start, size in _sub_batches(rep_start, count, b * (k + q1.rank)):
@@ -439,7 +433,7 @@ def _power_chunk(args) -> dict:
         m1, m0 = _arm_means(design, z, r)
         tau = (m1 - m0)[:, None, :]
 
-        oks, scored = [], []  # scored: (name, ok, bases in group order, F thresholds, hits)
+        oks, scored = [], []  # scored: (name, ok, bases in group order, F thresholds)
         for spec in specs:
             ok, basis, _ = _stacked_bases(q1, w, None if scalar else _qspec_xbar(spec, x), size)
             ok = ok & finite
@@ -447,22 +441,15 @@ def _power_chunk(args) -> dict:
             if basis is not None:
                 qm = basis[..., q1.rank :]
                 t = _f_values(tau, w, qm, basis, b - basis.shape[-1], qm.shape[-1])[:, 0]
-                hits = np.zeros(size, dtype=np.int64)
-                scored.append((spec.kind, ok, basis[:, order], _replay_threshold(t), hits))
+                scored.append((spec.kind, ok, basis[:, order], _replay_threshold(t)))
         groups = _option_groups(design, r, r, OPTION_CELLS)
         for j in np.flatnonzero(np.logical_or.reduce([ok for _, ok, *_ in scored])):
             mine = [(idx, kt, a1[j], a0[j], table[j]) for idx, kt, a1, a0, table in groups]
-            live = [(basis[j], thresh[j], hits) for _, ok, basis, thresh, hits in scored if ok[j]]
-            scoring = [
-                (basis[:, q1.rank :], basis, b - basis.shape[-1], thresh, _exact_error(basis))
-                for basis, thresh, _ in live
-            ]
-            for c, m in enumerate(draw_sizes):
-                draws = _draw_options(chunk_rng(perm_seeds[j], c), mine, m)
-                for (_, _, hits), n_hits in zip(live, _replay_hits(mine, draws, w_order, scoring)):
-                    hits[j] += n_hits
-        for name, ok, _, _, hits in scored:
-            pvals[name][start - rep_start + np.flatnonzero(ok)] = (1 + hits[ok]) / (1 + max_draws)
+            live = [(name, basis[j], thresh[j]) for name, ok, basis, thresh in scored if ok[j]]
+            names, bases, thresholds = zip(*live)
+            hits = _mc_hits(perm_seeds[j], mine, w[order], q1.rank, bases, thresholds, max_draws, 1)
+            for name, n_hits in zip(names, hits):
+                pvals[name][start - rep_start + j] = (1 + n_hits) / (1 + max_draws)
 
         # flagged bases in replicate order, so the first failing replicate raises
         for j in np.flatnonzero(~np.logical_and.reduce(oks)):

@@ -200,19 +200,22 @@ def test_sampling_accepts_generator_and_seedsequence():
 
 
 def test_sampling_is_uniform_over_the_assignment_space():
-    # |Omega| = 2 * 6 = 12; chi-squared goodness of fit on 24000 draws
-    design = BlockDesign.from_sizes([2, 4], [1, 2])
-    space = [a.z for a in enumerate_assignments(design)]
-    index = {z: i for i, z in enumerate(space)}
-    counts = np.zeros(len(space))
-    rng = np.random.default_rng(2024)
-    draws = 24_000
-    for _ in range(draws):
-        counts[index[sample_assignment(design, rng).z]] += 1
-    expected = draws / len(space)
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    p = stats.chi2.sf(chi2, df=len(space) - 1)
-    assert p > 1e-3
+    # chi-squared goodness of fit on 24000 draws, on a space of 2 * 6 = 12
+    # with one block per (size, treated count) group, and on one of
+    # 3 * 3 * 2 = 18 whose two triplets are drawn as one group
+    for sizes, treated in (([2, 4], [1, 2]), ([3, 3, 2], [1, 1, 1])):
+        design = BlockDesign.from_sizes(sizes, treated)
+        space = [a.z for a in enumerate_assignments(design)]
+        index = {z: i for i, z in enumerate(space)}
+        counts = np.zeros(len(space))
+        rng = np.random.default_rng(2024)
+        draws = 24_000
+        for _ in range(draws):
+            counts[index[sample_assignment(design, rng).z]] += 1
+        expected = draws / len(space)
+        chi2 = float(np.sum((counts - expected) ** 2 / expected))
+        p = stats.chi2.sf(chi2, df=len(space) - 1)
+        assert p > 1e-3, (sizes, treated, p)
 
 
 def test_pair_margin_is_one_half():

@@ -22,7 +22,7 @@ from stratavar import (
     permutation_test,
 )
 from stratavar import hettest
-from stratavar.estimators import _option_groups, _sample_effects
+from stratavar.estimators import _draw_options, _drawn_effects, _option_groups
 
 
 def _pairs_with_effects(taus, xbar):
@@ -282,7 +282,7 @@ def test_sampler_draws_every_block_option_uniformly(max_cells):
     ]
     assert all((table is None) == (max_cells == 0) for *_, table in groups)
     m = 30_000
-    t_mat = _sample_effects(np.random.default_rng(5), groups, m)
+    t_mat = _drawn_effects(groups, _draw_options(np.random.default_rng(5), groups, m))
     assert t_mat.shape == (m, design.n_blocks)
     col = 0
     for (_, kt, r, _, _), (*_, table) in zip(groups, tables):

@@ -7,7 +7,8 @@ from split-half projection sums. The tiled path must give the same p-value,
 draw count, observed F and notes, bit for bit, on designs with mixed block
 sizes, tied F values, degenerate and near-degenerate residuals, constant
 responses, one to three covariate columns, tiny cell budgets (so that
-blocks become outer digits and tiles split) and one or two workers.
+most blocks lead and their range splits across many tiles) and one or two
+workers.
 
 The Monte Carlo path is held to the same standard against sampling that
 gathers each chunk's effects with one flat ``take`` and scores the chunk
@@ -134,7 +135,7 @@ def test_exact_path_matches_the_digit_loop(experiment, cells, threads):
         assume(False)
     assume(q2.added_covariate_rank >= 1 and q2.rank < design.n_blocks)
     want = digit_loop_test(design, data, q2)
-    # small budgets make blocks outer digits and split the high table across tiles
+    # small budgets shrink the trailing table and split the leading range across tiles
     with mock.patch.object(hettest, "CELLS", cells):
         got = permutation_test(design, data, q2, max_draws=n_assignments(design), threads=threads)
     assert got.exact

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stratavar import (
+    Assignment,
     BlockDesign,
     CateModel,
     DimensionMismatch,
@@ -111,6 +112,27 @@ def test_observed_responses_reveal_one_arm_per_unit():
     for zi, ri, r1, r0 in zip(assignment.z, data.responses, world.r1, world.r0):
         for j, z in enumerate(zi):
             assert ri[j] == (r1[j] if z else r0[j])
+
+
+@pytest.mark.parametrize(
+    "z, message",
+    [
+        # two pairs against blocks of 2 and 3 units
+        (((1, 0), (0, 1)), "block '2': assignment has 2 units for n=3"),
+        # the right unit count, split (3, 2) instead of (2, 3)
+        (((1, 0, 0), (0, 1)), "block '1': assignment has 3 units for n=2"),
+        (((1, 0),), "assignment covers 1 blocks, design has 2"),
+    ],
+    ids=["two pairs", "blocks of 3 and 2", "one block"],
+)
+def test_observed_responses_reject_an_assignment_of_other_blocks(z, message):
+    design = BlockDesign.from_sizes([2, 3], [1, 1])
+    world = PotentialWorld(
+        design=design, r1=(np.ones(2), np.ones(3)), r0=(np.zeros(2), np.zeros(3))
+    )
+    with pytest.raises(DimensionMismatch) as caught:
+        observed_responses(world, Assignment(z=z))
+    assert str(caught.value) == message
 
 
 def test_true_variance_matches_enumeration_on_random_worlds():
