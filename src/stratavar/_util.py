@@ -42,7 +42,9 @@ def map_chunks(fn: Callable, args_list: Sequence, threads: int = 1) -> list:
     Chunks travel to the workers in about four batches per worker, so the
     arrays that many chunks share are pickled once per batch, not per chunk.
     """
-    workers = effective_workers(threads, len(args_list), os.cpu_count())
+    # one thread or one chunk starts no pool, so the CPU count is not needed
+    serial = threads is None or int(threads) <= 1 or len(args_list) <= 1
+    workers = 1 if serial else effective_workers(threads, len(args_list), os.cpu_count())
     if workers <= 1:
         return [fn(a) for a in args_list]
     from concurrent.futures import ProcessPoolExecutor  # only a parallel run needs the pool

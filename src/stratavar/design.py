@@ -386,12 +386,15 @@ def _smallest_keys(keys: np.ndarray, k: int) -> np.ndarray:
     return np.argpartition(keys, k - 1, axis=-1)[..., :k]
 
 
-def _draw_treated(design: BlockDesign, rng: np.random.Generator) -> np.ndarray:
-    """(N,) treated flags of one uniform assignment, one (G, n) key draw per group."""
-    z = np.zeros(design.n_units, dtype=bool)
+def _draw_treated(design: BlockDesign, rng, reps: int | None = None) -> np.ndarray:
+    """(N,) treated flags of one uniform assignment, one (G, n) key draw per group;
+    with ``reps``, (reps, N) flags of one assignment per row from (reps, G, n) keys."""
+    lead = () if reps is None else (reps,)
+    z = np.zeros(lead + (design.n_units,), dtype=bool)
     for n, kt, idx, units in design.size_groups:
-        keys = rng.random((idx.shape[0], n))
-        z[units[:, :1] + _smallest_keys(keys, kt)] = True  # a block's units are consecutive
+        keys = rng.random(lead + (idx.shape[0], n))
+        treated = units[:, :1] + _smallest_keys(keys, kt)  # a block's units are consecutive
+        np.put_along_axis(z, treated.reshape(lead + (-1,)), True, axis=-1)
     return z
 
 

@@ -208,17 +208,20 @@ def observed_responses(world: PotentialWorld, assignment: Assignment) -> Assignm
     return AssignmentAndOutcomes._from_flat(z, _revealed(z, *world._arms), assignment.lengths)
 
 
-def _draw_noise(model: CateModel, rng: np.random.Generator) -> np.ndarray:
+def _draw_noise(model: CateModel, rng: np.random.Generator, reps: int | None = None) -> np.ndarray:
     """(N, 2) unit noise, (treated, control) columns, from the model's noise law.
 
     One (N, 2) draw when every block shares one noise factor, else one per block.
+    With ``reps`` the noise is (reps, N, 2) and each draw gains that leading axis.
     """
     factors = model._noise_factors
-    design = model.design
+    lead = () if reps is None else (reps,)
+    sizes = model.design.sizes
     if np.all(factors == factors[0]):
-        return rng.standard_normal((design.n_units, 2)) @ factors[0].T
+        return rng.standard_normal(lead + (model.design.n_units, 2)) @ factors[0].T
     return np.concatenate(
-        [rng.standard_normal((n, 2)) @ factors[i].T for i, n in enumerate(design.sizes.tolist())]
+        [rng.standard_normal(lead + (n, 2)) @ factors[i].T for i, n in enumerate(sizes.tolist())],
+        axis=-2,
     )
 
 

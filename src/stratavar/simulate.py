@@ -25,14 +25,14 @@ Studies:
 
 Table 1 and the power curve split their replicates into chunks of
 ``REP_CHUNK``, the unit of work a worker process takes, and compute each
-chunk as arrays over its replicates. Replicate r draws from its own stream,
-``SeedSequence([seed, r])`` (power: ``[seed, a_index, r]``), in the order a
-one-replicate loop draws, so seeded results do not depend on the batching
-or the worker count. Only these draws loop over replicates; worlds, option
-tables, covariate bases (``projection.q2_stack``), estimators and observed
-test statistics run on sub-batches whose temporaries hold at most
-``BATCH_CELLS`` cells. A power replicate samples its replays once and
-scores them against every q-spec's basis, through the Monte Carlo driver of
+chunk as arrays over its replicates. Chunk c draws from one stream,
+``SeedSequence([seed, c])`` (power: ``[seed, a_index, c]``); each of its
+sub-batches, whose temporaries hold at most ``BATCH_CELLS`` cells, draws
+and computes its replicates' worlds, option tables, covariate bases
+(``projection.q2_stack``), estimators and observed test statistics as
+arrays. Seeded results do not depend on the worker count. A power
+replicate samples its replays once, from its own sampler seed, and scores
+them against every q-spec's basis, through the Monte Carlo driver of
 ``permutation_test``. The draws go through the same cores as
 ``friedman_world``, ``draw_world`` and ``sample_assignment``. A
 replicate whose basis any check of ``build_q2`` flags takes the scalar
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_rng, map_chunks
+from ._util import as_rng, chunk_rng, map_chunks
 from .design import (
     AssignmentAndOutcomes,
     BlockDesign,
@@ -160,9 +160,10 @@ def friedman_sizes(config: FriedmanConfig) -> tuple[list[int], list[int]]:
     return sizes, treated
 
 
-def _draw_covariates(config: FriedmanConfig, rng: np.random.Generator) -> np.ndarray:
-    """(B, K) block covariates x_i ~ U(0,1)^K, the first draw of every world."""
-    return rng.random((config.n_blocks, config.n_covariates))
+def _draw_covariates(config: FriedmanConfig, rng, reps: int | None = None) -> np.ndarray:
+    """(B, K), or (reps, B, K), block covariates x_i ~ U(0,1)^K: a world's first draw."""
+    lead = () if reps is None else (reps,)
+    return rng.random(lead + (config.n_blocks, config.n_covariates))
 
 
 def friedman_world(config: FriedmanConfig, seed) -> CateModel:
@@ -257,10 +258,13 @@ def _table1_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray 
     the estimates, and (with ``collect_raw``) the raw rows of ``count``
     replicates from ``rep_start``.
 
-    Each replicate draws x, the unit noise and one option index per block
-    from its own stream; the rest runs on stacks of replicates.
+    The chunk draws from one stream, ``SeedSequence([seed, chunk])``; each
+    sub-batch of R replicates draws x as (R, B, K), the unit noise as
+    (R, N) and one (R, G) option index array per group, and the rest runs
+    on the sub-batch's stacks.
     """
     seed, rep_start, count, ctx, collect_raw = args
+    rng = chunk_rng(seed, rep_start // REP_CHUNK)
     config: FriedmanConfig = ctx["config"]
     design: BlockDesign = ctx["design"]
     w, q1 = ctx["w"], ctx["q1"]
@@ -268,18 +272,12 @@ def _table1_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray 
     specs = [QSpec(kind=name) for name in TABLE1_QSPECS[1:]]
     rows = np.empty((count, len(TABLE1_RAW_COLUMNS)))
     for start, size in _sub_batches(rep_start, count, b * (k + q1.rank)):
-        x = np.empty((size, b, k))
-        eps = np.empty((size, design.n_units))
-        picks = []
-        for j in range(size):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, start + j]))
-            x[j] = _draw_covariates(config, rng)
-            eps[j] = rng.standard_normal(design.n_units)
-            picks.append(_draw_options(rng, ctx["probe"], 1))
+        x = _draw_covariates(config, rng, size)
+        eps = rng.standard_normal((size, design.n_units))
+        draws = [d[:, None] for d in _draw_options(rng, ctx["probe"], size)]
         f = np.repeat(friedman_function(x), design.sizes, axis=-1)
         r1 = config.a * f + config.b * eps
         r0 = f + eps
-        draws = [np.stack(d) for d in zip(*picks)]
         tau = np.empty((size, b))
         tau[:, design._group_order] = _drawn_effects(_option_groups(design, r1, r0), draws)[:, 0]
 
@@ -396,9 +394,11 @@ DEFAULT_A_GRID = (1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
 def _power_chunk(args) -> dict:
     """Test p-values of ``count`` replicates from ``rep_start`` at one signal scale.
 
-    Each replicate draws x, the unit noise, its assignment and a sampler seed
-    from its own stream; worlds, option tables, bases and observed statistics
-    run on stacks of replicates. Then each replicate samples and scores its
+    The chunk draws from one stream, ``SeedSequence([seed, a_index, chunk])``;
+    each sub-batch of R replicates draws x as (R, B, K), the unit noise as
+    (R, N, 2), each group's assignment keys as (R, G, n) and R sampler
+    seeds, and worlds, option tables, bases and observed statistics run on
+    the sub-batch's stacks. Then each replicate samples and scores its
     replays against every q-spec's basis through ``hettest._mc_hits``, the
     driver of ``permutation_test``'s Monte Carlo path, from the sampler seed.
     A replicate goes through ``permutation_test`` instead when its basis is
@@ -410,22 +410,17 @@ def _power_chunk(args) -> dict:
     specs = [QSpec(kind=name) for name in qspecs]
     model = friedman_world(cfg, 0)  # block sizes and noise law; its covariates go unused
     design = model.design
-    b, k, n_units = design.n_blocks, cfg.n_covariates, design.n_units
+    b, k = design.n_blocks, cfg.n_covariates
     w, q1 = block_weights(design), build_q1(design)
     order = design._group_order
     scalar = n_assignments(design) <= max_draws  # permutation_test enumerates a small space
     pvals = {name: np.empty(count) for name in qspecs}
+    rng = np.random.default_rng(np.random.SeedSequence([seed, a_index, rep_start // REP_CHUNK]))
     for start, size in _sub_batches(rep_start, count, b * (k + q1.rank)):
-        x = np.empty((size, b, k))
-        e = np.empty((size, n_units, 2))
-        z = np.empty((size, n_units), dtype=bool)
-        perm_seeds = []
-        for j in range(size):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, a_index, start + j]))
-            x[j] = _draw_covariates(cfg, rng)
-            e[j] = _draw_noise(model, rng)
-            z[j] = _draw_treated(design, rng)
-            perm_seeds.append(int(rng.integers(0, 2**62)))
+        x = _draw_covariates(cfg, rng, size)
+        e = _draw_noise(model, rng, size)
+        z = _draw_treated(design, rng, size)
+        perm_seeds = rng.integers(0, 2**62, size=size).tolist()
         f = np.repeat(friedman_function(x), design.sizes, axis=-1)
         r = _revealed(z, a * f + e[..., 0], f + e[..., 1])
         # non-finite responses go to permutation_test, which rejects them

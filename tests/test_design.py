@@ -26,6 +26,7 @@ from stratavar import (
     sample_assignment,
     validate_design,
 )
+from stratavar.design import _draw_treated
 
 
 def test_weights_average_to_one_and_match_hand_values():
@@ -216,6 +217,37 @@ def test_sampling_is_uniform_over_the_assignment_space():
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         p = stats.chi2.sf(chi2, df=len(space) - 1)
         assert p > 1e-3, (sizes, treated, p)
+
+
+def test_batched_draws_treat_each_blocks_count():
+    design = BlockDesign.from_sizes([2, 3, 3, 4, 2, 5], [1, 1, 2, 2, 1, 2])
+    z = _draw_treated(design, np.random.default_rng(3), 500)
+    assert z.shape == (500, design.n_units) and z.dtype == bool
+    per_block = np.add.reduceat(z, design.unit_starts, axis=1)
+    assert np.array_equal(per_block, np.broadcast_to(design.treated_counts, per_block.shape))
+
+
+def test_batched_draws_are_uniform_over_the_assignment_space():
+    # the chi-squared check of the one-assignment sampler, on the rows of
+    # one (R, N) draw per design
+    for sizes, treated in (([2, 4], [1, 2]), ([3, 3, 2], [1, 1, 1])):
+        design = BlockDesign.from_sizes(sizes, treated)
+        space = [a.indicators.tolist() for a in enumerate_assignments(design)]
+        index = {tuple(z): i for i, z in enumerate(space)}
+        draws = 24_000
+        rows = _draw_treated(design, np.random.default_rng(2024), draws).astype(int)
+        counts = np.bincount([index[tuple(z)] for z in rows.tolist()], minlength=len(space))
+        expected = draws / len(space)
+        chi2 = float(np.sum((counts - expected) ** 2 / expected))
+        p = stats.chi2.sf(chi2, df=len(space) - 1)
+        assert p > 1e-3, (sizes, treated, p)
+
+
+def test_seeded_assignment_stream_is_frozen():
+    # recorded before the draw cores gained a replicate axis; one draw is unchanged
+    design = BlockDesign.from_sizes([2, 3, 3, 4, 2, 5], [1, 1, 2, 2, 1, 2])
+    want = [1, 0, 0, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0]
+    assert sample_assignment(design, 11).indicators.tolist() == want
 
 
 def test_pair_margin_is_one_half():

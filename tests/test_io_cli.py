@@ -17,8 +17,8 @@ from stratavar import (
     pairs_quartets_study,
     write_experiment_csv,
 )
-from stratavar import cli
-from stratavar._util import effective_workers
+from stratavar import _util, cli
+from stratavar._util import effective_workers, map_chunks
 from stratavar.cli import main
 
 
@@ -280,6 +280,15 @@ def test_worker_count_is_clamped_to_chunks_and_cpus():
     assert effective_workers(4, 200, None) == 1
     assert effective_workers(None, 10, 8) == 1
     assert effective_workers(1, 0, 8) == 1
+
+
+def test_serial_map_reads_no_cpu_count(monkeypatch):
+    def fail():
+        raise AssertionError("cpu_count read for a map that starts no pool")
+
+    monkeypatch.setattr(_util.os, "cpu_count", fail)
+    for threads, args in ((None, [1, 2]), (1, [1, 2]), (0, [1, 2]), (4, [3]), (4, [])):
+        assert map_chunks(abs, args, threads) == args
 
 
 # ---------------------------------------------------------------------------

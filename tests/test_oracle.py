@@ -38,6 +38,7 @@ from stratavar import (
     var_s1,
     var_s2,
 )
+from stratavar.oracle import _draw_noise
 
 
 def _random_world(seed: int, sizes=None, treated=None) -> PotentialWorld:
@@ -249,6 +250,35 @@ def test_draw_world_is_deterministic_and_respects_shared_noise():
     # multiple of the control-arm noise, unit by unit.
     for r1, r0, f in zip(first.r1, first.r0, f0):
         np.testing.assert_allclose(r1 - a_scale * f, b_scale * (r0 - f), atol=1e-10)
+
+
+def _per_block_noise_model() -> CateModel:
+    design = BlockDesign.from_sizes([2, 3], [1, 1])
+    cov = np.array([[[1.0, 0.5], [0.5, 2.0]], [[4.0, 0.0], [0.0, 1.0]]])
+    return CateModel(design, [np.zeros(2), np.ones(3)], [np.zeros(2), np.zeros(3)], cov)
+
+
+def test_seeded_per_block_noise_stream_is_frozen():
+    # recorded before the draw cores gained a replicate axis; one draw is unchanged
+    world = draw_world(_per_block_noise_model(), seed=5)
+    r1 = [
+        -0.09321383497552306, 0.44335286296517673, 1.2194127986436163,
+        -0.5695607106885567, 4.269566085917155,
+    ]
+    r0 = [
+        -2.091009249928443, 0.4924491808021799, 1.1360465324896427,
+        -0.5526473205362324, 0.7487457707345911,
+    ]
+    np.testing.assert_allclose(world._arms[0], r1, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(world._arms[1], r0, rtol=1e-12, atol=1e-15)
+
+
+def test_batched_per_block_noise_follows_each_blocks_covariance():
+    model = _per_block_noise_model()
+    e = _draw_noise(model, np.random.default_rng(8), 40_000)
+    assert e.shape == (40_000, model.design.n_units, 2)
+    for unit, block in enumerate([0, 0, 1, 1, 1]):
+        np.testing.assert_allclose(np.cov(e[:, unit].T), model.noise_cov[block], atol=0.08)
 
 
 def test_draw_world_rejects_indefinite_noise_covariance():

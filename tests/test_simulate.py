@@ -25,7 +25,7 @@ from stratavar import (
     run_power_curve,
     run_table1,
 )
-from stratavar.simulate import BATCH_CELLS
+from stratavar.simulate import BATCH_CELLS, REP_CHUNK
 
 
 def test_friedman_sizes_split_and_alternating_treated():
@@ -70,6 +70,39 @@ def test_friedman_world_covariates_are_block_constant():
     for i, (f1, f0) in enumerate(zip(model.f1, model.f0)):
         assert f0 == pytest.approx(np.full(model.design.sizes[i], f[i]))
         assert f1 == pytest.approx(1.3 * f0)
+
+
+def test_seeded_world_streams_are_frozen():
+    # recorded before the draw cores gained a replicate axis; one world is unchanged
+    model = friedman_world(FriedmanConfig(n_blocks=4, n_covariates=5, a=1.5, b=2.0), seed=3)
+    x = [
+        0.08564916714362436, 0.2368105065960997,
+        0.8012744652063969, 0.5821620360643678,
+        0.09412864224039919, 0.4331269402364738,
+        0.479051298140834, 0.15973891463707857,
+        0.7345771514092145, 0.11367201992140341,
+        0.39122819049566204, 0.5167401826213637,
+        0.4306280204141778, 0.5867985714381407,
+        0.7378377872921602, 0.9562672548360985,
+        0.28420116374879145, 0.648547207079825,
+        0.6962159966701554, 0.2927207490124871,
+    ]
+    np.testing.assert_array_equal(block_level_covariates(model.design).ravel(), x)
+    world = draw_world(model, seed=4)
+    r1 = [
+        30.374685756997202, 28.706955672681136, 30.035657700689512,
+        43.11248781136718, 42.92620710411753, 40.25849879500831,
+        35.09656767010407, 31.612202744051302, 39.7905192481966,
+        43.75541599569716,
+    ]
+    r0 = [
+        20.191551407222875, 19.357686365064843, 20.02203737906903,
+        28.79120238199546, 28.698062028370636, 27.364207873816024,
+        23.567894000635263, 21.82571153760888, 26.89428011740523,
+        28.87672849115551,
+    ]
+    np.testing.assert_allclose(world._arms[0], r1, rtol=1e-12)
+    np.testing.assert_allclose(world._arms[1], r0, rtol=1e-12)
 
 
 def test_resolve_qspec_kinds():
@@ -232,6 +265,28 @@ def test_pate_demo_flags_covariate_estimators_only():
 def test_run_power_curve_is_thread_invariant():
     kwargs = dict(a_grid=(1.0, 1.3), reps=260, max_draws=99, seed=8, collect_raw=True)
     assert run_power_curve(threads=1, **kwargs) == run_power_curve(threads=2, **kwargs)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_table1_stream_is_anchored_at_chunks(threads):
+    # the first chunk is whole in both runs, so its rows are the same bits
+    config = FriedmanConfig(n_blocks=100, a=2.0, b=2.0)
+    short = run_table1(config=config, reps=REP_CHUNK + 1, seed=6, threads=threads, collect_raw=True)
+    long = run_table1(config=config, reps=300, seed=6, threads=threads, collect_raw=True)
+    assert np.array_equal(short.raw[:REP_CHUNK], long.raw[:REP_CHUNK])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_power_stream_is_anchored_at_chunks(threads):
+    kwargs = dict(
+        config=FriedmanConfig(n_blocks=20), a_grid=(1.0, 1.3), max_draws=49, seed=6,
+        threads=threads, collect_raw=True,
+    )
+    short = run_power_curve(reps=REP_CHUNK + 1, **kwargs)
+    long = run_power_curve(reps=260, **kwargs)
+    for s_row, l_row in zip(short, long):
+        assert (s_row["a"], s_row["qspec"]) == (l_row["a"], l_row["qspec"])
+        assert s_row["p_values"][:REP_CHUNK] == l_row["p_values"][:REP_CHUNK]
 
 
 @pytest.mark.parametrize(

@@ -1,26 +1,31 @@
 """Differential test of the batched study chunks against one-replicate loops.
 
 ``reference_table1_rows`` and ``reference_power_pvalues`` are the plain
-reading of the two studies: every replicate draws its world, assignment and
-replays from its own stream and runs the scalar basis build, estimators and
-permutation test on its own. The library computes a chunk of replicates as
-arrays, keeping only the draws in a per-replicate loop, and sends a
-replicate whose basis any check flags down the scalar path. Table-1 raw rows
-must agree to 1e-12 relative, power p-values exactly, and a failing
-replicate must raise the same exception with the same message.
+reading of the two studies. Chunk c of ``REP_CHUNK`` replicates draws from
+the stream of ``SeedSequence([seed, c])`` (power: ``[seed, a_index, c]``),
+and each sub-batch of ``simulate._sub_batches`` draws its replicates' x,
+noise, assignments (and, for power, replay seeds) as arrays with plain
+numpy calls, in the documented order. Every replicate then runs the scalar
+basis build, estimators and permutation test on its own. The library
+computes a sub-batch as arrays and sends a replicate whose basis any check
+flags down the scalar path. Table-1 raw rows must agree to 1e-12 relative,
+power p-values exactly, and a failing replicate must raise the same
+exception with the same message.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from stratavar import (
+    Assignment,
     BlockDesign,
     FriedmanConfig,
+    PotentialWorld,
     QSpec,
     TooManyColumns,
     block_level_covariates,
@@ -28,7 +33,6 @@ from stratavar import (
     build_q1,
     build_q2,
     correct_transforms,
-    draw_world,
     friedman_function,
     friedman_sizes,
     friedman_world,
@@ -37,11 +41,11 @@ from stratavar import (
     resolve_qspec,
     run_power_curve,
     run_table1,
-    sample_assignment,
 )
 from stratavar.errors import BadQPair, InputError, NonFiniteResponse, StratavarError
 from stratavar.oracle import _randomization_variance
 from stratavar.projection import q2_stack
+from stratavar.simulate import REP_CHUNK, _sub_batches
 
 
 def reference_option_tables(design: BlockDesign, r1: np.ndarray, r0: np.ndarray) -> list:
@@ -68,6 +72,19 @@ def reference_projection_variances(tau: np.ndarray, w: np.ndarray, q) -> list[fl
     ]
 
 
+def reference_sub_batches(config: FriedmanConfig, design: BlockDesign, reps: int, *stream):
+    """(generator, first replicate, size) of every sub-batch, chunk by chunk.
+
+    Chunk c draws from ``SeedSequence([*stream, c])``; its sub-batches are
+    those of the library, sized by the cells of one replicate's bases.
+    """
+    cells = design.n_blocks * (config.n_covariates + build_q1(design).rank)
+    for c, chunk_start in enumerate(range(0, reps, REP_CHUNK)):
+        rng = np.random.default_rng(np.random.SeedSequence([*stream, c]))
+        for start, size in _sub_batches(chunk_start, min(REP_CHUNK, reps - chunk_start), cells):
+            yield rng, start, size
+
+
 def reference_table1_rows(config: FriedmanConfig, reps: int, seed: int) -> np.ndarray:
     """One row of ``TABLE1_RAW_COLUMNS`` per replicate, one replicate at a time."""
     sizes, treated = friedman_sizes(config)
@@ -75,25 +92,28 @@ def reference_table1_rows(config: FriedmanConfig, reps: int, seed: int) -> np.nd
     w = block_weights(design)
     b = design.n_blocks
     rows = []
-    for rep in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
-        x = rng.random((b, config.n_covariates))
-        f = np.repeat(friedman_function(x), design.sizes)
-        eps = rng.standard_normal(design.n_units)
-        r1 = config.a * f + config.b * eps
-        r0 = f + eps
-        tau = np.empty(b)
-        for idx, table in reference_option_tables(design, r1, r0):
-            picks = rng.integers(0, table.shape[1], size=(1, idx.shape[0]))[0]
-            tau[idx] = table[np.arange(idx.shape[0]), picks]
-        sate_var = float(np.sum(w**2 * _randomization_variance(design, r1, r0))) / b**2
-        qs = (
-            build_q1(design),
-            build_q2(design, xbar=correct_transforms(x), poly_degree=1),
-            build_q2(design, xbar=x, poly_degree=1),
-        )
-        cells = [v for q in qs for v in reference_projection_variances(tau, w, q)]
-        rows.append(cells + [sate_var, float(w @ tau) / b])
+    for rng, _, size in reference_sub_batches(config, design, reps, seed):
+        xs = rng.random((size, b, config.n_covariates))
+        epss = rng.standard_normal((size, design.n_units))
+        picks = [
+            rng.integers(0, math.comb(n, kt), size=(size, idx.shape[0]))
+            for n, kt, idx, _ in design.size_groups
+        ]
+        for j, (x, eps) in enumerate(zip(xs, epss)):
+            f = np.repeat(friedman_function(x), design.sizes)
+            r1 = config.a * f + config.b * eps
+            r0 = f + eps
+            tau = np.empty(b)
+            for (idx, table), pick in zip(reference_option_tables(design, r1, r0), picks):
+                tau[idx] = table[np.arange(idx.shape[0]), pick[j]]
+            sate_var = float(np.sum(w**2 * _randomization_variance(design, r1, r0))) / b**2
+            qs = (
+                build_q1(design),
+                build_q2(design, xbar=correct_transforms(x), poly_degree=1),
+                build_q2(design, xbar=x, poly_degree=1),
+            )
+            cells = [v for q in qs for v in reference_projection_variances(tau, w, q)]
+            rows.append(cells + [sate_var, float(w @ tau) / b])
     return np.array(rows)
 
 
@@ -101,23 +121,33 @@ def reference_power_pvalues(
     config: FriedmanConfig, a_grid, reps: int, max_draws: int, seed: int, qspecs
 ) -> list[list[float]]:
     """p-values per (a, q-spec) row, each replicate through its own world and test."""
+    design = friedman_world(config, 0).design  # block sizes; its covariates go unused
+    splits = np.cumsum(design.sizes)[:-1]
+    # a factor L with L L' = the noise covariance, as the model's noise law takes it
+    vals, vecs = np.linalg.eigh(np.array([[config.b**2, config.b], [config.b, 1.0]]))
+    factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
     out = []
     for a_index, a in enumerate(a_grid):
-        cfg = dataclasses.replace(config, a=float(a))
         pvals = {name: [] for name in qspecs}
-        for rep in range(reps):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, a_index, rep]))
-            model = friedman_world(cfg, rng)
-            design = model.design
-            world = draw_world(model, rng)
-            assignment = sample_assignment(design, rng)
-            data = observed_responses(world, assignment)
-            x = block_level_covariates(design)
-            perm_seed = int(rng.integers(0, 2**62))
-            for name in qspecs:
-                q2 = resolve_qspec(QSpec(kind=name), design, x)
-                res = permutation_test(design, data, q2, max_draws=max_draws, seed=perm_seed)
-                pvals[name].append(res.p_value)
+        for rng, _, size in reference_sub_batches(config, design, reps, seed, a_index):
+            xs = rng.random((size, design.n_blocks, config.n_covariates))
+            noise = rng.standard_normal((size, design.n_units, 2)) @ factor.T
+            keys = [rng.random((size, idx.shape[0], n)) for n, _, idx, _ in design.size_groups]
+            perm_seeds = rng.integers(0, 2**62, size=size)
+            for j, x in enumerate(xs):
+                f = np.repeat(friedman_function(x), design.sizes)
+                r1, r0 = float(a) * f + noise[j, :, 0], f + noise[j, :, 1]
+                world = PotentialWorld(design, np.split(r1, splits), np.split(r0, splits))
+                z = np.zeros(design.n_units, dtype=np.int64)
+                for (n, kt, _, units), key in zip(design.size_groups, keys):
+                    z[np.take_along_axis(units, np.argsort(key[j], axis=1)[:, :kt], axis=1)] = 1
+                data = observed_responses(world, Assignment(np.split(z, splits)))
+                for name in qspecs:
+                    q2 = resolve_qspec(QSpec(kind=name), design, x)
+                    res = permutation_test(
+                        design, data, q2, max_draws=max_draws, seed=int(perm_seeds[j])
+                    )
+                    pvals[name].append(res.p_value)
         out.extend(pvals[name] for name in qspecs)
     return out
 
