@@ -14,13 +14,14 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    """Independent stream for one work chunk, derived from (seed, chunk_index).
+def chunk_rng(*key: int) -> np.random.Generator:
+    """Independent stream for one work chunk, ``SeedSequence(key)``; the key
+    ends in the chunk index, e.g. (seed, c) or (seed, a_index, c).
 
     Chunk boundaries are fixed by the caller, so results do not depend on
     how many workers consume the chunks.
     """
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(chunk_index)]))
+    return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
 
 
 def effective_workers(threads: int | None, n_chunks: int, cpu_count: int | None) -> int:

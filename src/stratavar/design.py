@@ -386,15 +386,14 @@ def _smallest_keys(keys: np.ndarray, k: int) -> np.ndarray:
     return np.argpartition(keys, k - 1, axis=-1)[..., :k]
 
 
-def _draw_treated(design: BlockDesign, rng, reps: int | None = None) -> np.ndarray:
-    """(N,) treated flags of one uniform assignment, one (G, n) key draw per group;
-    with ``reps``, (reps, N) flags of one assignment per row from (reps, G, n) keys."""
-    lead = () if reps is None else (reps,)
-    z = np.zeros(lead + (design.n_units,), dtype=bool)
+def _draw_treated(design: BlockDesign, rng, reps: int) -> np.ndarray:
+    """(reps, N) treated flags of one uniform assignment per row, from one
+    (reps, G, n) key draw per group."""
+    z = np.zeros((reps, design.n_units), dtype=bool)
     for n, kt, idx, units in design.size_groups:
-        keys = rng.random(lead + (idx.shape[0], n))
+        keys = rng.random((reps, idx.shape[0], n))
         treated = units[:, :1] + _smallest_keys(keys, kt)  # a block's units are consecutive
-        np.put_along_axis(z, treated.reshape(lead + (-1,)), True, axis=-1)
+        np.put_along_axis(z, treated.reshape(reps, -1), True, axis=-1)
     return z
 
 
@@ -406,5 +405,5 @@ def sample_assignment(design: BlockDesign, seed) -> Assignment:
     Each (size, treated count) group draws a uniform key per unit, and each
     block treats its units with the smallest keys.
     """
-    z = _draw_treated(design, as_rng(seed))
+    z = _draw_treated(design, as_rng(seed), 1)[0]
     return Assignment._from_flat(z.astype(np.int64), design.sizes)

@@ -192,12 +192,11 @@ def _draw_options(rng: np.random.Generator, groups: list, m: int) -> list[np.nda
 
     A tabled group of G blocks draws (m, G) uniform indices into its option
     rows; any other group draws (m, G, n) uniform keys, and treats the kt
-    units with the smallest keys. Only the groups' shapes are read, so any
-    arms of the design serve.
+    units with the smallest keys. ``groups`` carry no leading replicate axes.
     """
     draws = []
     for _, _, a1, _, table in groups:
-        g, n = a1.shape[-2:]
+        g, n = a1.shape
         if table is None:
             draws.append(rng.random((m, g, n)))
         else:
@@ -206,28 +205,25 @@ def _draw_options(rng: np.random.Generator, groups: list, m: int) -> list[np.nda
 
 
 def _group_effects(group: tuple, d: np.ndarray) -> np.ndarray:
-    """(..., m, G) block effects of one group's draws ``d`` (m draws, or any slice of them).
+    """(m, G) block effects of one group's draws ``d`` (m draws, or any slice of them).
 
-    ``group`` is one entry of :func:`_option_groups` and ``d`` the matching
-    array of :func:`_draw_options`; both may carry the same leading
-    replicate axes.
+    ``group`` is one entry of :func:`_option_groups`, without leading
+    replicate axes, and ``d`` the matching array of :func:`_draw_options`.
     """
     _, kt, r1, r0, table = group
     if table is not None:  # one flat take: row g of the table starts at g * C
-        offsets = np.arange(0, table.size, table.shape[-1]).reshape(table.shape[:-1])
-        return table.ravel().take(d + offsets[..., None, :])
+        return table.ravel().take(d + np.arange(0, table.size, table.shape[-1]))
     treated = _smallest_keys(d, kt)
-    t1 = np.take_along_axis(r1[..., None, :, :], treated, axis=-1).sum(axis=-1)
-    t0 = np.take_along_axis(r0[..., None, :, :], treated, axis=-1).sum(axis=-1)
-    rest = r0.sum(axis=-1)[..., None, :] - t0
-    return t1 / kt - rest / (r1.shape[-1] - kt)
+    t1 = np.take_along_axis(r1[None], treated, axis=-1).sum(axis=-1)
+    t0 = np.take_along_axis(r0[None], treated, axis=-1).sum(axis=-1)
+    return t1 / kt - (r0.sum(axis=-1) - t0) / (r1.shape[-1] - kt)
 
 
 def _drawn_effects(groups: list, draws: list) -> np.ndarray:
-    """(..., m, B) block effects of drawn assignments, columns in group order.
+    """(m, B) block effects of drawn assignments, columns in group order.
 
     ``groups`` come from :func:`_option_groups` and ``draws`` from
-    :func:`_draw_options`; both may carry the same leading replicate axes.
+    :func:`_draw_options`.
     """
     return np.concatenate([_group_effects(g, d) for g, d in zip(groups, draws)], axis=-1)
 

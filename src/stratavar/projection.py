@@ -401,14 +401,15 @@ def _repaired_q2(q1: QMatrix, stack: Q2Stack) -> tuple:
 
     # Greedy in column order, so a later duplicate is dropped. After a drop the
     # survivors are factored again: the dropped column's reflector leaves noise
-    # in later R_jj. Columns past the B-th have no R_jj and count as collinear.
+    # in later R_jj. M is orthogonal to q1, so columns past the (B - q1 rank)-th
+    # count as collinear, whatever their R_jj.
     m_max = float(m_norms[kept_idx].max())
     local = list(range(len(kept_idx)))
     m_final = m_kept
     while True:
         qm, r = np.linalg.qr(m_final)
         small = np.flatnonzero(_collinear(r, m_max))
-        first = int(small[0]) if small.size else min(r.shape)
+        first = int(small[0]) if small.size else min(r.shape[1], b - q1.rank)
         if first == len(local):
             break
         del local[first]

@@ -26,26 +26,26 @@ Studies:
 Table 1 and the power curve split their replicates into chunks of
 ``REP_CHUNK``, the unit of work a worker process takes, and compute each
 chunk as arrays over its replicates. Chunk c draws from one stream,
-``SeedSequence([seed, c])`` (power: ``[seed, a_index, c]``); each of its
-sub-batches, whose temporaries hold at most ``BATCH_CELLS`` cells, draws
-and computes its replicates' worlds, option tables, covariate bases
-(``projection.q2_stack``), estimators and observed test statistics as
-arrays. Seeded results do not depend on the worker count. A power
-replicate samples its replays once, from its own sampler seed, and scores
+``chunk_rng(seed, c)`` (power: ``chunk_rng(seed, a_index, c)``). Each of
+its sub-batches, whose temporaries hold at most ``BATCH_CELLS`` cells,
+draws its replicates by one draw shared by both studies: covariates, one
+unit noise, and one uniform assignment per world, through the draw cores
+of ``friedman_world`` and ``sample_assignment``; the block effects come
+from the kernel of ``block_effects``. Table 1 reads the schedule variance
+off the arms and its estimators off the effects. Power then draws one
+sampler seed per replicate, samples its replays once from it and scores
 them against every q-spec's basis, through the Monte Carlo driver of
-``permutation_test``. The draws go through the same cores as
-``friedman_world``, ``draw_world`` and ``sample_assignment``. A
-replicate whose basis any check of ``build_q2`` flags takes the scalar
-``build_q2`` (and, for power, ``permutation_test``) path, in replicate
-order, so values, warnings and the first error are those of the
-one-replicate loop. So does a power replicate with a non-finite response,
-and every power replicate when the space is small enough to enumerate.
+``permutation_test``. Seeded results do not depend on the worker count.
+A replicate whose basis any check of ``build_q2`` flags, or whose
+responses are not finite, takes the scalar path (``block_effects``,
+``build_q2``, ``permutation_test``) in replicate order, so values,
+warnings and the first error are those of the one-replicate loop. So does
+every power replicate when the space is small enough to enumerate.
 ``run_power_curve`` rejects a ``max_draws`` that ``permutation_test``
 would reject before it starts.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -60,13 +60,7 @@ from .design import (
     n_assignments,
 )
 from .errors import DimensionMismatch, InputError
-from .estimators import (
-    _arm_means,
-    _draw_options,
-    _drawn_effects,
-    _option_groups,
-    _projection_variances,
-)
+from .estimators import _arm_means, _option_groups, _projection_variances, block_effects
 from .hettest import (
     OPTION_CELLS,
     _check_max_draws,
@@ -77,7 +71,6 @@ from .hettest import (
 )
 from .oracle import (
     CateModel,
-    _draw_noise,
     _randomization_variance,
     _revealed,
     expected_bias_s1,
@@ -160,10 +153,9 @@ def friedman_sizes(config: FriedmanConfig) -> tuple[list[int], list[int]]:
     return sizes, treated
 
 
-def _draw_covariates(config: FriedmanConfig, rng, reps: int | None = None) -> np.ndarray:
-    """(B, K), or (reps, B, K), block covariates x_i ~ U(0,1)^K: a world's first draw."""
-    lead = () if reps is None else (reps,)
-    return rng.random(lead + (config.n_blocks, config.n_covariates))
+def _draw_covariates(config: FriedmanConfig, rng, reps: int) -> np.ndarray:
+    """(reps, B, K) block covariates x_i ~ U(0,1)^K: each world's first draw."""
+    return rng.random((reps, config.n_blocks, config.n_covariates))
 
 
 def friedman_world(config: FriedmanConfig, seed) -> CateModel:
@@ -173,7 +165,7 @@ def friedman_world(config: FriedmanConfig, seed) -> CateModel:
     realized schedules come from :func:`stratavar.oracle.draw_world`.
     """
     sizes, treated = friedman_sizes(config)
-    x = _draw_covariates(config, as_rng(seed))
+    x = _draw_covariates(config, as_rng(seed), 1)[0]
     f = friedman_function(x)
     sizes = np.array(sizes, dtype=np.int64)
     ids = [str(i + 1) for i in range(len(sizes))]
@@ -208,14 +200,40 @@ def resolve_qspec(spec: QSpec, design: BlockDesign, x: np.ndarray) -> QMatrix:
 
 
 # ---------------------------------------------------------------------------
-# batched replicates
+# batched replicates, shared by table 1 and the power curve
 # ---------------------------------------------------------------------------
+
+
+def _sim_context(config: FriedmanConfig) -> dict:
+    """The design of a study's worlds, with its weights and q1 basis; built once per run."""
+    sizes, treated = friedman_sizes(config)
+    design = BlockDesign.from_sizes(sizes, treated)
+    return {"config": config, "design": design, "w": block_weights(design), "q1": build_q1(design)}
 
 
 def _sub_batches(start: int, count: int, cells_per_rep: int) -> list[tuple[int, int]]:
     """(first replicate, size) runs covering a chunk, each within BATCH_CELLS."""
     size = max(1, BATCH_CELLS // cells_per_rep)
     return [(s, min(size, start + count - s)) for s in range(start, start + count, size)]
+
+
+def _draw_replicates(ctx: dict, rng, reps: int, a: float) -> tuple:
+    """``reps`` worlds at signal scale ``a``, each revealed under one uniform assignment.
+
+    Draws x as (R, B, K), one unit noise eps as (R, N) and the (R, N)
+    treated flags z, in that order; r1 = a f + b eps and r0 = f + eps share
+    eps. Returns x, r1, r0, z, the revealed responses r and the (R, B)
+    block effects tau = m1 - m0, the kernel of ``block_effects``.
+    """
+    config, design = ctx["config"], ctx["design"]
+    x = _draw_covariates(config, rng, reps)
+    eps = rng.standard_normal((reps, design.n_units))
+    z = _draw_treated(design, rng, reps)
+    f = np.repeat(friedman_function(x), design.sizes, axis=-1)
+    r1, r0 = a * f + config.b * eps, f + eps
+    r = _revealed(z, r1, r0)
+    m1, m0 = _arm_means(design, z, r)
+    return x, r1, r0, z, r, m1 - m0
 
 
 def _stacked_bases(q1: QMatrix, w: np.ndarray, xbar: np.ndarray | None, reps: int):
@@ -240,30 +258,17 @@ def _stacked_bases(q1: QMatrix, w: np.ndarray, xbar: np.ndarray | None, reps: in
 # ---------------------------------------------------------------------------
 
 
-def _sim_context(config: FriedmanConfig) -> dict:
-    sizes, treated = friedman_sizes(config)
-    design = BlockDesign.from_sizes(sizes, treated)
-    flat = np.zeros(design.n_units)
-    return {
-        "config": config,
-        "design": design,
-        "w": block_weights(design),
-        "q1": build_q1(design),
-        "probe": _option_groups(design, flat, flat),  # shapes for the draws
-    }
+def _table1_chunk(args) -> np.ndarray:
+    """Rows of ``TABLE1_RAW_COLUMNS`` for ``count`` replicates from ``rep_start``.
 
-
-def _table1_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Sums and sums of squares of the nine cells and the schedule variance,
-    the estimates, and (with ``collect_raw``) the raw rows of ``count``
-    replicates from ``rep_start``.
-
-    The chunk draws from one stream, ``SeedSequence([seed, chunk])``; each
-    sub-batch of R replicates draws x as (R, B, K), the unit noise as
-    (R, N) and one (R, G) option index array per group, and the rest runs
-    on the sub-batch's stacks.
+    The chunk draws from ``chunk_rng(seed, chunk)``. Each sub-batch draws
+    its worlds and assignments by :func:`_draw_replicates`; the schedule
+    variance comes from r1/r0, the estimate and the estimators from tau,
+    all as arrays over the sub-batch. A replicate with a non-finite
+    response raises NonFiniteResponse, and one whose basis is flagged takes
+    ``resolve_qspec``, in replicate order.
     """
-    seed, rep_start, count, ctx, collect_raw = args
+    seed, rep_start, count, ctx = args
     rng = chunk_rng(seed, rep_start // REP_CHUNK)
     config: FriedmanConfig = ctx["config"]
     design: BlockDesign = ctx["design"]
@@ -272,15 +277,7 @@ def _table1_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray 
     specs = [QSpec(kind=name) for name in TABLE1_QSPECS[1:]]
     rows = np.empty((count, len(TABLE1_RAW_COLUMNS)))
     for start, size in _sub_batches(rep_start, count, b * (k + q1.rank)):
-        x = _draw_covariates(config, rng, size)
-        eps = rng.standard_normal((size, design.n_units))
-        draws = [d[:, None] for d in _draw_options(rng, ctx["probe"], size)]
-        f = np.repeat(friedman_function(x), design.sizes, axis=-1)
-        r1 = config.a * f + config.b * eps
-        r0 = f + eps
-        tau = np.empty((size, b))
-        tau[:, design._group_order] = _drawn_effects(_option_groups(design, r1, r0), draws)[:, 0]
-
+        x, r1, r0, z, r, tau = _draw_replicates(ctx, rng, size, config.a)
         out = rows[start - rep_start : start - rep_start + size]
         out[:, 9] = np.sum(w**2 * _randomization_variance(design, r1, r0), axis=-1) / b**2
         out[:, 10] = tau @ w / b
@@ -290,17 +287,19 @@ def _table1_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray 
             if basis is not None:
                 cells = _projection_variances(tau[ok], w, basis[ok], *_psi_weights(one_minus[ok]))
                 out[ok, 3 * i : 3 * i + 3] = cells
-        # flagged bases in replicate order, so the first failing replicate raises
+        # failing replicates in replicate order, so the first of them raises
+        finite = np.isfinite(r).all(axis=-1)
         flagged = ~np.logical_and.reduce([ok for ok, _, _ in stacked])
-        for j in np.flatnonzero(flagged):
+        for j in np.flatnonzero(flagged | ~finite):
+            if not finite[j]:  # block_effects raises NonFiniteResponse, naming the block
+                data = AssignmentAndOutcomes._from_flat(z[j].astype(np.int64), r[j], design.sizes)
+                block_effects(design, data)
             for i, (spec, (ok, _, _)) in enumerate(zip(specs, stacked), start=1):
                 if not ok[j]:
                     q = resolve_qspec(spec, design, x[j])
                     cells = _projection_variances(tau[j], w, q.basis, q.psi, q.psi_tilde)
                     out[j, 3 * i : 3 * i + 3] = cells
-    sums = rows[:, :10].sum(axis=0)
-    sumsq = np.square(rows[:, :10]).sum(axis=0)
-    return sums, sumsq, rows[:, 10].copy(), rows if collect_raw else None
+    return rows
 
 
 TABLE1_RAW_COLUMNS = tuple(
@@ -337,15 +336,13 @@ def run_table1(
     if config is None:
         config = FriedmanConfig(n_blocks=100, a=2.0, b=2.0)
     ctx = _sim_context(config)
-    starts = range(0, reps, REP_CHUNK)
-    args = [(seed, s, min(REP_CHUNK, reps - s), ctx, collect_raw) for s in starts]
-    parts = map_chunks(_table1_chunk, args, threads)
-    deltas = np.concatenate([p[2] for p in parts])
+    args = [(seed, s, min(REP_CHUNK, reps - s), ctx) for s in range(0, reps, REP_CHUNK)]
+    raw = np.concatenate(map_chunks(_table1_chunk, args, threads))
+    deltas = raw[:, 10]
 
     # columns 0-8 are the cells, 9 the schedule variance
-    means = np.sum([p[0] for p in parts], axis=0) / reps
-    sumsq = np.sum([p[1] for p in parts], axis=0)
-    ses = np.sqrt(np.maximum(sumsq / reps - means**2, 0.0) / reps)
+    means = raw[:, :10].mean(axis=0)
+    ses = np.sqrt(np.maximum(np.square(raw[:, :10]).mean(axis=0) - means**2, 0.0) / reps)
     cells = []
     for j, qname in enumerate(TABLE1_QSPECS):
         for i, est in enumerate(TABLE1_ESTIMATORS):
@@ -380,7 +377,7 @@ def run_table1(
         cells=cells,
         targets=targets,
         delta_mean=float(deltas.mean()),
-        raw=np.concatenate([p[3] for p in parts]) if collect_raw else None,
+        raw=raw if collect_raw else None,
     )
 
 
@@ -394,39 +391,30 @@ DEFAULT_A_GRID = (1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
 def _power_chunk(args) -> dict:
     """Test p-values of ``count`` replicates from ``rep_start`` at one signal scale.
 
-    The chunk draws from one stream, ``SeedSequence([seed, a_index, chunk])``;
-    each sub-batch of R replicates draws x as (R, B, K), the unit noise as
-    (R, N, 2), each group's assignment keys as (R, G, n) and R sampler
-    seeds, and worlds, option tables, bases and observed statistics run on
-    the sub-batch's stacks. Then each replicate samples and scores its
-    replays against every q-spec's basis through ``hettest._mc_hits``, the
-    driver of ``permutation_test``'s Monte Carlo path, from the sampler seed.
-    A replicate goes through ``permutation_test`` instead when its basis is
-    flagged or its responses are not finite, and every replicate does when
-    the space is small enough to enumerate.
+    The chunk draws from ``chunk_rng(seed, a_index, chunk)``. Each sub-batch
+    draws its worlds and assignments by :func:`_draw_replicates`, then R
+    sampler seeds; bases and observed statistics run on the sub-batch's
+    stacks. Then each replicate samples and scores its replays against every
+    q-spec's basis through ``hettest._mc_hits``, the driver of
+    ``permutation_test``'s Monte Carlo path, from its sampler seed. A
+    replicate goes through ``permutation_test`` instead, in replicate order,
+    when its basis is flagged or its responses are not finite, and every
+    replicate does when the space is small enough to enumerate.
     """
-    seed, a_index, a, rep_start, count, config, qspecs, max_draws = args
-    cfg = dataclasses.replace(config, a=a)
+    seed, a_index, a, rep_start, count, ctx, qspecs, max_draws = args
+    design: BlockDesign = ctx["design"]
+    w, q1 = ctx["w"], ctx["q1"]
+    b, k = design.n_blocks, ctx["config"].n_covariates
     specs = [QSpec(kind=name) for name in qspecs]
-    model = friedman_world(cfg, 0)  # block sizes and noise law; its covariates go unused
-    design = model.design
-    b, k = design.n_blocks, cfg.n_covariates
-    w, q1 = block_weights(design), build_q1(design)
     order = design._group_order
     scalar = n_assignments(design) <= max_draws  # permutation_test enumerates a small space
     pvals = {name: np.empty(count) for name in qspecs}
-    rng = np.random.default_rng(np.random.SeedSequence([seed, a_index, rep_start // REP_CHUNK]))
+    rng = chunk_rng(seed, a_index, rep_start // REP_CHUNK)
     for start, size in _sub_batches(rep_start, count, b * (k + q1.rank)):
-        x = _draw_covariates(cfg, rng, size)
-        e = _draw_noise(model, rng, size)
-        z = _draw_treated(design, rng, size)
+        x, _, _, z, r, tau = _draw_replicates(ctx, rng, size, a)
         perm_seeds = rng.integers(0, 2**62, size=size).tolist()
-        f = np.repeat(friedman_function(x), design.sizes, axis=-1)
-        r = _revealed(z, a * f + e[..., 0], f + e[..., 1])
         # non-finite responses go to permutation_test, which rejects them
         finite = np.isfinite(r).all(axis=-1)
-        m1, m0 = _arm_means(design, z, r)
-        tau = (m1 - m0)[:, None, :]
 
         oks, scored = [], []  # scored: (name, ok, bases in group order, F thresholds)
         for spec in specs:
@@ -435,7 +423,7 @@ def _power_chunk(args) -> dict:
             oks.append(ok)
             if basis is not None:
                 qm = basis[..., q1.rank :]
-                t = _f_values(tau, w, qm, basis, b - basis.shape[-1], qm.shape[-1])[:, 0]
+                t = _f_values(tau[:, None], w, qm, basis, b - basis.shape[-1], qm.shape[-1])[:, 0]
                 scored.append((spec.kind, ok, basis[:, order], _replay_threshold(t)))
         groups = _option_groups(design, r, r, OPTION_CELLS)
         for j in np.flatnonzero(np.logical_or.reduce([ok for _, ok, *_ in scored])):
@@ -446,7 +434,7 @@ def _power_chunk(args) -> dict:
             for name, n_hits in zip(names, hits):
                 pvals[name][start - rep_start + j] = (1 + n_hits) / (1 + max_draws)
 
-        # flagged bases in replicate order, so the first failing replicate raises
+        # failing replicates in replicate order, so the first of them raises
         for j in np.flatnonzero(~np.logical_and.reduce(oks)):
             data = AssignmentAndOutcomes._from_flat(z[j].astype(np.int64), r[j], design.sizes)
             for spec, ok in zip(specs, oks):
@@ -481,12 +469,12 @@ def run_power_curve(
     _check_max_draws(max_draws)
     if config is None:
         config = FriedmanConfig(n_blocks=20, a=1.0, b=1.0)
+    ctx = _sim_context(config)
     rows = []
     for a_index, a in enumerate(a_grid):
-        starts = list(range(0, reps, REP_CHUNK))
         args = [
-            (seed, a_index, float(a), s, min(REP_CHUNK, reps - s), config, tuple(qspecs), max_draws)
-            for s in starts
+            (seed, a_index, float(a), s, min(REP_CHUNK, reps - s), ctx, tuple(qspecs), max_draws)
+            for s in range(0, reps, REP_CHUNK)
         ]
         parts = map_chunks(_power_chunk, args, threads)
         for name in qspecs:

@@ -473,6 +473,14 @@ def test_cli_simulate_rejects_zero_reps(tmp_path, capsys, study, extra):
     assert not (tmp_path / study).exists()
 
 
+@pytest.mark.parametrize("scale", [["--a", "nan"], ["--b", "inf"], ["--a", "1e308"]])
+def test_cli_simulate_table1_rejects_non_finite_worlds(tmp_path, capsys, scale):
+    outdir = tmp_path / "t1"
+    assert main(["simulate", "table1", "--reps", "3", *scale, "--out-dir", str(outdir)]) == 2
+    assert "non-finite" in _one_error_line(capsys)
+    assert not outdir.exists()
+
+
 def test_cli_rejects_alpha_too_small_for_a_finite_interval(tmp_path, capsys):
     # 1 - alpha/2 rounds to one, so the normal quantile would be infinite
     path = _write_pairs_csv(tmp_path / "pairs.csv", [0.5, 1.0, 2.5, 1.5, 3.0])

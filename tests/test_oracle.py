@@ -38,7 +38,6 @@ from stratavar import (
     var_s1,
     var_s2,
 )
-from stratavar.oracle import _draw_noise
 
 
 def _random_world(seed: int, sizes=None, treated=None) -> PotentialWorld:
@@ -271,14 +270,6 @@ def test_seeded_per_block_noise_stream_is_frozen():
     ]
     np.testing.assert_allclose(world._arms[0], r1, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(world._arms[1], r0, rtol=1e-12, atol=1e-15)
-
-
-def test_batched_per_block_noise_follows_each_blocks_covariance():
-    model = _per_block_noise_model()
-    e = _draw_noise(model, np.random.default_rng(8), 40_000)
-    assert e.shape == (40_000, model.design.n_units, 2)
-    for unit, block in enumerate([0, 0, 1, 1, 1]):
-        np.testing.assert_allclose(np.cov(e[:, unit].T), model.noise_cov[block], atol=0.08)
 
 
 def test_draw_world_rejects_indefinite_noise_covariance():

@@ -174,6 +174,15 @@ def test_q2_too_many_columns():
         build_q2(design, xbar=rng.normal(size=(4, 3)))
 
 
+def test_too_many_columns_counts_no_more_than_the_blocks():
+    # four near-collinear columns orthogonal to the one q1 column: at most
+    # three are independent, so the count stops at four columns, not five
+    design = BlockDesign.from_sizes([2] * 4, [1] * 4)
+    xbar = 1000 + 1e-4 * np.random.default_rng(1).normal(size=(4, 4))
+    with pytest.raises(TooManyColumns, match="basis would have 4 columns for 4 blocks"):
+        build_q2(design, xbar=xbar)
+
+
 def test_leverage_one_is_rejected():
     design = BlockDesign.from_sizes([2, 2, 2], [1, 1, 1])
     with pytest.raises(LeverageOne):

@@ -1,21 +1,22 @@
 """Differential test of the batched study chunks against one-replicate loops.
 
 ``reference_table1_rows`` and ``reference_power_pvalues`` are the plain
-reading of the two studies. Chunk c of ``REP_CHUNK`` replicates draws from
+reading of the two studies, over the replicates of one plain-numpy draw,
+``reference_replicates``. Chunk c of ``REP_CHUNK`` replicates draws from
 the stream of ``SeedSequence([seed, c])`` (power: ``[seed, a_index, c]``),
 and each sub-batch of ``simulate._sub_batches`` draws its replicates' x,
-noise, assignments (and, for power, replay seeds) as arrays with plain
-numpy calls, in the documented order. Every replicate then runs the scalar
-basis build, estimators and permutation test on its own. The library
-computes a sub-batch as arrays and sends a replicate whose basis any check
-flags down the scalar path. Table-1 raw rows must agree to 1e-12 relative,
-power p-values exactly, and a failing replicate must raise the same
-exception with the same message.
+unit noise, assignment keys and, for power, replay seeds as arrays, in the
+documented order. Every replicate then runs the public scalar path on its
+own: its world, ``block_effects``, the basis build, the estimators and the
+permutation test. The library computes a sub-batch as arrays and sends a
+replicate with a flagged basis or a non-finite response down the scalar
+path. Table-1 raw rows must agree to 1e-12 relative, power p-values
+exactly, and a failing replicate must raise the same exception with the
+same message.
 """
 from __future__ import annotations
 
-import itertools
-import math
+import dataclasses
 import warnings
 
 import numpy as np
@@ -28,36 +29,24 @@ from stratavar import (
     PotentialWorld,
     QSpec,
     TooManyColumns,
-    block_level_covariates,
+    block_effects,
     block_weights,
     build_q1,
     build_q2,
     correct_transforms,
+    estimate_ate,
     friedman_function,
     friedman_sizes,
-    friedman_world,
     observed_responses,
     permutation_test,
     resolve_qspec,
     run_power_curve,
     run_table1,
+    true_ate_variance,
 )
 from stratavar.errors import BadQPair, InputError, NonFiniteResponse, StratavarError
-from stratavar.oracle import _randomization_variance
 from stratavar.projection import q2_stack
 from stratavar.simulate import REP_CHUNK, _sub_batches
-
-
-def reference_option_tables(design: BlockDesign, r1: np.ndarray, r0: np.ndarray) -> list:
-    """Per (size, treated count) group: its blocks and every treated subset's effect."""
-    groups = []
-    for n, kt, idx, units in design.size_groups:
-        a1, a0 = r1[units], r0[units]
-        combos = np.array(list(itertools.combinations(range(n), kt)), dtype=np.int64)
-        t0 = a0[:, combos].sum(axis=2)
-        rest = a0.sum(axis=1, keepdims=True) - t0
-        groups.append((idx, a1[:, combos].sum(axis=2) / kt - rest / (n - kt)))
-    return groups
 
 
 def reference_projection_variances(tau: np.ndarray, w: np.ndarray, q) -> list[float]:
@@ -72,48 +61,57 @@ def reference_projection_variances(tau: np.ndarray, w: np.ndarray, q) -> list[fl
     ]
 
 
-def reference_sub_batches(config: FriedmanConfig, design: BlockDesign, reps: int, *stream):
-    """(generator, first replicate, size) of every sub-batch, chunk by chunk.
+def reference_replicates(
+    config: FriedmanConfig, design: BlockDesign, reps: int, *stream, replay_seeds=False
+):
+    """(x, eps, z, replay seed) of every replicate, drawn chunk by chunk.
 
     Chunk c draws from ``SeedSequence([*stream, c])``; its sub-batches are
-    those of the library, sized by the cells of one replicate's bases.
+    those of the library, sized by the cells of one replicate's bases. A
+    sub-batch of R replicates draws x as (R, B, K), eps as (R, N), one
+    (R, G, n) key array per (size, treated count) group, whose block treats
+    its units with the smallest keys, and, with ``replay_seeds`` (power),
+    R replay seeds.
     """
     cells = design.n_blocks * (config.n_covariates + build_q1(design).rank)
     for c, chunk_start in enumerate(range(0, reps, REP_CHUNK)):
         rng = np.random.default_rng(np.random.SeedSequence([*stream, c]))
-        for start, size in _sub_batches(chunk_start, min(REP_CHUNK, reps - chunk_start), cells):
-            yield rng, start, size
+        for _, size in _sub_batches(chunk_start, min(REP_CHUNK, reps - chunk_start), cells):
+            xs = rng.random((size, design.n_blocks, config.n_covariates))
+            epss = rng.standard_normal((size, design.n_units))
+            keys = [rng.random((size, idx.shape[0], n)) for n, _, idx, _ in design.size_groups]
+            seeds = rng.integers(0, 2**62, size=size) if replay_seeds else [None] * size
+            for j in range(size):
+                z = np.zeros(design.n_units, dtype=np.int64)
+                for (n, kt, _, units), key in zip(design.size_groups, keys):
+                    z[np.take_along_axis(units, np.argsort(key[j], axis=1)[:, :kt], axis=1)] = 1
+                yield xs[j], epss[j], z, seeds[j]
+
+
+def reference_world(design: BlockDesign, a: float, b: float, x, eps, z):
+    """The schedule r1 = a f + b eps, r0 = f + eps and its data under flags z."""
+    f = np.repeat(friedman_function(x), design.sizes)
+    splits = np.cumsum(design.sizes)[:-1]
+    r1, r0 = np.split(a * f + b * eps, splits), np.split(f + eps, splits)
+    world = PotentialWorld(design, r1, r0)
+    return world, observed_responses(world, Assignment(np.split(z, splits)))
 
 
 def reference_table1_rows(config: FriedmanConfig, reps: int, seed: int) -> np.ndarray:
     """One row of ``TABLE1_RAW_COLUMNS`` per replicate, one replicate at a time."""
-    sizes, treated = friedman_sizes(config)
-    design = BlockDesign.from_sizes(sizes, treated)
+    design = BlockDesign.from_sizes(*friedman_sizes(config))
     w = block_weights(design)
-    b = design.n_blocks
     rows = []
-    for rng, _, size in reference_sub_batches(config, design, reps, seed):
-        xs = rng.random((size, b, config.n_covariates))
-        epss = rng.standard_normal((size, design.n_units))
-        picks = [
-            rng.integers(0, math.comb(n, kt), size=(size, idx.shape[0]))
-            for n, kt, idx, _ in design.size_groups
-        ]
-        for j, (x, eps) in enumerate(zip(xs, epss)):
-            f = np.repeat(friedman_function(x), design.sizes)
-            r1 = config.a * f + config.b * eps
-            r0 = f + eps
-            tau = np.empty(b)
-            for (idx, table), pick in zip(reference_option_tables(design, r1, r0), picks):
-                tau[idx] = table[np.arange(idx.shape[0]), pick[j]]
-            sate_var = float(np.sum(w**2 * _randomization_variance(design, r1, r0))) / b**2
-            qs = (
-                build_q1(design),
-                build_q2(design, xbar=correct_transforms(x), poly_degree=1),
-                build_q2(design, xbar=x, poly_degree=1),
-            )
-            cells = [v for q in qs for v in reference_projection_variances(tau, w, q)]
-            rows.append(cells + [sate_var, float(w @ tau) / b])
+    for x, eps, z, _ in reference_replicates(config, design, reps, seed):
+        world, data = reference_world(design, config.a, config.b, x, eps, z)
+        effects = block_effects(design, data)
+        qs = (
+            build_q1(design),
+            build_q2(design, xbar=correct_transforms(x), poly_degree=1),
+            build_q2(design, xbar=x, poly_degree=1),
+        )
+        cells = [v for q in qs for v in reference_projection_variances(effects.tau_hat, w, q)]
+        rows.append(cells + [true_ate_variance(world), estimate_ate(effects, w)])
     return np.array(rows)
 
 
@@ -121,33 +119,17 @@ def reference_power_pvalues(
     config: FriedmanConfig, a_grid, reps: int, max_draws: int, seed: int, qspecs
 ) -> list[list[float]]:
     """p-values per (a, q-spec) row, each replicate through its own world and test."""
-    design = friedman_world(config, 0).design  # block sizes; its covariates go unused
-    splits = np.cumsum(design.sizes)[:-1]
-    # a factor L with L L' = the noise covariance, as the model's noise law takes it
-    vals, vecs = np.linalg.eigh(np.array([[config.b**2, config.b], [config.b, 1.0]]))
-    factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    design = BlockDesign.from_sizes(*friedman_sizes(config))
     out = []
     for a_index, a in enumerate(a_grid):
         pvals = {name: [] for name in qspecs}
-        for rng, _, size in reference_sub_batches(config, design, reps, seed, a_index):
-            xs = rng.random((size, design.n_blocks, config.n_covariates))
-            noise = rng.standard_normal((size, design.n_units, 2)) @ factor.T
-            keys = [rng.random((size, idx.shape[0], n)) for n, _, idx, _ in design.size_groups]
-            perm_seeds = rng.integers(0, 2**62, size=size)
-            for j, x in enumerate(xs):
-                f = np.repeat(friedman_function(x), design.sizes)
-                r1, r0 = float(a) * f + noise[j, :, 0], f + noise[j, :, 1]
-                world = PotentialWorld(design, np.split(r1, splits), np.split(r0, splits))
-                z = np.zeros(design.n_units, dtype=np.int64)
-                for (n, kt, _, units), key in zip(design.size_groups, keys):
-                    z[np.take_along_axis(units, np.argsort(key[j], axis=1)[:, :kt], axis=1)] = 1
-                data = observed_responses(world, Assignment(np.split(z, splits)))
-                for name in qspecs:
-                    q2 = resolve_qspec(QSpec(kind=name), design, x)
-                    res = permutation_test(
-                        design, data, q2, max_draws=max_draws, seed=int(perm_seeds[j])
-                    )
-                    pvals[name].append(res.p_value)
+        draws = reference_replicates(config, design, reps, seed, a_index, replay_seeds=True)
+        for x, eps, z, perm_seed in draws:
+            _, data = reference_world(design, float(a), config.b, x, eps, z)
+            for name in qspecs:
+                q2 = resolve_qspec(QSpec(kind=name), design, x)
+                res = permutation_test(design, data, q2, max_draws=max_draws, seed=int(perm_seed))
+                pvals[name].append(res.p_value)
         out.extend(pvals[name] for name in qspecs)
     return out
 
@@ -225,17 +207,27 @@ def test_failing_basis_raises_as_in_the_one_replicate_loop():
         (FriedmanConfig(n_blocks=20), float("inf"), 49),
         (FriedmanConfig(n_blocks=20), 1e308, 49),  # a f overflows
         (FriedmanConfig(n_blocks=20, b=float("nan")), 1.0, 49),
+        # max_draws None: a table-1 world with signal scale a
+        (FriedmanConfig(n_blocks=20), float("nan"), None),
+        (FriedmanConfig(n_blocks=20), 1e308, None),
+        (FriedmanConfig(n_blocks=20, b=float("inf")), 2.0, None),
+        (FriedmanConfig(n_blocks=12, b=float("nan")), 2.0, None),  # responses fail before the basis
     ],
 )
 def test_bad_power_inputs_raise_as_in_the_one_replicate_loop(config, a, max_draws):
     qspecs = ("correct", "incorrect")
     with np.errstate(all="ignore"):
-        want = _outcome(lambda: reference_power_pvalues(config, (a,), 3, max_draws, 0, qspecs))
-        got = _outcome(
-            lambda: run_power_curve(
-                config=config, a_grid=(a,), reps=3, max_draws=max_draws, qspecs=qspecs
+        if max_draws is None:
+            config = dataclasses.replace(config, a=a)
+            want = _outcome(lambda: reference_table1_rows(config, 3, 0))
+            got = _outcome(lambda: run_table1(config=config, reps=3, seed=0))
+        else:
+            want = _outcome(lambda: reference_power_pvalues(config, (a,), 3, max_draws, 0, qspecs))
+            got = _outcome(
+                lambda: run_power_curve(
+                    config=config, a_grid=(a,), reps=3, max_draws=max_draws, qspecs=qspecs
+                )
             )
-        )
     assert want[0] in (InputError, NonFiniteResponse)
     assert got == want
 
