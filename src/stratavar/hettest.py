@@ -31,15 +31,13 @@ replays at or above the threshold, and so the exact p-value, is that of
 scoring every assignment with that formula. The trailing table and every
 tile stay within ``CELLS`` cells.
 
-One driver, :func:`_mc_hits`, runs the Monte Carlo path of the test and
-each replicate of the power study: chunk c of the replays comes from
-``chunk_rng(seed, c)`` and is scored with the same guard
-(:func:`_replay_hits`). Each block group's sampled effects add their GEMM
-term to P and their square norms to S, so no draws x B matrix is formed,
-and the power study scores every q-spec with one GEMM against
-[U_q1 | Q_M of each]. A chunk with any draw the guard does not clear is
-scored again as a whole by the per-assignment formula, so the hit count
-is that formula's, bit for bit, and seeded p-values do not change.
+The Monte Carlo path draws chunk c of its replays from ``chunk_rng(seed,
+c)`` and scores it with the same guard (:func:`_replay_hits`): each block
+group's effects add their GEMM term to P and their square norms to S, and a
+chunk with a draw the guard does not clear is scored again by the formula.
+The power study scores a sub-batch of replicates at once
+(:func:`_batch_hits`): each replicate tables the sums of runs of blocks
+with the exact path's builder, and a replay adds one drawn row per run.
 """
 from __future__ import annotations
 
@@ -73,6 +71,9 @@ TILE_CELLS = 1 << 14
 # list grow with it, and 10^8 draws already put a p-value's Monte Carlo
 # standard error below 5e-5.
 MAX_DRAWS = 10**8
+SUPER_ROWS = 128  # option rows of one super-block's table of sums in _batch_hits
+REPLAY_REPS = 4  # replicates whose tables one run of _batch_hits pieces shares
+PIECE_CELLS = 2 * TILE_CELLS  # (replicates, draws, B) cells of one piece of replays
 
 
 @dataclass(frozen=True)
@@ -179,16 +180,17 @@ def _digit_sums(vals: list, rows: list, width: int, start: int, stop: int) -> tu
     return p, s
 
 
-def _table_sums(vals: list, rows: list, width: int) -> tuple:
-    """P and S of every index of the mixed radix over ``vals``, as in ``_digit_sums``.
+def _table_sums(terms: list, shape: tuple) -> np.ndarray:
+    """P and S of every index of the mixed radix over ``terms``, as in ``_digit_sums``.
 
-    Built by repeated broadcast-add, O(width) work per row of the result.
+    ``terms[i]`` holds block i's (C_i, *shape) rows v [basis row | v], any
+    replicate axes before the width L + 1; the (prod C_i, *shape) table is
+    built by repeated broadcast-add, O(width) work per row of the result.
     """
-    p, s = np.zeros((1, width)), np.zeros(1)
-    for v, row in zip(vals, rows):
-        p = (p[:, None, :] + v[None, :, None] * row).reshape(-1, width)
-        s = (s[:, None] + v * v).reshape(-1)
-    return p, s
+    table = terms[0] if terms else np.zeros((1, *shape))
+    for term in terms[1:]:
+        table = (table[:, None] + term[None]).reshape(-1, *shape)
+    return table
 
 
 def _exact_tile(args) -> tuple[int, int]:
@@ -217,7 +219,8 @@ def _exact_tile(args) -> tuple[int, int]:
     den += num
     s = np.add.outer(lead_s, trail_s)
     np.subtract(s, den, out=den)
-    hits, clear = _clear_hits(num, den, s, delta, df_den / k, thresh)
+    hit, clear = _clear_hits(num, den, s, delta, df_den / k, thresh)
+    hits = int(np.count_nonzero(hit))
 
     redo = np.flatnonzero(~clear)
     batch = max(1, CELLS // len(options))
@@ -256,7 +259,9 @@ def _exact_tiles(options: list, w, q1_rank: int, basis, thresh) -> list:
     layout = leading + trailing
     strides = np.empty(len(options), dtype=np.int64)
     strides[layout] = [math.prod(counts[j] for j in layout[n + 1 :]) for n in range(len(layout))]
-    trail_p, trail_s = _table_sums([vals[i] for i in trailing], [basis[i] for i in trailing], width)
+    terms = [np.column_stack([vals[i][:, None] * basis[i], vals[i] * vals[i]]) for i in trailing]
+    trail = _table_sums(terms, (width + 1,))
+    trail_p, trail_s = np.ascontiguousarray(trail[:, :-1]), np.ascontiguousarray(trail[:, -1])
     n_lead = math.prod(counts[i] for i in leading)
     rows = max(1, min(budget, TILE_CELLS // n_trail))  # leading indices of a tile
     fixed = (
@@ -266,23 +271,23 @@ def _exact_tiles(options: list, w, q1_rank: int, basis, thresh) -> list:
     return [(lo, min(lo + rows, n_lead), *fixed) for lo in range(0, n_lead, rows)]
 
 
-def _exact_error(basis: np.ndarray) -> float:
+def _exact_error(basis: np.ndarray) -> np.ndarray:
     """Allowed gap, per unit of |v|^2, between square norms of ``_exact_tile`` and ``_f_values``.
 
-    Both form |Q_M' v|^2 and the residual from sums of at most B + 2 terms
-    over L <= B columns, whose worst-case rounding is below
+    Both form |Q_M' v|^2 and the residual from sums of at most B + 2 terms,
+    in any order, over L <= B columns, whose worst-case rounding is below
     4 eps (B + 2)(L + 1) |v|^2 each (on fuzzed designs the gap stays under
     1% of the allowance). The two residual forms also differ by
-    v'U (U'U - I) U'v when U is not exactly orthonormal.
+    v'U (U'U - I) U'v when the (..., B, L) U is not exactly orthonormal.
     """
-    b, width = basis.shape
-    gram = basis.T @ basis - np.eye(width)
-    defect = float(np.linalg.norm(gram))
+    b, width = basis.shape[-2:]
+    gram = basis.swapaxes(-1, -2) @ basis - np.eye(width)
+    defect = np.sqrt(np.einsum("...ij,...ij->...", gram, gram))
     return 8.0 * np.finfo(float).eps * (b + 2) * (width + 1) + 2.0 * defect * (1.0 + defect)
 
 
-def _clear_hits(num, den, s, delta: float, ratio: float, thresh) -> tuple[int, np.ndarray]:
-    """Hits among the cells whose F is clearly on one side of ``thresh``, and their mask.
+def _clear_hits(num, den, s, delta, ratio, thresh) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the clear hits and of the cells whose F is clearly on one side of ``thresh``.
 
     ``num`` and ``den`` are the explained square norm |P_M|^2 and the
     residual S - |P|^2 of each cell, formed from projection sums; F is
@@ -292,8 +297,8 @@ def _clear_hits(num, den, s, delta: float, ratio: float, thresh) -> tuple[int, n
     "clearly" allows ``delta`` * S of error in each square norm, which
     bounds the rounding of the projection sums and of ``_f_values`` both
     (see ``_exact_error``). ``_f_values`` decides every clear cell the same
-    way, so only the others need scoring by it. All three arrays are
-    overwritten.
+    way, so only the others need scoring by it. ``delta``, ``ratio`` and
+    ``thresh`` broadcast against the cells. All three arrays are overwritten.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         clear = den > s * (DENOMINATOR_TOL + 2.0 * delta)
@@ -307,7 +312,7 @@ def _clear_hits(num, den, s, delta: float, ratio: float, thresh) -> tuple[int, n
         den -= s
         slack /= den
         clear &= np.abs(f - thresh) > slack
-    return int(np.count_nonzero(clear & (f >= thresh))), clear
+    return clear & (f >= thresh), clear
 
 
 def _mc_chunk_sizes(groups: list, n_blocks: int, max_draws: int) -> list[int]:
@@ -320,30 +325,26 @@ def _mc_chunk_sizes(groups: list, n_blocks: int, max_draws: int) -> list[int]:
     return [min(rows, max_draws - c * rows) for c in range(math.ceil(max_draws / rows))]
 
 
-def _replay_hits(groups: list, w, q1_rank: int, specs: list, chunk: tuple) -> list[int]:
-    """Hits of one Monte Carlo chunk for each ``(basis, thresh, delta)`` of ``specs``.
+def _replay_hits(groups: list, w, basis, q1_rank: int, thresh, delta, chunk: tuple) -> int:
+    """Hits at or above F ``thresh`` among one Monte Carlo chunk of replays.
 
     ``chunk`` is ``(seed, c, m)``: m replays drawn by ``_draw_options``
     from ``chunk_rng(seed, c)``. ``groups`` are as for ``_drawn_effects``,
-    without leading axes; ``w`` and every basis have their rows in group
-    order, and the bases share their first ``q1_rank`` columns U_q1. The
-    replays v = W tau are scored from their projection sums: each group adds
-    its GEMM term to P = v [U_q1 | Q_M of every spec], and its square norms to
-    S = |v|^2, in runs of draws of at most ``TILE_CELLS`` cells, so no
-    (m, B) array is formed and every temporary stays in cache. If
-    :func:`_clear_hits` leaves any replay unclear for a spec, all of them
-    are scored again by ``_f_values`` for it: a GEMM's rounding of one row
-    can depend on the rows batched with it, so only the whole batch
+    and ``w`` and the basis [U_q1 | Q_M] have their rows in group order. Each
+    group adds its GEMM term to P = v [U_q1 | Q_M] and its square norms to
+    S = |v|^2, in runs of draws of at most ``TILE_CELLS`` cells, and
+    :func:`_clear_hits` scores them with ``delta``. If it leaves any replay
+    unclear, all are scored again by ``_f_values``: a GEMM's rounding of one
+    row can depend on the rows batched with it, so only the whole batch
     reproduces the count of that formula bit for bit.
     """
     seed, c, m = chunk
     draws = _draw_options(chunk_rng(seed, c), groups, m)
-    joint = np.concatenate([specs[0][0]] + [basis[:, q1_rank:] for basis, *_ in specs[1:]], axis=1)
-    p, s = np.zeros((m, joint.shape[1])), np.zeros(m)
+    p, s = np.zeros((m, basis.shape[1])), np.zeros(m)
     start = 0
     for group, d in zip(groups, draws):
         stop = start + group[0].shape[0]
-        w_g, basis_g = w[start:stop], joint[start:stop]
+        w_g, basis_g = w[start:stop], basis[start:stop]
         rows = max(1, TILE_CELLS // (stop - start))  # draws whose temporaries stay in cache
         for i in range(0, m, rows):
             v = _group_effects(group, d[i : i + rows])
@@ -351,39 +352,106 @@ def _replay_hits(groups: list, w, q1_rank: int, specs: list, chunk: tuple) -> li
             p[i : i + rows] += v @ basis_g
             s[i : i + rows] += np.einsum("ij,ij->i", v, v)
         start = stop
-    p1 = p[:, :q1_rank]
-    explained_q1 = np.einsum("ij,ij->i", p1, p1)
-    hits, col, t_mat = [], q1_rank, None
-    for basis, thresh, delta in specs:
-        qm, df_den = basis[:, q1_rank:], w.shape[0] - basis.shape[1]
-        k = qm.shape[1]
-        pm = p[:, col : col + k]
-        num = np.einsum("ij,ij->i", pm, pm)
-        den = s - (explained_q1 + num)
-        n_hits, clear = _clear_hits(num, den, s.copy(), delta, df_den / k, thresh)
-        if not clear.all():
-            t_mat = _drawn_effects(groups, draws) if t_mat is None else t_mat
-            n_hits = int(np.sum(_f_values(t_mat, w, qm, basis, df_den, k) >= thresh))
-        hits.append(n_hits)
-        col += k
-    return hits
+    qm, df_den = basis[:, q1_rank:], w.shape[0] - basis.shape[1]
+    p1, pm = p[:, :q1_rank], p[:, q1_rank:]
+    num = np.einsum("ij,ij->i", pm, pm)
+    den = s - (np.einsum("ij,ij->i", p1, p1) + num)
+    hit, clear = _clear_hits(num, den, s, delta, df_den / qm.shape[1], thresh)
+    if not clear.all():
+        t_mat = _drawn_effects(groups, draws)
+        return int(np.sum(_f_values(t_mat, w, qm, basis, df_den, qm.shape[1]) >= thresh))
+    return int(np.count_nonzero(hit))
 
 
-def _mc_hits(
-    seed, groups: list, w, q1_rank: int, bases: list, thresholds: list, max_draws: int, threads: int
-) -> list[int]:
-    """Hits per basis and F threshold among ``max_draws`` replays sampled from ``seed``.
+def _super_blocks(counts: list) -> tuple[list, list]:
+    """Runs of consecutive blocks of at most SUPER_ROWS option rows (or one block); their rows."""
+    runs, rows = [], []
+    for i, c in enumerate(counts):
+        if not rows or rows[-1] * c > SUPER_ROWS:
+            runs, rows = runs + [[]], rows + [1]
+        runs[-1].append(i)
+        rows[-1] *= c
+    return runs, rows
 
-    ``groups`` come from :func:`_option_groups`; ``w`` and each (B, L) basis
-    [U_q1 | Q_M], all sharing the first ``q1_rank`` columns, have their rows
-    in group order. Chunk c of ``_mc_chunk_sizes`` is drawn from
-    ``chunk_rng(seed, c)`` and scored by :func:`_replay_hits`, so the counts
-    do not depend on ``threads``.
+
+def _replay_pieces(reps: int, n_blocks: int, max_draws: int) -> list[tuple[int, int, int, int]]:
+    """(first replicate, replicates, first draw, draws) of each piece of ``_batch_hits``.
+
+    Runs of REPLAY_REPS replicates take their draws in equal ranges of at
+    most about PIECE_CELLS cells of (replicates, draws, B) effects.
     """
-    specs = [(basis, thresh, _exact_error(basis)) for basis, thresh in zip(bases, thresholds)]
-    chunks = [(seed, c, m) for c, m in enumerate(_mc_chunk_sizes(groups, w.shape[0], max_draws))]
-    parts = map_chunks(functools.partial(_replay_hits, groups, w, q1_rank, specs), chunks, threads)
-    return [sum(hits) for hits in zip(*parts)]
+    pieces = math.ceil(max_draws * min(reps, REPLAY_REPS) * n_blocks / PIECE_CELLS)
+    step = math.ceil(max_draws / pieces)
+    runs = [(j, min(REPLAY_REPS, reps - j)) for j in range(0, reps, REPLAY_REPS)]
+    return [(j, r, d, min(step, max_draws - d)) for j, r in runs for d in range(0, max_draws, step)]
+
+
+def _batch_hits(rng, tables: list, w, q1_rank: int, bases: list, thresh, live, max_draws: int):
+    """(R, specs) hits among ``max_draws`` replays of each of R replicates.
+
+    ``tables`` are the (R, G, C) option tables of ``_option_groups``; ``w`` and
+    each spec's (R, B, L) basis [U_q1 | Q_M] have their rows in group order.
+    Pair (j, s) of the (R, specs) ``live`` mask counts the replays with F at
+    or above ``thresh[j, s]``; the others count 0. Each piece of
+    ``_replay_pieces`` draws, for each super-block of ``_super_blocks``, a
+    uniform (replicates, draws) index into its option rows (``uint16`` where
+    they fit), its first block the most significant digit, so every replay
+    is a uniform assignment. Its P = v [U_q1 | Q_M of each spec] and
+    S = |v|^2 are the sum of the rows it picks from the super-blocks'
+    ``_table_sums`` tables, scored by ``_clear_hits``; a pair with a replay
+    the guard leaves unclear is scored again by ``_f_values`` on the piece's
+    effects, decoded from the option tables, so each count is that formula's.
+    """
+    opts = [t[:, g] for t in tables for g in range(t.shape[1])]  # (R, C) options of each block
+    sbs, rows = _super_blocks([o.shape[-1] for o in opts])
+    radix = [[opts[b].shape[-1] for b in sb] for sb in sbs]
+    starts = np.cumsum([0] + rows[:-1])
+    cols = np.cumsum([0, q1_rank] + [b.shape[-1] - q1_rank for b in bases])  # U_q1, each Q_M, S
+    width = cols[-1] + 1
+    parts = np.eye(len(cols))[:-1].repeat(np.append(np.diff(cols), 1), axis=1)  # norms by a GEMM
+    k = np.diff(cols)[1:]
+    ratio = ((len(w) - q1_rank - k) / k)[:, None]
+    deltas = np.array([_exact_error(b) for b in bases]).reshape(-1, live.shape[0]).T
+    hits, alive = np.zeros(live.shape, dtype=np.int64), live.any(axis=1).tolist()
+    # 16-bit indices where they fit: numpy draws them about twice as fast
+    dtypes = [np.uint16 if n <= 1 << 16 else np.int64 for n in rows]
+    with np.errstate(invalid="ignore", over="ignore"):  # a replicate not live may hold any value
+        for j0, r, d0, m in _replay_pieces(live.shape[0], len(opts), max_draws):
+            draws = [rng.integers(0, n, (r, m), dt) for n, dt in zip(rows, dtypes)]
+            run = slice(j0, j0 + r)
+            if not any(alive[run]):
+                continue
+            if d0 == 0:  # the run's tables, built with the replicates inside each row
+                qms = [b[run, :, q1_rank:] for b in bases[1:]]
+                joint = np.concatenate([bases[0][run], *qms], axis=-1)
+                terms, start = [], 0
+                for t in tables:  # (G, C, r, L + 1) terms v [row | v] of each group
+                    v = (t[run] * w[start : start + t.shape[1], None]).transpose(1, 2, 0)[..., None]
+                    row = joint[:, start : start + t.shape[1]].transpose(1, 0, 2)[:, None]
+                    terms += list(np.concatenate([v * row, v * v], axis=-1))
+                    start += t.shape[1]
+                table = np.empty((r, sum(rows), width))
+                for sb, lo, count in zip(sbs, starts, rows):  # (count, r, L + 1) each
+                    sums = _table_sums([terms[i] for i in sb], (r, width))
+                    table[:, lo : lo + count] = sums.swapaxes(0, 1)
+                table = table.reshape(-1, width)
+                offsets = np.arange(r)[:, None] * sum(rows) + starts[:, None, None]
+                args = deltas[run, :, None], ratio, thresh[run, :, None]
+            p = table.take(draws[0] + offsets[0], axis=0)
+            for d, off in zip(draws[1:], offsets[1:]):
+                p += table.take(d + off, axis=0)
+            s = np.repeat(p[:, None, :, -1], len(bases), axis=1)
+            norms = parts @ np.square(p, out=p).swapaxes(-1, -2)  # (r, 1 + specs, m)
+            hit, clear = _clear_hits(norms[:, 1:], (s - norms[:, :1]) - norms[:, 1:], s, *args)
+            n = np.count_nonzero(hit, axis=-1)
+            hits[run] += n
+            for j, i in np.argwhere(live[run] & ~clear.all(axis=-1)) if not clear.all() else ():
+                digits = [x for d, rad in zip(draws, radix) for x in np.unravel_index(d[j], rad)]
+                t_mat = np.column_stack([o[j0 + j, x] for o, x in zip(opts, digits)])
+                basis = bases[i][j0 + j]
+                f = _f_values(t_mat, w, basis[:, q1_rank:], basis, len(w) - q1_rank - k[i], k[i])
+                hits[j0 + j, i] += np.count_nonzero(f >= thresh[j0 + j, i]) - n[j, i]
+    return hits * live
 
 
 def _check_max_draws(max_draws: int) -> None:
@@ -446,7 +514,9 @@ def permutation_test(
         args = _exact_tiles(options, w_g, q2.q1_rank, basis_g, thresh)
         hits, draws = (sum(col) for col in zip(*map_chunks(_exact_tile, args, threads)))
     else:
-        hits = _mc_hits(seed, groups, w_g, q2.q1_rank, [basis_g], [thresh], max_draws, threads)[0]
+        score = (groups, w_g, basis_g, q2.q1_rank, thresh, _exact_error(basis_g))
+        chunks = [(seed, c, m) for c, m in enumerate(_mc_chunk_sizes(groups, len(w), max_draws))]
+        hits = sum(map_chunks(functools.partial(_replay_hits, *score), chunks, threads))
         draws = max_draws
     return HetTestResult(
         f_observed=float(t),

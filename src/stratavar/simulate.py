@@ -32,17 +32,18 @@ draws its replicates by one draw shared by both studies: covariates, one
 unit noise, and one uniform assignment per world, through the draw cores
 of ``friedman_world`` and ``sample_assignment``; the block effects come
 from the kernel of ``block_effects``. Table 1 reads the schedule variance
-off the arms and its estimators off the effects. Power then draws one
-sampler seed per replicate, samples its replays once from it and scores
-them against every q-spec's basis, through the Monte Carlo driver of
-``permutation_test``. Seeded results do not depend on the worker count.
-A replicate whose basis any check of ``build_q2`` flags, or whose
-responses are not finite, takes the scalar path (``block_effects``,
-``build_q2``, ``permutation_test``) in replicate order, so values,
+off the arms and its estimators off the effects. Power then draws and
+scores the replays of all the sub-batch's replicates against every
+q-spec's basis at once (``hettest._batch_hits``), and last one seed per
+replicate. Seeded results do not depend on the worker count. A replicate
+whose basis any check of ``build_q2`` flags, or whose responses are not
+finite, takes the scalar path (``block_effects``, ``build_q2``,
+``permutation_test`` with its seed) in replicate order, so values,
 warnings and the first error are those of the one-replicate loop. So does
-every power replicate when the space is small enough to enumerate.
-``run_power_curve`` rejects a ``max_draws`` that ``permutation_test``
-would reject before it starts.
+every power replicate when the space is small enough to enumerate. Both
+studies reject a seed that is not a non-negative integer, and power an
+``alpha`` outside (0, 1) or a ``max_draws`` that ``permutation_test``
+would reject, before they start.
 """
 from __future__ import annotations
 
@@ -62,10 +63,9 @@ from .design import (
 from .errors import DimensionMismatch, InputError
 from .estimators import _arm_means, _option_groups, _projection_variances, block_effects
 from .hettest import (
-    OPTION_CELLS,
+    _batch_hits,
     _check_max_draws,
     _f_values,
-    _mc_hits,
     _replay_threshold,
     permutation_test,
 )
@@ -204,6 +204,12 @@ def resolve_qspec(spec: QSpec, design: BlockDesign, x: np.ndarray) -> QMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _check_seed(seed) -> None:
+    """Raise InputError unless ``seed`` is a non-negative integer, as every chunk stream needs."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _sim_context(config: FriedmanConfig) -> dict:
     """The design of a study's worlds, with its weights and q1 basis; built once per run."""
     sizes, treated = friedman_sizes(config)
@@ -329,10 +335,11 @@ def run_table1(
     With ``collect_raw`` the result keeps the per-replicate values as well,
     one row per replicate with columns ``TABLE1_RAW_COLUMNS``. Raises
     InputError for fewer than two replicates, which leave the across-worlds
-    variance undefined.
+    variance undefined, and for a seed that is not a non-negative integer.
     """
     if reps < 2:
         raise InputError(f"reps must be at least 2, got {reps}")
+    _check_seed(seed)
     if config is None:
         config = FriedmanConfig(n_blocks=100, a=2.0, b=2.0)
     ctx = _sim_context(config)
@@ -392,14 +399,12 @@ def _power_chunk(args) -> dict:
     """Test p-values of ``count`` replicates from ``rep_start`` at one signal scale.
 
     The chunk draws from ``chunk_rng(seed, a_index, chunk)``. Each sub-batch
-    draws its worlds and assignments by :func:`_draw_replicates`, then R
-    sampler seeds; bases and observed statistics run on the sub-batch's
-    stacks. Then each replicate samples and scores its replays against every
-    q-spec's basis through ``hettest._mc_hits``, the driver of
-    ``permutation_test``'s Monte Carlo path, from its sampler seed. A
-    replicate goes through ``permutation_test`` instead, in replicate order,
-    when its basis is flagged or its responses are not finite, and every
-    replicate does when the space is small enough to enumerate.
+    draws its worlds and assignments by :func:`_draw_replicates`, stacks its
+    bases and observed statistics, and, unless the space is small enough to
+    enumerate, draws and scores all its replays by ``hettest._batch_hits``.
+    Last it draws one seed per replicate, for ``permutation_test`` on each
+    replicate with a flagged basis or non-finite responses, and on every
+    replicate of an enumerable space, in replicate order.
     """
     seed, a_index, a, rep_start, count, ctx, qspecs, max_draws = args
     design: BlockDesign = ctx["design"]
@@ -412,29 +417,26 @@ def _power_chunk(args) -> dict:
     rng = chunk_rng(seed, a_index, rep_start // REP_CHUNK)
     for start, size in _sub_batches(rep_start, count, b * (k + q1.rank)):
         x, _, _, z, r, tau = _draw_replicates(ctx, rng, size, a)
-        perm_seeds = rng.integers(0, 2**62, size=size).tolist()
         # non-finite responses go to permutation_test, which rejects them
         finite = np.isfinite(r).all(axis=-1)
-
-        oks, scored = [], []  # scored: (name, ok, bases in group order, F thresholds)
+        oks, scored = [], []  # scored: (name, ok, basis in group order, F threshold)
         for spec in specs:
             ok, basis, _ = _stacked_bases(q1, w, None if scalar else _qspec_xbar(spec, x), size)
-            ok = ok & finite
-            oks.append(ok)
+            oks.append(ok & finite)
             if basis is not None:
                 qm = basis[..., q1.rank :]
                 t = _f_values(tau[:, None], w, qm, basis, b - basis.shape[-1], qm.shape[-1])[:, 0]
-                scored.append((spec.kind, ok, basis[:, order], _replay_threshold(t)))
-        groups = _option_groups(design, r, r, OPTION_CELLS)
-        for j in np.flatnonzero(np.logical_or.reduce([ok for _, ok, *_ in scored])):
-            mine = [(idx, kt, a1[j], a0[j], table[j]) for idx, kt, a1, a0, table in groups]
-            live = [(name, basis[j], thresh[j]) for name, ok, basis, thresh in scored if ok[j]]
-            names, bases, thresholds = zip(*live)
-            hits = _mc_hits(perm_seeds[j], mine, w[order], q1.rank, bases, thresholds, max_draws, 1)
-            for name, n_hits in zip(names, hits):
-                pvals[name][start - rep_start + j] = (1 + n_hits) / (1 + max_draws)
+                scored.append((spec.kind, oks[-1], basis[:, order], _replay_threshold(t)))
+        if not scalar:
+            names, oks_scored, bases, thresh = zip(*scored) if scored else ((), (), (), ())
+            tables = [table for *_, table in _option_groups(design, r, r)]
+            oks_scored, thresh = (np.array(v).reshape(-1, size).T for v in (oks_scored, thresh))
+            hits = _batch_hits(rng, tables, w[order], q1.rank, bases, thresh, oks_scored, max_draws)
+            for name, p in zip(names, (1 + hits.T) / (1 + max_draws)):
+                pvals[name][start - rep_start : start - rep_start + size] = p
 
         # failing replicates in replicate order, so the first of them raises
+        perm_seeds = rng.integers(0, 2**62, size=size).tolist()
         for j in np.flatnonzero(~np.logical_and.reduce(oks)):
             data = AssignmentAndOutcomes._from_flat(z[j].astype(np.int64), r[j], design.sizes)
             for spec, ok in zip(specs, oks):
@@ -461,12 +463,16 @@ def run_power_curve(
     The config's ``a`` is overridden by each grid value; defaults follow the
     twenty-block study (eight triplets, twelve pairs, unit noise). With
     ``collect_raw`` every row also carries the per-replicate p-values.
-    Raises InputError for fewer than one replicate, and for ``max_draws``
-    below one or above ``hettest.MAX_DRAWS``.
+    Raises InputError for fewer than one replicate, for ``max_draws`` below
+    one or above ``hettest.MAX_DRAWS``, for a seed that is not a
+    non-negative integer and for an ``alpha`` outside (0, 1).
     """
     if reps < 1:
         raise InputError(f"reps must be at least 1, got {reps}")
     _check_max_draws(max_draws)
+    _check_seed(seed)
+    if not 0.0 < alpha < 1.0:  # NaN fails too
+        raise InputError(f"alpha must be inside (0, 1), got {alpha}")
     if config is None:
         config = FriedmanConfig(n_blocks=20, a=1.0, b=1.0)
     ctx = _sim_context(config)

@@ -11,10 +11,14 @@ from stratavar import (
     Assignment,
     BlockDesign,
     InfeasibleBlock,
+    InputError,
     ParseError,
     SchemaError,
     ingest_csv,
     pairs_quartets_study,
+    pate_demo,
+    run_power_curve,
+    run_table1,
     write_experiment_csv,
 )
 from stratavar import _util, cli
@@ -471,6 +475,37 @@ def test_cli_simulate_rejects_zero_reps(tmp_path, capsys, study, extra):
     assert main(args) == 2
     assert "reps" in _one_error_line(capsys)
     assert not (tmp_path / study).exists()
+
+
+@pytest.mark.parametrize(
+    "study, extra, flag",
+    [
+        ("power", ["--reps", "2", "--seed", "-5"], "seed"),
+        ("table1", ["--reps", "3", "--seed", "-1"], "seed"),
+        ("pate-demo", ["--reps", "3", "--seed", "-1"], "seed"),
+        ("power", ["--reps", "2", "--alpha", "2"], "alpha"),
+        ("power", ["--reps", "2", "--alpha", "nan"], "alpha"),
+        ("power", ["--reps", "2", "--alpha", "0"], "alpha"),
+    ],
+)
+def test_cli_simulate_rejects_bad_seeds_and_alphas(tmp_path, capsys, study, extra, flag):
+    outdir = tmp_path / study
+    assert main(["simulate", study, *extra, "--out-dir", str(outdir)]) == 2
+    assert flag in _one_error_line(capsys)
+    assert not outdir.exists()
+
+
+def test_studies_raise_input_errors_for_bad_seeds_and_alphas():
+    for study in (
+        lambda: run_table1(reps=3, seed=-1),
+        lambda: run_table1(reps=3, seed=1.5),
+        lambda: pate_demo(reps=3, seed=-2),
+        lambda: run_power_curve(a_grid=(1.0,), reps=2, seed=-5),
+        lambda: run_power_curve(a_grid=(1.0,), reps=2, alpha=float("nan")),
+        lambda: run_power_curve(a_grid=(1.0,), reps=2, alpha=1.0),
+    ):
+        with pytest.raises(InputError):
+            study()
 
 
 @pytest.mark.parametrize("scale", [["--a", "nan"], ["--b", "inf"], ["--a", "1e308"]])

@@ -294,8 +294,10 @@ def test_power_stream_is_anchored_at_chunks(threads):
     [
         lambda: run_table1(reps=250, seed=1),
         lambda: run_power_curve(a_grid=(1.2,), reps=250, seed=1),
+        # the replays come in pieces, so their memory does not grow with max_draws
+        lambda: run_power_curve(a_grid=(1.2,), reps=3, max_draws=100_000, seed=1),
     ],
-    ids=["table1", "power"],
+    ids=["table1", "power", "power-many-draws"],
 )
 def test_study_chunks_stay_within_the_cell_budget(study):
     study()  # first-call set-up (imports, caches) is not a chunk's

@@ -5,19 +5,26 @@ reading of the two studies, over the replicates of one plain-numpy draw,
 ``reference_replicates``. Chunk c of ``REP_CHUNK`` replicates draws from
 the stream of ``SeedSequence([seed, c])`` (power: ``[seed, a_index, c]``),
 and each sub-batch of ``simulate._sub_batches`` draws its replicates' x,
-unit noise, assignment keys and, for power, replay seeds as arrays, in the
-documented order. Every replicate then runs the public scalar path on its
-own: its world, ``block_effects``, the basis build, the estimators and the
-permutation test. The library computes a sub-batch as arrays and sends a
-replicate with a flagged basis or a non-finite response down the scalar
-path. Table-1 raw rows must agree to 1e-12 relative, power p-values
-exactly, and a failing replicate must raise the same exception with the
-same message.
+unit noise and assignment keys as arrays, in the documented order; power
+then draws the replays of every replicate, piece by piece, and last one
+seed per replicate. Every replicate then runs the public scalar path on
+its own: its world, ``block_effects``, the basis build and the estimators.
+A power replicate counts the replays whose F, by the per-assignment
+formula on effects decoded from its option tables, reaches the observed
+one; a replicate with a flagged stacked basis or a non-finite response,
+and every replicate of an enumerable space, runs ``permutation_test``
+with its seed instead. The library computes a sub-batch as arrays.
+Table-1 raw rows must agree to 1e-12 relative, power p-values exactly,
+and a failing replicate must raise the same exception with the same
+message.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +44,7 @@ from stratavar import (
     estimate_ate,
     friedman_function,
     friedman_sizes,
+    n_assignments,
     observed_responses,
     permutation_test,
     resolve_qspec,
@@ -44,9 +52,18 @@ from stratavar import (
     run_table1,
     true_ate_variance,
 )
+from stratavar import hettest
 from stratavar.errors import BadQPair, InputError, NonFiniteResponse, StratavarError
 from stratavar.projection import q2_stack
-from stratavar.simulate import REP_CHUNK, _sub_batches
+from stratavar.estimators import _option_groups
+from stratavar.simulate import (
+    REP_CHUNK,
+    _draw_replicates,
+    _qspec_xbar,
+    _sim_context,
+    _stacked_bases,
+    _sub_batches,
+)
 
 
 def reference_projection_variances(tau: np.ndarray, w: np.ndarray, q) -> list[float]:
@@ -62,16 +79,16 @@ def reference_projection_variances(tau: np.ndarray, w: np.ndarray, q) -> list[fl
 
 
 def reference_replicates(
-    config: FriedmanConfig, design: BlockDesign, reps: int, *stream, replay_seeds=False
+    config: FriedmanConfig, design: BlockDesign, reps: int, *stream, replays=None
 ):
-    """(x, eps, z, replay seed) of every replicate, drawn chunk by chunk.
+    """(x, eps, z, replays, seed) of every replicate, drawn chunk by chunk.
 
     Chunk c draws from ``SeedSequence([*stream, c])``; its sub-batches are
     those of the library, sized by the cells of one replicate's bases. A
-    sub-batch of R replicates draws x as (R, B, K), eps as (R, N), one
+    sub-batch of R replicates draws x as (R, B, K), eps as (R, N) and one
     (R, G, n) key array per (size, treated count) group, whose block treats
-    its units with the smallest keys, and, with ``replay_seeds`` (power),
-    R replay seeds.
+    its units with the smallest keys. With ``replays(rng, R)`` (power), it
+    then draws each replicate's replays by that function and last R seeds.
     """
     cells = design.n_blocks * (config.n_covariates + build_q1(design).rank)
     for c, chunk_start in enumerate(range(0, reps, REP_CHUNK)):
@@ -80,12 +97,63 @@ def reference_replicates(
             xs = rng.random((size, design.n_blocks, config.n_covariates))
             epss = rng.standard_normal((size, design.n_units))
             keys = [rng.random((size, idx.shape[0], n)) for n, _, idx, _ in design.size_groups]
-            seeds = rng.integers(0, 2**62, size=size) if replay_seeds else [None] * size
+            drawn = replays(rng, size) if replays else [None] * size
+            seeds = rng.integers(0, 2**62, size=size) if replays else [None] * size
             for j in range(size):
                 z = np.zeros(design.n_units, dtype=np.int64)
                 for (n, kt, _, units), key in zip(design.size_groups, keys):
                     z[np.take_along_axis(units, np.argsort(key[j], axis=1)[:, :kt], axis=1)] = 1
-                yield xs[j], epss[j], z, seeds[j]
+                yield xs[j], epss[j], z, drawn[j], seeds[j]
+
+
+def reference_replays(design: BlockDesign, max_draws: int, rng, size: int) -> list[list]:
+    """Each replicate's replays: a list of (draws, B) option indices, one per piece.
+
+    The blocks, in (size, treated count) group order, run in the super-blocks
+    of ``hettest._super_blocks``. Each piece of ``hettest._replay_pieces``
+    draws, super-block by super-block, an (R, draws) uniform index array into
+    the super-block's mixed radix of option indices, its first block the
+    most significant digit.
+    """
+    counts = [math.comb(n, kt) for n, kt, idx, _ in design.size_groups for _ in idx]
+    out = [[] for _ in range(size)]
+    for j0, r, _, m in hettest._replay_pieces(size, design.n_blocks, max_draws):
+        digits = np.empty((r, m, len(counts)), dtype=np.int64)
+        for sb in hettest._super_blocks(counts)[0]:
+            rows = math.prod(counts[b] for b in sb)
+            dtype = np.uint16 if rows <= 1 << 16 else np.int64  # 16 bits where the rows fit
+            index = rng.integers(0, rows, size=(r, m), dtype=dtype)
+            for b in reversed(sb):
+                index, digits[:, :, b] = np.divmod(index, counts[b])
+        for j in range(r):
+            out[j0 + j].append(digits[j])
+    return out
+
+
+def reference_options(design: BlockDesign, r: np.ndarray) -> list[np.ndarray]:
+    """Each block's effect under every treated subset, lexicographic, in group order."""
+    out = []
+    for n, kt, idx, units in design.size_groups:
+        for row in units:
+            y = r[row]
+            subsets = [list(s) for s in itertools.combinations(range(n), kt)]
+            effects = [y[s].sum() / kt - (y.sum() - y[s].sum()) / (n - kt) for s in subsets]
+            out.append(np.array(effects))
+    return out
+
+
+def reference_hits(options: list, replays: list, w, basis, q1_rank: int, thresh: float) -> int:
+    """Replays whose F, by ``_f_values`` on effects decoded from ``options``, reaches ``thresh``.
+
+    ``w`` and the basis have their rows in group order, as the options do;
+    each piece of ``replays`` is scored as one batch.
+    """
+    df = (basis.shape[0] - basis.shape[1], basis.shape[1] - q1_rank)
+    hits = 0
+    for digits in replays:
+        t_mat = np.column_stack([opts[d] for opts, d in zip(options, digits.T)])
+        hits += int(np.sum(hettest._f_values(t_mat, w, basis[:, q1_rank:], basis, *df) >= thresh))
+    return hits
 
 
 def reference_world(design: BlockDesign, a: float, b: float, x, eps, z):
@@ -102,7 +170,7 @@ def reference_table1_rows(config: FriedmanConfig, reps: int, seed: int) -> np.nd
     design = BlockDesign.from_sizes(*friedman_sizes(config))
     w = block_weights(design)
     rows = []
-    for x, eps, z, _ in reference_replicates(config, design, reps, seed):
+    for x, eps, z, _, _ in reference_replicates(config, design, reps, seed):
         world, data = reference_world(design, config.a, config.b, x, eps, z)
         effects = block_effects(design, data)
         qs = (
@@ -119,17 +187,38 @@ def reference_power_pvalues(
     config: FriedmanConfig, a_grid, reps: int, max_draws: int, seed: int, qspecs
 ) -> list[list[float]]:
     """p-values per (a, q-spec) row, each replicate through its own world and test."""
+    hettest._check_max_draws(max_draws)  # as permutation_test does, before any replicate
     design = BlockDesign.from_sizes(*friedman_sizes(config))
+    w, q1 = block_weights(design), build_q1(design)
+    order = np.concatenate([idx for _, _, idx, _ in design.size_groups])
+    sampled = n_assignments(design) > max_draws
+
+    def draw(rng, size):  # an enumerable space draws no replays
+        return reference_replays(design, max_draws, rng, size) if sampled else [None] * size
+
     out = []
     for a_index, a in enumerate(a_grid):
         pvals = {name: [] for name in qspecs}
-        draws = reference_replicates(config, design, reps, seed, a_index, replay_seeds=True)
-        for x, eps, z, perm_seed in draws:
+        draws = reference_replicates(config, design, reps, seed, a_index, replays=draw)
+        for x, eps, z, replays, perm_seed in draws:
             _, data = reference_world(design, float(a), config.b, x, eps, z)
+            r = np.concatenate(data.responses)
             for name in qspecs:
+                xbar = _qspec_xbar(QSpec(kind=name), x)
+                flagged = xbar is None or not q2_stack(q1, (w[:, None] * xbar)[None]).ok[0]
                 q2 = resolve_qspec(QSpec(kind=name), design, x)
-                res = permutation_test(design, data, q2, max_draws=max_draws, seed=int(perm_seed))
-                pvals[name].append(res.p_value)
+                if flagged or not sampled or not np.isfinite(r).all():
+                    res = permutation_test(design, data, q2, max_draws, seed=int(perm_seed))
+                    pvals[name].append(res.p_value)
+                    continue
+                df = (design.n_blocks - q2.rank, q2.added_covariate_rank)
+                tau = block_effects(design, data).tau_hat
+                t = hettest._f_values(tau[None], w, q2.basis[:, q2.q1_rank :], q2.basis, *df)[0]
+                thresh = t - 1e-12 * abs(t) if np.isfinite(t) else np.inf
+                options = reference_options(design, r)
+                basis = q2.basis[order]  # replays run in group order
+                hits = reference_hits(options, replays, w[order], basis, q2.q1_rank, thresh)
+                pvals[name].append((1 + hits) / (1 + max_draws))
         out.extend(pvals[name] for name in qspecs)
     return out
 
@@ -281,3 +370,112 @@ def test_stacked_basis_rows_agree_with_build_q2(sizes_seed):
         assert np.array_equal(q.basis, np.column_stack([q1.basis, stack.qm[j]]))
         assert np.array_equal(q.leverages, stack.leverages[j])
     assert 0 in kinds_ok and kinds_flagged >= {1, 2, 3, 4, 6, 7, 8}
+
+
+def _replay_batch(config: FriedmanConfig, reps: int, seed: int):
+    """A sub-batch of study replicates, as ``_power_chunk`` hands it to ``_batch_hits``."""
+    ctx = _sim_context(config)
+    design, w, q1 = ctx["design"], ctx["w"], ctx["q1"]
+    x, _, _, _, r, tau = _draw_replicates(ctx, np.random.default_rng(seed), reps, 1.0)
+    order = design._group_order
+    bases, thresh = [], []
+    for name in ("correct", "incorrect"):
+        ok, basis, _ = _stacked_bases(q1, w, _qspec_xbar(QSpec(kind=name), x), reps)
+        assert ok.all()
+        qm = basis[..., q1.rank :]
+        df = (design.n_blocks - basis.shape[-1], qm.shape[-1])
+        t = hettest._f_values(tau[:, None], w, qm, basis, *df)
+        bases.append(basis[:, order])
+        thresh.append(hettest._replay_threshold(t[:, 0]))
+    tables = [table for *_, table in _option_groups(design, r, r)]
+    return design, r, w[order], q1.rank, tables, bases, np.array(thresh).T
+
+
+def _reference_batch_hits(design, r, w, q1_rank, bases, thresh, max_draws, seed) -> np.ndarray:
+    """(R, specs) hits of the same draws, each replicate scored alone by ``_f_values``."""
+    replays = reference_replays(design, max_draws, np.random.default_rng(seed), r.shape[0])
+    hits = np.zeros(thresh.shape, dtype=np.int64)
+    for j, pieces in enumerate(replays):
+        options = reference_options(design, r[j])
+        for i, basis in enumerate(bases):
+            hits[j, i] = reference_hits(options, pieces, w, basis[j], q1_rank, thresh[j, i])
+    return hits
+
+
+@pytest.mark.parametrize(
+    "config, reps, max_draws",
+    [
+        (FriedmanConfig(n_blocks=20), 11, 999),
+        (FriedmanConfig(n_blocks=12, triplet_fraction=0.0, n_covariates=5), 9, 301),
+        (FriedmanConfig(n_blocks=100), 3, 57),
+        (FriedmanConfig(n_blocks=20), 5, 2500),
+    ],
+)
+def test_batched_hits_equal_the_formula_on_the_same_draws(config, reps, max_draws):
+    design, r, w, q1_rank, tables, bases, thresh = _replay_batch(config, reps, seed=reps)
+    live = np.ones(thresh.shape, dtype=bool)
+    live[1, 0] = False  # a pair that is not scored counts nothing
+    rng = np.random.default_rng(7)
+    got = hettest._batch_hits(rng, tables, w, q1_rank, bases, thresh, live, max_draws)
+    want = _reference_batch_hits(design, r, w, q1_rank, bases, thresh, max_draws, seed=7)
+    assert got[1, 0] == 0
+    want[1, 0] = 0
+    assert np.array_equal(got, want)
+    assert 0 < want.sum() < want.size * max_draws
+
+
+@pytest.mark.parametrize(
+    "reps, n_blocks, max_draws",
+    [(11, 20, 999), (5, 20, 2500), (9, 20, 100_000), (3, 100, 57), (1, 4, 1)],
+)
+def test_replay_pieces_cover_every_draw_once_within_the_cell_budget(reps, n_blocks, max_draws):
+    seen = np.zeros((reps, max_draws), dtype=np.int8)
+    pieces = hettest._replay_pieces(reps, n_blocks, max_draws)
+    for j0, r, d0, m in pieces:
+        seen[j0 : j0 + r, d0 : d0 + m] += 1
+        # a piece's (replicates, draws, B) effects: at most one draw per replicate over
+        assert r * m * n_blocks <= hettest.PIECE_CELLS + r * n_blocks
+    assert (seen == 1).all()
+    if max_draws >= 999:  # a run takes its draws in several pieces
+        assert len(pieces) > math.ceil(reps / hettest.REPLAY_REPS)
+
+
+@pytest.mark.parametrize("ulps", [0, 1, -1])
+def test_unclear_replays_are_scored_again_by_the_formula(ulps):
+    # a threshold at, or one ulp beside, an attained replay F: the projection
+    # sums cannot tell which side that replay is on, so its piece is decoded
+    # and scored again
+    design, r, w, q1_rank, tables, bases, thresh = _replay_batch(FriedmanConfig(n_blocks=20), 4, 3)
+    max_draws = 999
+    replays = reference_replays(design, max_draws, np.random.default_rng(2), 4)
+    basis = bases[1][2]
+    t_mat = np.column_stack(
+        [opts[d] for opts, d in zip(reference_options(design, r[2]), replays[2][0].T)]
+    )
+    df = (basis.shape[0] - basis.shape[1], basis.shape[1] - q1_rank)
+    attained = np.median(hettest._f_values(t_mat, w, basis[:, q1_rank:], basis, *df))
+    thresh[2, 1] = attained + ulps * np.spacing(attained)
+    live = np.ones(thresh.shape, dtype=bool)
+    with mock.patch.object(hettest, "_f_values", wraps=hettest._f_values) as rescored:
+        rng = np.random.default_rng(2)
+        got = hettest._batch_hits(rng, tables, w, q1_rank, bases, thresh, live, max_draws)
+    assert rescored.call_count >= 1
+    want = _reference_batch_hits(design, r, w, q1_rank, bases, thresh, max_draws, seed=2)
+    assert np.array_equal(got, want)
+
+
+def test_non_finite_replicates_do_not_disturb_the_others():
+    design, r, w, q1_rank, tables, bases, thresh = _replay_batch(FriedmanConfig(n_blocks=20), 6, 4)
+    live = np.ones(thresh.shape, dtype=bool)
+    args = (w, q1_rank, bases, thresh)
+    want = hettest._batch_hits(np.random.default_rng(5), tables, *args, live, 199)
+    r = r.copy()
+    r[3, 0], r[4, 1] = np.nan, np.inf  # in the same run as live replicates
+    live[3:5] = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(invalid="ignore"):  # the option tables themselves hold inf - inf
+            tables = [table for *_, table in _option_groups(design, r, r)]
+        got = hettest._batch_hits(np.random.default_rng(5), tables, *args, live, 199)
+    assert np.array_equal(got[live.all(axis=1)], want[live.all(axis=1)])
+    assert not got[3:5].any()
