@@ -6,11 +6,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import InputError
+
+
+def _check_seed(seed) -> None:
+    """Raise InputError unless ``seed`` is a non-negative integer, as every chunk stream needs."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+
 
 def as_rng(seed) -> np.random.Generator:
-    """Coerce an int seed, SeedSequence, Generator, or None to a Generator."""
+    """Coerce a non-negative int seed (``_check_seed``), SeedSequence, Generator or None."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, (int, np.integer)):
+        _check_seed(seed)
     return np.random.default_rng(seed)
 
 

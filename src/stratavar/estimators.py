@@ -160,72 +160,35 @@ def _block_var(design: BlockDesign, x: np.ndarray) -> np.ndarray:
     return np.add.reduceat(dev * dev, design.unit_starts, axis=-1) / (design.sizes - 1)
 
 
-def _option_groups(
-    design: BlockDesign, r1: np.ndarray, r0: np.ndarray, max_cells: float = math.inf
-) -> list:
-    """Option tables of the block effect, one per (size, treated count) group.
+def _option_groups(design: BlockDesign, r: np.ndarray, max_cells: float = math.inf) -> list:
+    """Option tables of the block effect under the null, one per (size, treated count) group.
 
-    ``r1``/``r0`` are flat (..., N) unit arrays of treated- and control-arm
-    responses, with optional leading replicate axes; a replay under the
-    additivity null passes the observed responses as both. Each group is
-    ``(idx, kt, r1, r0, table)``, with the (..., G, n) arm responses of
+    ``r`` is a flat (..., N) unit array of observed responses, with optional
+    leading replicate axes; under the null they are both arms' responses.
+    Each group is ``(idx, kt, a, table)``, with the (..., G, n) responses of
     blocks ``idx``. Row g of the (..., G, C(n, kt)) ``table`` holds, for
     every treated subset of block idx[g] in lexicographic order, the mean of
-    r1 over the subset minus the mean of r0 over its complement; the table
-    is None when C(n, kt) * kt exceeds ``max_cells``.
+    a over the subset minus the mean over its complement; the table is None
+    when C(n, kt) * kt exceeds ``max_cells``.
     """
     groups = []
     for n, kt, idx, units in design.size_groups:
-        a1, a0 = r1[..., units], r0[..., units]
+        a = r[..., units]
         table = None
         if math.comb(n, kt) * kt <= max_cells:
-            combos = _treated_subsets(n, kt)
-            t0 = a0[..., combos].sum(axis=-1)
-            rest = a0.sum(axis=-1, keepdims=True) - t0
-            table = a1[..., combos].sum(axis=-1) / kt - rest / (n - kt)
-        groups.append((idx, kt, a1, a0, table))
+            t1 = a[..., _treated_subsets(n, kt)].sum(axis=-1)
+            table = t1 / kt - (a.sum(axis=-1, keepdims=True) - t1) / (n - kt)
+        groups.append((idx, kt, a, table))
     return groups
 
 
-def _draw_options(rng: np.random.Generator, groups: list, m: int) -> list[np.ndarray]:
-    """Raw draws of m uniform assignments, one array per group of ``groups``.
+def _group_effects(a: np.ndarray, kt: int, keys: np.ndarray) -> np.ndarray:
+    """(..., m, G) block effects of m draws of the blocks of (..., G, n) responses ``a``.
 
-    A tabled group of G blocks draws (m, G) uniform indices into its option
-    rows; any other group draws (m, G, n) uniform keys, and treats the kt
-    units with the smallest keys. ``groups`` carry no leading replicate axes.
+    Each block treats its ``kt`` units with the smallest of its (..., m, G, n) uniform ``keys``.
     """
-    draws = []
-    for _, _, a1, _, table in groups:
-        g, n = a1.shape
-        if table is None:
-            draws.append(rng.random((m, g, n)))
-        else:
-            draws.append(rng.integers(0, table.shape[-1], size=(m, g)))
-    return draws
-
-
-def _group_effects(group: tuple, d: np.ndarray) -> np.ndarray:
-    """(m, G) block effects of one group's draws ``d`` (m draws, or any slice of them).
-
-    ``group`` is one entry of :func:`_option_groups`, without leading
-    replicate axes, and ``d`` the matching array of :func:`_draw_options`.
-    """
-    _, kt, r1, r0, table = group
-    if table is not None:  # one flat take: row g of the table starts at g * C
-        return table.ravel().take(d + np.arange(0, table.size, table.shape[-1]))
-    treated = _smallest_keys(d, kt)
-    t1 = np.take_along_axis(r1[None], treated, axis=-1).sum(axis=-1)
-    t0 = np.take_along_axis(r0[None], treated, axis=-1).sum(axis=-1)
-    return t1 / kt - (r0.sum(axis=-1) - t0) / (r1.shape[-1] - kt)
-
-
-def _drawn_effects(groups: list, draws: list) -> np.ndarray:
-    """(m, B) block effects of drawn assignments, columns in group order.
-
-    ``groups`` come from :func:`_option_groups` and ``draws`` from
-    :func:`_draw_options`.
-    """
-    return np.concatenate([_group_effects(g, d) for g, d in zip(groups, draws)], axis=-1)
+    t1 = np.take_along_axis(a[..., None, :, :], _smallest_keys(keys, kt), axis=-1).sum(axis=-1)
+    return t1 / kt - (a.sum(axis=-1)[..., None, :] - t1) / (a.shape[-1] - kt)
 
 
 def estimate_ate(effects: BlockEffects, w: np.ndarray) -> float:

@@ -31,49 +31,46 @@ replays at or above the threshold, and so the exact p-value, is that of
 scoring every assignment with that formula. The trailing table and every
 tile stay within ``CELLS`` cells.
 
-The Monte Carlo path draws chunk c of its replays from ``chunk_rng(seed,
-c)`` and scores it with the same guard (:func:`_replay_hits`): each block
-group's effects add their GEMM term to P and their square norms to S, and a
-chunk with a draw the guard does not clear is scored again by the formula.
-The power study scores a sub-batch of replicates at once
-(:func:`_batch_hits`): each replicate tables the sums of runs of blocks
-with the exact path's builder, and a replay adds one drawn row per run.
+Monte Carlo replays run on one engine. Tabled blocks form super-blocks
+of at most ``SUPER_ROWS`` option rows, whose P and S the exact path's
+builder tables (:func:`_replay_tables`); a replay (:func:`_replay_piece`)
+sums one drawn row per super-block, adds the GEMM term and square norms
+of blocks drawn by keys, and is scored with the same guard. The power
+study scores a sub-batch of replicates at once (:func:`_batch_hits`);
+``permutation_test`` is its one-replicate case, piece c drawn from
+``chunk_rng(seed, c)``.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ._util import chunk_rng, map_chunks
+from ._util import _check_seed, chunk_rng, map_chunks
 from .design import AssignmentAndOutcomes, BlockDesign, block_weights, n_assignments
 from .errors import BadQPair, InputError, ZeroDenominator
-from .estimators import (
-    _draw_options,
-    _drawn_effects,
-    _group_effects,
-    _option_groups,
-    block_effects,
-)
+from .estimators import _group_effects, _option_groups, block_effects
 from .projection import QMatrix
 
 DENOMINATOR_TOL = 1e-12
-CELLS = 1 << 18  # cells of a Monte Carlo chunk (draws x B) or exact-path array: 2 MB per matrix
+CELLS = 1 << 18  # cells of an exact-path table or rescoring batch: 2 MB per matrix
 OPTION_CELLS = 256  # largest C(n, k) * k for which a block gets an option table
 EXACT_OPTION_CELLS = 1 << 20  # largest C(n, k) * k of one block that exact enumeration tables
 # Assignments an exact tile scores at once (when a row of leading sums
 # spans fewer): at 128 KB per temporary a tile stays in cache, and the
 # benchmark's exact files scored 1.8 times as fast as with 2^18 (2-core host).
 TILE_CELLS = 1 << 14
-# Largest max_draws accepted: the Monte Carlo chunk list and the exact tile
+# Largest max_draws accepted: the Monte Carlo piece list and the exact tile
 # list grow with it, and 10^8 draws already put a p-value's Monte Carlo
 # standard error below 5e-5.
 MAX_DRAWS = 10**8
-SUPER_ROWS = 128  # option rows of one super-block's table of sums in _batch_hits
-REPLAY_REPS = 4  # replicates whose tables one run of _batch_hits pieces shares
-PIECE_CELLS = 2 * TILE_CELLS  # (replicates, draws, B) cells of one piece of replays
+SUPER_ROWS = 128  # option rows of one super-block's table of replay sums
+REPLAY_REPS = 8  # replicates whose tables one run of _batch_hits pieces shares
+# Cells of a piece of replays' largest temporary, over its replicates and draws
+PIECE_CELLS = 2 * TILE_CELLS
 
 
 @dataclass(frozen=True)
@@ -315,143 +312,156 @@ def _clear_hits(num, den, s, delta, ratio, thresh) -> tuple[np.ndarray, np.ndarr
     return clear & (f >= thresh), clear
 
 
-def _mc_chunk_sizes(groups: list, n_blocks: int, max_draws: int) -> list[int]:
-    """Draws of each Monte Carlo chunk; chunk c samples from ``chunk_rng(seed, c)``.
-
-    A chunk holds about CELLS cells of block effects and untabled blocks' keys.
-    """
-    width = n_blocks + sum(r.size for _, _, r, _, table in groups if table is None)
-    rows = max(1, CELLS // width)
-    return [min(rows, max_draws - c * rows) for c in range(math.ceil(max_draws / rows))]
-
-
-def _replay_hits(groups: list, w, basis, q1_rank: int, thresh, delta, chunk: tuple) -> int:
-    """Hits at or above F ``thresh`` among one Monte Carlo chunk of replays.
-
-    ``chunk`` is ``(seed, c, m)``: m replays drawn by ``_draw_options``
-    from ``chunk_rng(seed, c)``. ``groups`` are as for ``_drawn_effects``,
-    and ``w`` and the basis [U_q1 | Q_M] have their rows in group order. Each
-    group adds its GEMM term to P = v [U_q1 | Q_M] and its square norms to
-    S = |v|^2, in runs of draws of at most ``TILE_CELLS`` cells, and
-    :func:`_clear_hits` scores them with ``delta``. If it leaves any replay
-    unclear, all are scored again by ``_f_values``: a GEMM's rounding of one
-    row can depend on the rows batched with it, so only the whole batch
-    reproduces the count of that formula bit for bit.
-    """
-    seed, c, m = chunk
-    draws = _draw_options(chunk_rng(seed, c), groups, m)
-    p, s = np.zeros((m, basis.shape[1])), np.zeros(m)
-    start = 0
-    for group, d in zip(groups, draws):
-        stop = start + group[0].shape[0]
-        w_g, basis_g = w[start:stop], basis[start:stop]
-        rows = max(1, TILE_CELLS // (stop - start))  # draws whose temporaries stay in cache
-        for i in range(0, m, rows):
-            v = _group_effects(group, d[i : i + rows])
-            v *= w_g
-            p[i : i + rows] += v @ basis_g
-            s[i : i + rows] += np.einsum("ij,ij->i", v, v)
-        start = stop
-    qm, df_den = basis[:, q1_rank:], w.shape[0] - basis.shape[1]
-    p1, pm = p[:, :q1_rank], p[:, q1_rank:]
-    num = np.einsum("ij,ij->i", pm, pm)
-    den = s - (np.einsum("ij,ij->i", p1, p1) + num)
-    hit, clear = _clear_hits(num, den, s, delta, df_den / qm.shape[1], thresh)
-    if not clear.all():
-        t_mat = _drawn_effects(groups, draws)
-        return int(np.sum(_f_values(t_mat, w, qm, basis, df_den, qm.shape[1]) >= thresh))
-    return int(np.count_nonzero(hit))
-
-
-def _super_blocks(counts: list) -> tuple[list, list]:
-    """Runs of consecutive blocks of at most SUPER_ROWS option rows (or one block); their rows."""
-    runs, rows = [], []
-    for i, c in enumerate(counts):
-        if not rows or rows[-1] * c > SUPER_ROWS:
-            runs, rows = runs + [[]], rows + [1]
-        runs[-1].append(i)
-        rows[-1] *= c
-    return runs, rows
-
-
-def _replay_pieces(reps: int, n_blocks: int, max_draws: int) -> list[tuple[int, int, int, int]]:
-    """(first replicate, replicates, first draw, draws) of each piece of ``_batch_hits``.
-
-    Runs of REPLAY_REPS replicates take their draws in equal ranges of at
-    most about PIECE_CELLS cells of (replicates, draws, B) effects.
-    """
-    pieces = math.ceil(max_draws * min(reps, REPLAY_REPS) * n_blocks / PIECE_CELLS)
+def _replay_pieces(reps: int, cells: int, max_draws: int) -> list[tuple[int, int, int, int]]:
+    """(first replicate, replicates, first draw, draws) of each piece of replays: runs of
+    REPLAY_REPS replicates take their draws in equal ranges of at most about PIECE_CELLS
+    cells of (replicates, draws, ``cells``), the largest temporary of one replay."""
+    pieces = math.ceil(max_draws * min(reps, REPLAY_REPS) * cells / PIECE_CELLS)
     step = math.ceil(max_draws / pieces)
     runs = [(j, min(REPLAY_REPS, reps - j)) for j in range(0, reps, REPLAY_REPS)]
     return [(j, r, d, min(step, max_draws - d)) for j, r in runs for d in range(0, max_draws, step)]
 
 
-def _batch_hits(rng, tables: list, w, q1_rank: int, bases: list, thresh, live, max_draws: int):
-    """(R, specs) hits among ``max_draws`` replays of each of R replicates.
+class _Replays(NamedTuple):
+    """The null replays of R replicates, as ``_replays`` lays them out."""
 
-    ``tables`` are the (R, G, C) option tables of ``_option_groups``; ``w`` and
-    each spec's (R, B, L) basis [U_q1 | Q_M] have their rows in group order.
-    Pair (j, s) of the (R, specs) ``live`` mask counts the replays with F at
-    or above ``thresh[j, s]``; the others count 0. Each piece of
-    ``_replay_pieces`` draws, for each super-block of ``_super_blocks``, a
-    uniform (replicates, draws) index into its option rows (``uint16`` where
-    they fit), its first block the most significant digit, so every replay
-    is a uniform assignment. Its P = v [U_q1 | Q_M of each spec] and
-    S = |v|^2 are the sum of the rows it picks from the super-blocks'
-    ``_table_sums`` tables, scored by ``_clear_hits``; a pair with a replay
-    the guard leaves unclear is scored again by ``_f_values`` on the piece's
-    effects, decoded from the option tables, so each count is that formula's.
+    runs: list  # (first column, (R, S * k, C) option tables, k): S super-blocks of k blocks
+    keyed: list  # (first column, kt, (R, G, n) responses) of each untabled group
+    w: np.ndarray  # (B,) weights
+    bases: list  # each spec's (R, B, L) basis [U_q1 | Q_M]
+    joint: np.ndarray  # (R, B, L') columns [U_q1 | Q_M of each spec]
+    score: tuple  # (parts, ratio, k, delta, thresh, live), see _replay_piece
+    cells: int  # largest of a replay's draws, an untabled group's keys and the L' + 1 sums
+
+
+def _replays(groups: list, w, q1_rank: int, bases: list, thresh, live) -> _Replays:
+    """The replays of R replicates: ``groups`` of ``_option_groups`` on (R, N) responses.
+
+    ``w`` and each spec's (R, B, L) basis [U_q1 | Q_M] have their rows in
+    group order; ``thresh`` and ``live`` are (R, specs). A tabled group's
+    blocks split, in order, into runs of super-blocks of k blocks, the most
+    whose C**k option rows fit in SUPER_ROWS, then one of those left over.
     """
-    opts = [t[:, g] for t in tables for g in range(t.shape[1])]  # (R, C) options of each block
-    sbs, rows = _super_blocks([o.shape[-1] for o in opts])
-    radix = [[opts[b].shape[-1] for b in sb] for sb in sbs]
-    starts = np.cumsum([0] + rows[:-1])
     cols = np.cumsum([0, q1_rank] + [b.shape[-1] - q1_rank for b in bases])  # U_q1, each Q_M, S
-    width = cols[-1] + 1
-    parts = np.eye(len(cols))[:-1].repeat(np.append(np.diff(cols), 1), axis=1)  # norms by a GEMM
+    joint = np.concatenate([bases[0], *(b[..., q1_rank:] for b in bases[1:])], axis=-1)
     k = np.diff(cols)[1:]
-    ratio = ((len(w) - q1_rank - k) / k)[:, None]
-    deltas = np.array([_exact_error(b) for b in bases]).reshape(-1, live.shape[0]).T
-    hits, alive = np.zeros(live.shape, dtype=np.int64), live.any(axis=1).tolist()
-    # 16-bit indices where they fit: numpy draws them about twice as fast
-    dtypes = [np.uint16 if n <= 1 << 16 else np.int64 for n in rows]
-    with np.errstate(invalid="ignore", over="ignore"):  # a replicate not live may hold any value
-        for j0, r, d0, m in _replay_pieces(live.shape[0], len(opts), max_draws):
-            draws = [rng.integers(0, n, (r, m), dt) for n, dt in zip(rows, dtypes)]
-            run = slice(j0, j0 + r)
-            if not any(alive[run]):
-                continue
-            if d0 == 0:  # the run's tables, built with the replicates inside each row
-                qms = [b[run, :, q1_rank:] for b in bases[1:]]
-                joint = np.concatenate([bases[0][run], *qms], axis=-1)
-                terms, start = [], 0
-                for t in tables:  # (G, C, r, L + 1) terms v [row | v] of each group
-                    v = (t[run] * w[start : start + t.shape[1], None]).transpose(1, 2, 0)[..., None]
-                    row = joint[:, start : start + t.shape[1]].transpose(1, 0, 2)[:, None]
-                    terms += list(np.concatenate([v * row, v * v], axis=-1))
-                    start += t.shape[1]
-                table = np.empty((r, sum(rows), width))
-                for sb, lo, count in zip(sbs, starts, rows):  # (count, r, L + 1) each
-                    sums = _table_sums([terms[i] for i in sb], (r, width))
-                    table[:, lo : lo + count] = sums.swapaxes(0, 1)
-                table = table.reshape(-1, width)
-                offsets = np.arange(r)[:, None] * sum(rows) + starts[:, None, None]
-                args = deltas[run, :, None], ratio, thresh[run, :, None]
-            p = table.take(draws[0] + offsets[0], axis=0)
-            for d, off in zip(draws[1:], offsets[1:]):
-                p += table.take(d + off, axis=0)
-            s = np.repeat(p[:, None, :, -1], len(bases), axis=1)
-            norms = parts @ np.square(p, out=p).swapaxes(-1, -2)  # (r, 1 + specs, m)
-            hit, clear = _clear_hits(norms[:, 1:], (s - norms[:, :1]) - norms[:, 1:], s, *args)
-            n = np.count_nonzero(hit, axis=-1)
-            hits[run] += n
-            for j, i in np.argwhere(live[run] & ~clear.all(axis=-1)) if not clear.all() else ():
-                digits = [x for d, rad in zip(draws, radix) for x in np.unravel_index(d[j], rad)]
-                t_mat = np.column_stack([o[j0 + j, x] for o, x in zip(opts, digits)])
-                basis = bases[i][j0 + j]
-                f = _f_values(t_mat, w, basis[:, q1_rank:], basis, len(w) - q1_rank - k[i], k[i])
-                hits[j0 + j, i] += np.count_nonzero(f >= thresh[j0 + j, i]) - n[j, i]
+    parts = np.eye(len(cols))[:-1].repeat(np.append(np.diff(cols), 1), axis=1)  # norms by a GEMM
+    delta = np.stack([_exact_error(b) for b in bases], axis=-1)
+    score = (parts, ((len(w) - q1_rank - k) / k)[:, None], k, delta, thresh, live)
+    runs, keyed, start, cells = [], [], 0, cols[-1] + 1
+    for _, kt, a, table in groups:
+        g, per = a.shape[-2], 1
+        if table is None:
+            keyed.append((start, kt, a))
+            cells = max(cells, g * a.shape[-1])
+        else:
+            while per < g and table.shape[-1] ** (per + 1) <= SUPER_ROWS:
+                per += 1
+            spans = ((0, g - g % per, per), (g - g % per, g, g % per))
+            runs += [(start + lo, table[:, lo:hi], kb) for lo, hi, kb in spans if hi > lo]
+        start += g
+    drawn = sum(t.shape[1] // kb for _, t, kb in runs) + sum(a.shape[-2] for *_, a in keyed)
+    return _Replays(runs, keyed, w, bases, joint, score, max(cells, drawn))
+
+
+def _replay_tables(rep: _Replays, reps: slice) -> tuple[np.ndarray, list]:
+    """The flat super-block tables of replicates ``reps``, and each run's (S, r, 1) first rows.
+
+    A super-block's table holds P = v [U_q1 | Q_M of each spec] and S =
+    |v|^2 of each of its option rows, its first block the most significant
+    digit, built a run at a time by ``_table_sums``.
+    """
+    joint = rep.joint[reps]
+    r, width = joint.shape[0], joint.shape[-1] + 1
+    sizes = [(opts.shape[-1] ** kb, opts.shape[1] // kb) for _, opts, kb in rep.runs]  # rows, S
+    starts = np.cumsum([0] + [rows * n_sb for rows, n_sb in sizes])
+    table = np.empty((r, starts[-1], width))  # replicate by replicate
+    for (col, opts, kb), (rows, n_sb), start in zip(rep.runs, sizes, starts):
+        n, c = opts.shape[1:]
+        v = (opts[reps] * rep.w[col : col + n, None])[..., None]  # (r, S * k, C, 1) entries of v
+        term = np.concatenate([v * joint[:, col : col + n, None], v * v], axis=-1)
+        terms = term.reshape(r, n_sb, kb, c, width).transpose(2, 3, 1, 0, 4)  # (k, C, S, r, ...)
+        sums = _table_sums(list(terms), (n_sb, r, width))  # (C**k, S, r, L' + 1)
+        dest = table[:, start : start + rows * n_sb].reshape(r, n_sb, rows, width)
+        dest[...] = sums.transpose(2, 1, 0, 3)
+    rep_rows = starts[-1] * np.arange(r)[:, None]
+    firsts = [start + rows * np.arange(n_sb) for (rows, n_sb), start in zip(sizes, starts)]
+    return table.reshape(-1, width), [first[:, None, None] + rep_rows for first in firsts]
+
+
+def _replay_piece(rep: _Replays, tables: tuple, reps: slice, piece: tuple) -> np.ndarray:
+    """(r, specs) hits among the replays of replicates ``reps``: ``piece`` is (rng, m).
+
+    Draws from rng, run by run, an (S, r, m) uniform ``uint16`` index
+    (where the rows fit) into each super-block's option rows, then, group
+    by group, the (r, m, G, n) keys of each untabled group, whose blocks
+    treat their units with the smallest keys. A replay's P and S sum the
+    rows it picks from ``tables`` and each untabled group's GEMM term and
+    square norms. Pair (j, s) counts the replays with F at or above
+    ``thresh[j, s]`` by ``_clear_hits``, or, if it leaves any unclear, by
+    ``_f_values`` on the piece's decoded (m, B) effects; pairs not ``live``
+    count 0.
+    """
+    (rng, m), (parts, ratio, k) = piece, rep.score[:3]
+    delta, thresh, live = (x[reps] for x in rep.score[3:])
+    (table, offsets), (r, b) = tables, (live.shape[0], len(rep.w))
+    draws = []
+    for _, t, kb in rep.runs:
+        rows = t.shape[-1] ** kb
+        dtype = np.uint16 if rows <= 1 << 16 else np.int64  # numpy draws 16-bit indices fastest
+        draws.append(rng.integers(0, rows, (t.shape[1] // kb, r, m), dtype))
+    keys = (rng.random((r, m, *a.shape[1:])) for _, _, a in rep.keyed)
+    effects = [_group_effects(a[reps], kt, key) for (_, kt, a), key in zip(rep.keyed, keys)]
+    step = max(1, PIECE_CELLS // (r * m * table.shape[1]))  # super-blocks of one gather
+    index = [x[i : i + step] for x in map(np.add, draws, offsets) for i in range(0, len(x), step)]
+    p = _summed(table, index[0]) if index else np.zeros((r, m, table.shape[1]))
+    for rows in index[1:]:
+        p += _summed(table, rows)  # each gather's rows are freed before the next
+    for (col, *_), eff in zip(rep.keyed, effects):
+        v = eff * rep.w[col : col + eff.shape[-1]]
+        p[..., :-1] += v @ rep.joint[reps, col : col + v.shape[-1]]
+        p[..., -1] += np.einsum("...i,...i->...", v, v)
+    s = np.repeat(p[:, None, :, -1], len(k), axis=1)
+    norms = parts @ np.square(p, out=p).swapaxes(-1, -2)  # (r, 1 + specs, m)
+    num, den = norms[:, 1:], (s - norms[:, :1]) - norms[:, 1:]
+    hit, clear = _clear_hits(num, den, s, delta[..., None], ratio, thresh[..., None])
+    hits = np.count_nonzero(hit, axis=-1)
+    for j, i in np.argwhere(live & ~clear.all(axis=-1)) if not clear.all() else ():
+        t_mat = np.empty((m, b))  # replicate j's effects, decoded
+        for (col, opts, kb), d in zip(rep.runs, draws):
+            c, n = opts.shape[-1], opts.shape[-2]
+            digits = d[:, j, :, None] // c ** np.arange(kb - 1, -1, -1) % c  # (S, m, k)
+            picked = np.arange(n), digits.swapaxes(0, 1).reshape(m, n)
+            t_mat[:, col : col + n] = opts[reps][j][picked]
+        for (col, *_), eff in zip(rep.keyed, effects):
+            t_mat[:, col : col + eff.shape[-1]] = eff[j]
+        basis = rep.bases[i][reps][j]
+        f = _f_values(t_mat, rep.w, basis[:, -k[i] :], basis, b - basis.shape[1], k[i])
+        hits[j, i] = np.count_nonzero(f >= thresh[j, i])
     return hits * live
+
+
+def _summed(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of the rows of ``table`` at an (S, ...) ``index``."""
+    rows = table.take(index, axis=0)
+    return rows[0] if len(rows) == 1 else rows.sum(axis=0)
+
+
+def _batch_hits(rng, groups: list, w, q1_rank: int, bases: list, thresh, live, max_draws: int):
+    """(R, specs) hits among ``max_draws`` replays of each of R replicates, drawn from ``rng``.
+
+    The arguments are as for ``_replays``; a run of REPLAY_REPS replicates
+    builds its tables once. Pairs not ``live`` count 0.
+    """
+    rep = _replays(groups, w, q1_rank, bases, thresh, live)
+    hits = np.zeros(live.shape, dtype=np.int64)
+    with np.errstate(invalid="ignore", over="ignore"):  # a replicate not live may hold any value
+        for j0, r, d0, m in _replay_pieces(live.shape[0], rep.cells, max_draws):
+            run = slice(j0, j0 + r)
+            if d0 == 0:
+                tables = _replay_tables(rep, run)
+            hits[run] += _replay_piece(rep, tables, run, (rng, m))
+    return hits
 
 
 def _check_max_draws(max_draws: int) -> None:
@@ -480,9 +490,11 @@ def permutation_test(
     degenerate observed statistic (zero residual beyond the basis) is
     treated as infinite, so its p-value counts only the replays that are
     themselves degenerate, and a note records the condition. Raises
-    InputError when ``max_draws`` is below one or above ``MAX_DRAWS``.
+    InputError when ``max_draws`` is below one or above ``MAX_DRAWS``, or
+    when ``seed`` is not a non-negative integer, before any other work.
     """
     _check_max_draws(max_draws)
+    _check_seed(seed)
     w = block_weights(design)
     effects = block_effects(design, data)
     qm = _covariate_block(q2)
@@ -506,17 +518,20 @@ def permutation_test(
             f"exact enumeration of {total} assignments needs a {cells}-cell option table for "
             f"one block, above the limit of {EXACT_OPTION_CELLS}; sampled {max_draws} instead"
         )
-    groups = _option_groups(design, data.r, data.r, math.inf if exact else OPTION_CELLS)
     order = design._group_order
     w_g, basis_g = w[order], q2.basis[order]  # rows in group order
     if exact:
-        options = [row for *_, table in groups for row in table]
+        options = [row for *_, table in _option_groups(design, data.r) for row in table]
         args = _exact_tiles(options, w_g, q2.q1_rank, basis_g, thresh)
         hits, draws = (sum(col) for col in zip(*map_chunks(_exact_tile, args, threads)))
     else:
-        score = (groups, w_g, basis_g, q2.q1_rank, thresh, _exact_error(basis_g))
-        chunks = [(seed, c, m) for c, m in enumerate(_mc_chunk_sizes(groups, len(w), max_draws))]
-        hits = sum(map_chunks(functools.partial(_replay_hits, *score), chunks, threads))
+        groups = _option_groups(design, data.r[None], OPTION_CELLS)
+        one = np.ones((1, 1), dtype=bool)
+        rep = _replays(groups, w_g, q2.q1_rank, [basis_g[None]], np.full((1, 1), thresh), one)
+        pieces = enumerate(_replay_pieces(1, rep.cells, max_draws))
+        pieces = [(chunk_rng(seed, c), m) for c, (*_, m) in pieces]  # piece c draws from (seed, c)
+        score = functools.partial(_replay_piece, rep, _replay_tables(rep, slice(None)), slice(None))
+        hits = int(np.sum(map_chunks(score, pieces, threads)))
         draws = max_draws
     return HetTestResult(
         f_observed=float(t),

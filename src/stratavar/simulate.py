@@ -41,9 +41,9 @@ finite, takes the scalar path (``block_effects``, ``build_q2``,
 ``permutation_test`` with its seed) in replicate order, so values,
 warnings and the first error are those of the one-replicate loop. So does
 every power replicate when the space is small enough to enumerate. Both
-studies reject a seed that is not a non-negative integer, and power an
-``alpha`` outside (0, 1) or a ``max_draws`` that ``permutation_test``
-would reject, before they start.
+studies reject a seed that is not a non-negative integer and a block count
+whose bases no world could have, and power an ``alpha`` outside (0, 1) or
+a ``max_draws`` that ``permutation_test`` would reject, before they start.
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_rng, chunk_rng, map_chunks
+from ._util import _check_seed, as_rng, chunk_rng, map_chunks
 from .design import (
     AssignmentAndOutcomes,
     BlockDesign,
@@ -60,9 +60,10 @@ from .design import (
     block_weights,
     n_assignments,
 )
-from .errors import DimensionMismatch, InputError
+from .errors import DimensionMismatch, InputError, InsufficientBlocks, LeverageOne
 from .estimators import _arm_means, _option_groups, _projection_variances, block_effects
 from .hettest import (
+    OPTION_CELLS,
     _batch_hits,
     _check_max_draws,
     _f_values,
@@ -204,17 +205,27 @@ def resolve_qspec(spec: QSpec, design: BlockDesign, x: np.ndarray) -> QMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _check_seed(seed) -> None:
-    """Raise InputError unless ``seed`` is a non-negative integer, as every chunk stream needs."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+def _sim_context(config: FriedmanConfig, qspecs=()) -> dict:
+    """The design of a study's worlds, with its weights and q1 basis; built once per run.
 
-
-def _sim_context(config: FriedmanConfig) -> dict:
-    """The design of a study's worlds, with its weights and q1 basis; built once per run."""
+    Raises InputError when no world could have the bases of the q-specs
+    named in ``qspecs``: q1 fails, a q1 leverage is one, or q1 and the
+    widest q-spec's covariate columns leave no residual degree of freedom.
+    """
     sizes, treated = friedman_sizes(config)
     design = BlockDesign.from_sizes(sizes, treated)
-    return {"config": config, "design": design, "w": block_weights(design), "q1": build_q1(design)}
+    b = design.n_blocks
+    try:
+        q1 = build_q1(design)
+        q1.psi  # raises LeverageOne
+    except (InsufficientBlocks, LeverageOne) as exc:
+        raise InputError(f"a study of {b} blocks has no q1 basis: {exc}") from None
+    x = np.zeros((1, config.n_covariates))
+    widths = [xbar.shape[-1] for n in qspecs if (xbar := _qspec_xbar(QSpec(n), x)) is not None]
+    if b <= q1.rank + max(widths, default=0):
+        cols = f"q1 rank {q1.rank} plus {max(widths)} covariate columns"
+        raise InputError(f"a study of {b} blocks leaves no residual degree of freedom: {cols}")
+    return {"config": config, "design": design, "w": block_weights(design), "q1": q1}
 
 
 def _sub_batches(start: int, count: int, cells_per_rep: int) -> list[tuple[int, int]]:
@@ -342,7 +353,7 @@ def run_table1(
     _check_seed(seed)
     if config is None:
         config = FriedmanConfig(n_blocks=100, a=2.0, b=2.0)
-    ctx = _sim_context(config)
+    ctx = _sim_context(config, TABLE1_QSPECS)
     args = [(seed, s, min(REP_CHUNK, reps - s), ctx) for s in range(0, reps, REP_CHUNK)]
     raw = np.concatenate(map_chunks(_table1_chunk, args, threads))
     deltas = raw[:, 10]
@@ -427,11 +438,11 @@ def _power_chunk(args) -> dict:
                 qm = basis[..., q1.rank :]
                 t = _f_values(tau[:, None], w, qm, basis, b - basis.shape[-1], qm.shape[-1])[:, 0]
                 scored.append((spec.kind, oks[-1], basis[:, order], _replay_threshold(t)))
-        if not scalar:
-            names, oks_scored, bases, thresh = zip(*scored) if scored else ((), (), (), ())
-            tables = [table for *_, table in _option_groups(design, r, r)]
+        if scored and not scalar:
+            names, oks_scored, bases, thresh = zip(*scored)
+            groups = _option_groups(design, r, OPTION_CELLS)
             oks_scored, thresh = (np.array(v).reshape(-1, size).T for v in (oks_scored, thresh))
-            hits = _batch_hits(rng, tables, w[order], q1.rank, bases, thresh, oks_scored, max_draws)
+            hits = _batch_hits(rng, groups, w[order], q1.rank, bases, thresh, oks_scored, max_draws)
             for name, p in zip(names, (1 + hits.T) / (1 + max_draws)):
                 pvals[name][start - rep_start : start - rep_start + size] = p
 
@@ -475,7 +486,7 @@ def run_power_curve(
         raise InputError(f"alpha must be inside (0, 1), got {alpha}")
     if config is None:
         config = FriedmanConfig(n_blocks=20, a=1.0, b=1.0)
-    ctx = _sim_context(config)
+    ctx = _sim_context(config, qspecs)
     rows = []
     for a_index, a in enumerate(a_grid):
         args = [

@@ -19,7 +19,6 @@ from stratavar import (
     InvalidAlpha,
     NonFiniteResponse,
     NotCoarse,
-    PotentialWorld,
     TooFewBlocks,
     UnequalBlocks,
     analyze_experiment,
@@ -30,7 +29,6 @@ from stratavar import (
     confidence_interval,
     enumerate_assignments,
     estimate_ate,
-    observed_responses,
     sample_assignment,
     var_coarse_classical,
     var_paired_classical,
@@ -161,19 +159,17 @@ def test_block_effects_rejects_non_finite_responses():
     assert issubclass(NonFiniteResponse, InputError)
 
 
-def test_two_arm_option_tables_match_block_effects_of_each_subset():
+def test_option_tables_match_block_effects_of_each_subset():
+    # under the additivity null the observed responses serve both arms: a
+    # table entry is block_effects of the same responses with that subset treated
     rng = np.random.default_rng(41)
     layout = [(3, 2), (2, 1), (4, 2), (3, 1), (2, 1), (4, 2), (3, 1)]
     design = BlockDesign.from_sizes([n for n, _ in layout], [k for _, k in layout])
-    world = PotentialWorld(
-        design=design,
-        r1=tuple(rng.normal(2.0, 1.0, size=n) for n, _ in layout),
-        r0=tuple(rng.normal(size=n) for n, _ in layout),
-    )
+    responses = tuple(rng.normal(size=n) for n, _ in layout)
     base = [[int(j < k) for j in range(n)] for n, k in layout]
-    groups = _option_groups(design, np.concatenate(world.r1), np.concatenate(world.r0))
+    groups = _option_groups(design, np.concatenate(responses))
     assert sorted(int(i) for idx, *_ in groups for i in idx) == list(range(len(layout)))
-    for idx, kt, _, _, table in groups:
+    for idx, kt, _, table in groups:
         for g, i in enumerate(idx):
             n = layout[i][0]
             subsets = list(itertools.combinations(range(n), kt))
@@ -182,7 +178,8 @@ def test_two_arm_option_tables_match_block_effects_of_each_subset():
                 z = [list(zi) for zi in base]
                 z[i] = [int(j in subset) for j in range(n)]
                 assignment = Assignment(z=tuple(tuple(zi) for zi in z))
-                tau = block_effects(design, observed_responses(world, assignment)).tau_hat
+                data = AssignmentAndOutcomes(assignment=assignment, responses=responses)
+                tau = block_effects(design, data).tau_hat
                 assert table[g, c] == pytest.approx(tau[i], rel=0.0, abs=1e-12)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from stratavar import (
     permutation_test,
 )
 from stratavar import hettest
-from stratavar.estimators import _draw_options, _drawn_effects, _option_groups
+from stratavar.estimators import _option_groups
 
 
 def _pairs_with_effects(taus, xbar):
@@ -271,21 +272,44 @@ def _mixed_experiment(seed):
     return design, data
 
 
+def _replayed_effects(design, data, q2, max_cells, m, seed):
+    """(m, B) effects of m replays, columns in group order, as the replay kernel decodes them.
+
+    A NaN threshold leaves every replay unclear, so the kernel scores its
+    whole piece again by ``_f_values``, whose first argument is the piece's
+    decoded effects.
+    """
+    order = design._group_order
+    w, basis = block_weights(design)[order], q2.basis[order][None]
+    groups = _option_groups(design, data.r[None], max_cells)
+    live = np.ones((1, 1), dtype=bool)
+    rep = hettest._replays(groups, w, q2.q1_rank, [basis], np.full((1, 1), np.nan), live)
+    tables = hettest._replay_tables(rep, slice(None))
+    with mock.patch.object(hettest, "_f_values", wraps=hettest._f_values) as rescored:
+        hettest._replay_piece(rep, tables, slice(None), (np.random.default_rng(seed), m))
+    assert rescored.call_count == 1
+    return rep, rescored.call_args.args[0]
+
+
 @pytest.mark.parametrize("max_cells", [math.inf, 0])
 def test_sampler_draws_every_block_option_uniformly(max_cells):
     design, data = _mixed_experiment(17)
     flat = np.concatenate(data.responses)
-    tables = _option_groups(design, flat, flat)
-    groups = _option_groups(design, flat, flat, max_cells)
-    assert [(idx.tolist(), kt) for idx, kt, *_ in groups] == [
+    tables = _option_groups(design, flat)
+    q2 = build_q2(design, xbar=np.arange(design.n_blocks, dtype=float))
+    m = 30_000
+    rep, t_mat = _replayed_effects(design, data, q2, max_cells, m, seed=5)
+    assert [(idx.tolist(), kt) for idx, kt, *_ in tables] == [
         ([0, 4, 8, 9], 1), ([1, 7], 1), ([2, 5], 2), ([3, 6], 2)
     ]
-    assert all((table is None) == (max_cells == 0) for *_, table in groups)
-    m = 30_000
-    t_mat = _drawn_effects(groups, _draw_options(np.random.default_rng(5), groups, m))
+    # every group is tabled, or none is; tabled ones make super-blocks of 2**4, 3**2 and 6**2 rows
+    assert len(rep.keyed) == (4 if max_cells == 0 else 0)
+    assert [(col, opts.shape[1], kb) for col, opts, kb in rep.runs] == (
+        [] if max_cells == 0 else [(0, 4, 4), (4, 2, 2), (6, 2, 2), (8, 2, 2)]
+    )
     assert t_mat.shape == (m, design.n_blocks)
-    col = 0
-    for (_, kt, r, _, _), (*_, table) in zip(groups, tables):
+    picks, col = [], 0
+    for _, kt, r, table in tables:
         for g in range(r.shape[0]):
             options = table[g]
             c = options.shape[0]
@@ -293,10 +317,55 @@ def test_sampler_draws_every_block_option_uniformly(max_cells):
             # every drawn effect is one of the block's options, which are distinct here
             hit = np.isclose(t_mat[:, col][:, None], options[None, :], rtol=0.0, atol=1e-12)
             assert np.all(hit.sum(axis=1) == 1)
+            picks.append(hit.argmax(axis=1))
             counts = hit.sum(axis=0)
             p = 1.0 / c
             assert np.all(np.abs(counts - m * p) <= 5.0 * np.sqrt(m * p * (1 - p)))
             col += 1
+    # a super-block's digits are one uniform draw over all its option rows:
+    # the four (2, 1) blocks' 16 option tuples, the two (4, 2) blocks' 36
+    for cols, c in (([0, 1, 2, 3], 2), ([8, 9], 6)):
+        tuples = np.ravel_multi_index([picks[i] for i in cols], [c] * len(cols))
+        counts = np.bincount(tuples, minlength=c ** len(cols))
+        p = 1.0 / counts.size
+        assert np.all(np.abs(counts - m * p) <= 5.0 * np.sqrt(m * p * (1 - p)))
+
+
+def test_one_replicate_kernel_rescores_a_piece_with_tabled_and_keyed_blocks(monkeypatch):
+    # blocks of 10 with 5 treated have 252 options, 1,260 cells: they draw
+    # keys; pairs and triplets are tabled. A threshold at an attained replay
+    # F leaves that replay unclear, so its piece is scored again by the formula.
+    rng = np.random.default_rng(29)
+    layout = [(2, 1), (10, 5), (3, 1), (2, 1), (10, 5), (3, 2), (2, 1), (3, 1), (2, 1)]
+    design = BlockDesign.from_sizes([n for n, _ in layout], [k for _, k in layout])
+    z = tuple(tuple(int(j < k) for j in range(n)) for n, k in layout)
+    data = AssignmentAndOutcomes(
+        assignment=Assignment(z=z), responses=tuple(rng.normal(size=n) for n, _ in layout)
+    )
+    q2 = build_q2(design, xbar=rng.normal(size=(design.n_blocks, 2)))
+    m = 400
+    rep, t_mat = _replayed_effects(design, data, q2, hettest.OPTION_CELLS, m, seed=3)
+    assert [(col, kt, a.shape[1:]) for col, kt, a in rep.keyed] == [(7, 5, (2, 10))]
+    order = design._group_order
+    w, basis = block_weights(design)[order], q2.basis[order]
+    df = (design.n_blocks - q2.rank, q2.added_covariate_rank)
+    f = hettest._f_values(t_mat, w, basis[:, q2.q1_rank :], basis, *df)
+    attained = np.sort(f)[m // 2]
+    thresh = np.full((1, 1), attained)
+    groups = _option_groups(design, data.r[None], hettest.OPTION_CELLS)
+    live = np.ones((1, 1), dtype=bool)
+    rep = hettest._replays(groups, w, q2.q1_rank, [basis[None]], thresh, live)
+    tables = hettest._replay_tables(rep, slice(None))
+    with mock.patch.object(hettest, "_f_values", wraps=hettest._f_values) as rescored:
+        got = hettest._replay_piece(rep, tables, slice(None), (np.random.default_rng(3), m))
+    assert rescored.call_count == 1
+    assert got[0, 0] == np.count_nonzero(f >= attained) == m - m // 2
+    # the same draws through permutation_test: one piece, seeded by (seed, 0)
+    assert hettest._replay_pieces(1, rep.cells, m) == [(0, 1, 0, m)]
+    monkeypatch.setattr(hettest, "chunk_rng", lambda *key: np.random.default_rng(3))
+    monkeypatch.setattr(hettest, "_replay_threshold", lambda t: attained)
+    result = permutation_test(design, data, q2, max_draws=m, seed=0)
+    assert result.p_value == (1 + got[0, 0]) / (1 + m)
 
 
 def test_exact_path_matches_direct_enumeration_on_interleaved_blocks():

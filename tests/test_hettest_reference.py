@@ -10,10 +10,10 @@ responses, one to three covariate columns, tiny cell budgets (so that
 most blocks lead and their range splits across many tiles) and one or two
 workers.
 
-The Monte Carlo path is held to the same standard against sampling that
-gathers each chunk's effects with one flat ``take`` and scores the chunk
-with ``_f_values``: same draws, so the same p-value, draw count, observed
-F and notes, bit for bit.
+The Monte Carlo path is held to the same standard against plain sampling
+in the documented order, each piece's effects decoded block by block and
+scored with ``_f_values``: same draws, so the same p-value, draw count,
+observed F and notes, bit for bit.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from stratavar import (
 )
 from stratavar import hettest
 from stratavar._util import chunk_rng
-from stratavar.estimators import _draw_options, _option_groups
+from stratavar.estimators import _option_groups
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
@@ -61,7 +61,7 @@ def digit_loop_test(design, data, q2) -> tuple[float, int, float, tuple[str, ...
         notes = ("observed residual beyond the basis is zero; p-value is the smallest attainable",)
     thresh = hettest._replay_threshold(t)
     observed = np.concatenate(data.responses)
-    groups = _option_groups(design, observed, observed)
+    groups = _option_groups(design, observed)
     order = np.concatenate([idx for idx, *_ in groups])
     options = [row for *_, table in groups for row in table]
     counts = np.array([o.shape[0] for o in options], dtype=np.int64)
@@ -186,29 +186,48 @@ def test_max_draws_above_the_ceiling_is_rejected():
     assert str(caught.value) == message
 
 
-def _parent_effects(rng, groups, m) -> np.ndarray:
-    """(m, B) effects of m draws, gathered as the Monte Carlo path did before
-    it scored from projection sums: one flat ``take`` with row offsets."""
-    draws = _draw_options(rng, groups, m)
+def _piece_effects(rng, groups, m) -> np.ndarray:
+    """(m, B) effects of one piece of m replays, columns in group order, in the documented order.
+
+    First, group by group, each tabled group of G blocks with C options
+    splits into super-blocks of k blocks, the most with C**k <= SUPER_ROWS
+    (at most G), then one of the G % k left over; each kind draws one
+    uniform ``uint16`` index per super-block as an (S, 1, m) array, its
+    first block the most significant digit. Then each untabled group draws
+    (1, m, G, n) uniform keys, and a block treats its kt units with the
+    smallest keys.
+    """
     t_mat = np.empty((m, sum(idx.shape[0] for idx, *_ in groups)))
-    start = 0
-    for (idx, kt, r1, r0, table), d in zip(groups, draws):
-        g, n = r1.shape
-        if table is not None:
-            offsets = np.arange(0, table.size, table.shape[-1])
-            t_mat[:, start : start + g] = table.ravel().take(d + offsets)
-        else:
-            treated = np.argpartition(d, kt - 1, axis=-1)[..., :kt]
-            t1 = np.take_along_axis(r1[None], treated, axis=-1).sum(axis=-1)
-            t0 = np.take_along_axis(r0[None], treated, axis=-1).sum(axis=-1)
-            t_mat[:, start : start + g] = t1 / kt - (r0.sum(axis=-1) - t0) / (n - kt)
-        start += g
+    starts = np.cumsum([0] + [idx.shape[0] for idx, *_ in groups])
+    for (idx, kt, r, table), start in zip(groups, starts):
+        if table is None:
+            continue
+        g, c = table.shape
+        per = 1
+        while per < g and c ** (per + 1) <= hettest.SUPER_ROWS:
+            per += 1
+        for lo, hi, kb in ((0, g - g % per, per), (g - g % per, g, g % per)):
+            if hi == lo:
+                continue
+            index = rng.integers(0, c**kb, ((hi - lo) // kb, 1, m), dtype=np.uint16)
+            for s, blocks in enumerate(range(lo, hi, kb)):
+                digits = index[s, 0].astype(np.int64)
+                for i in reversed(range(kb)):
+                    digits, d = np.divmod(digits, c)
+                    t_mat[:, start + blocks + i] = table[blocks + i, d]
+    for (idx, kt, r, table), start in zip(groups, starts):
+        if table is None:
+            g, n = r.shape
+            keys = rng.random((1, m, g, n))[0]
+            treated = np.argpartition(keys, kt - 1, axis=-1)[..., :kt]
+            t1 = np.take_along_axis(r[None], treated, axis=-1).sum(axis=-1)
+            t_mat[:, start : start + g] = t1 / kt - (r.sum(axis=-1)[None] - t1) / (n - kt)
     return t_mat
 
 
 def sampled_reference(design, data, q2, max_draws, seed) -> tuple[float, int, float, tuple]:
     """p-value, draws, observed F and notes of Monte Carlo sampling, each
-    chunk scored by ``_f_values``."""
+    piece scored by ``_f_values``; piece c draws from ``chunk_rng(seed, c)``."""
     w = block_weights(design)
     qm = q2.basis[:, q2.q1_rank :]
     k = q2.added_covariate_rank
@@ -220,11 +239,17 @@ def sampled_reference(design, data, q2, max_draws, seed) -> tuple[float, int, fl
         notes = ("observed residual beyond the basis is zero; p-value is the smallest attainable",)
     thresh = hettest._replay_threshold(t)
     observed = np.concatenate(data.responses)
-    groups = _option_groups(design, observed, observed, hettest.OPTION_CELLS)
+    groups = _option_groups(design, observed, hettest.OPTION_CELLS)
     order = np.concatenate([idx for idx, *_ in groups])
+    # a piece's cells: the larger of its draws (one per super-block or
+    # untabled block), an untabled group's keys and the L + 1 sums
+    replays = hettest._replays(
+        _option_groups(design, observed[None], hettest.OPTION_CELLS),
+        w[order], q2.q1_rank, [q2.basis[order][None]], np.zeros((1, 1)), np.ones((1, 1), bool),
+    )
     hits = 0
-    for c, m in enumerate(hettest._mc_chunk_sizes(groups, design.n_blocks, max_draws)):
-        t_mat = _parent_effects(chunk_rng(seed, c), groups, m)
+    for c, (*_, m) in enumerate(hettest._replay_pieces(1, replays.cells, max_draws)):
+        t_mat = _piece_effects(chunk_rng(seed, c), groups, m)
         f = hettest._f_values(t_mat, w[order], qm[order], q2.basis[order], df_den, k)
         hits += int(np.sum(f >= thresh))
     return (1 + hits) / (1 + max_draws), max_draws, float(t), notes

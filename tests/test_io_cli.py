@@ -19,9 +19,11 @@ from stratavar import (
     pate_demo,
     run_power_curve,
     run_table1,
+    sample_assignment,
     write_experiment_csv,
 )
 from stratavar import _util, cli
+from stratavar import simulate as simulate_module
 from stratavar._util import effective_workers, map_chunks
 from stratavar.cli import main
 
@@ -506,6 +508,47 @@ def test_studies_raise_input_errors_for_bad_seeds_and_alphas():
     ):
         with pytest.raises(InputError):
             study()
+
+
+@pytest.mark.parametrize("n_blocks, max_draws", [(30, 99), (6, 99)], ids=["sampled", "enumerated"])
+def test_cli_hettest_rejects_a_negative_seed(tmp_path, capsys, n_blocks, max_draws):
+    # 2**6 = 64 assignments are enumerated, 2**30 sampled; both refuse the seed first
+    rng = np.random.default_rng(n_blocks)
+    path = _write_pairs_csv(tmp_path / "pairs.csv", rng.normal(size=n_blocks), x=rng.normal(size=n_blocks))
+    args = ["hettest", "--csv", str(path), "--q-spec", "x1", "--max-draws", str(max_draws)]
+    assert main([*args, "--seed", "-1"]) == 2
+    assert "seed" in _one_error_line(capsys)
+
+
+def test_sample_assignment_rejects_a_negative_integer_seed():
+    design = BlockDesign.from_sizes([2, 3, 4], [1, 2, 2])
+    with pytest.raises(InputError, match="seed"):
+        sample_assignment(design, -3)
+    with pytest.raises(InputError, match="seed"):
+        sample_assignment(design, np.int64(-3))
+    want = sample_assignment(design, np.random.default_rng(4))
+    assert sample_assignment(design, np.random.SeedSequence(4)) == want
+    assert sample_assignment(design, 4) == want
+    assert sum(map(sum, sample_assignment(design, None).z)) == 5
+
+
+@pytest.mark.parametrize(
+    "study, blocks",
+    [("table1", "0"), ("table1", "3"), ("table1", "12"), ("power", "0"), ("power", "2")],
+)
+def test_cli_simulate_rejects_block_counts_without_a_basis(tmp_path, capsys, monkeypatch, study, blocks):
+    # no basis: 0 or 2 blocks leave q1 no residual, 3 (a triplet and two
+    # pairs) give the triplet leverage one, 12 cannot hold q1 and ten covariates
+    def no_replicates(args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(simulate_module, "_table1_chunk", no_replicates)
+    monkeypatch.setattr(simulate_module, "_power_chunk", no_replicates)
+    outdir = tmp_path / study
+    args = ["simulate", study, "--reps", "3", "--blocks", blocks, "--out-dir", str(outdir)]
+    assert main(args) == 2
+    assert f"a study of {blocks} blocks" in _one_error_line(capsys)
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("scale", [["--a", "nan"], ["--b", "inf"], ["--a", "1e308"]])

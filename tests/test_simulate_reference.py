@@ -106,25 +106,36 @@ def reference_replicates(
                 yield xs[j], epss[j], z, drawn[j], seeds[j]
 
 
-def reference_replays(design: BlockDesign, max_draws: int, rng, size: int) -> list[list]:
+def reference_replays(design: BlockDesign, max_draws: int, rng, size: int, width: int) -> list[list]:
     """Each replicate's replays: a list of (draws, B) option indices, one per piece.
 
-    The blocks, in (size, treated count) group order, run in the super-blocks
-    of ``hettest._super_blocks``. Each piece of ``hettest._replay_pieces``
-    draws, super-block by super-block, an (R, draws) uniform index array into
-    the super-block's mixed radix of option indices, its first block the
-    most significant digit.
+    The blocks run in (size, treated count) group order. A group of G blocks
+    with C options each splits into super-blocks of k blocks, the most with
+    C**k <= ``hettest.SUPER_ROWS`` (at most G), then one of the G % k left
+    over. The pieces are those of ``hettest._replay_pieces`` for cells the
+    larger of ``width`` (the L + 1 sums of a replay) and the number of
+    super-blocks. Each piece draws, group by group and kind by kind, an
+    (S, R, draws) uniform ``uint16`` index into the mixed radix of its
+    super-blocks' option indices, the first block the most significant digit.
     """
-    counts = [math.comb(n, kt) for n, kt, idx, _ in design.size_groups for _ in idx]
+    runs, col = [], 0
+    for n, kt, idx, _ in design.size_groups:
+        c, g, per = math.comb(n, kt), idx.shape[0], 1
+        while per < g and c ** (per + 1) <= hettest.SUPER_ROWS:
+            per += 1
+        for lo, hi, kb in ((0, g - g % per, per), (g - g % per, g, g % per)):
+            if hi > lo:
+                runs.append((col + lo, (hi - lo) // kb, kb, c))
+        col += g
+    cells = max(width, sum(n_sb for _, n_sb, _, _ in runs))
     out = [[] for _ in range(size)]
-    for j0, r, _, m in hettest._replay_pieces(size, design.n_blocks, max_draws):
-        digits = np.empty((r, m, len(counts)), dtype=np.int64)
-        for sb in hettest._super_blocks(counts)[0]:
-            rows = math.prod(counts[b] for b in sb)
-            dtype = np.uint16 if rows <= 1 << 16 else np.int64  # 16 bits where the rows fit
-            index = rng.integers(0, rows, size=(r, m), dtype=dtype)
-            for b in reversed(sb):
-                index, digits[:, :, b] = np.divmod(index, counts[b])
+    for j0, r, _, m in hettest._replay_pieces(size, cells, max_draws):
+        digits = np.empty((r, m, design.n_blocks), dtype=np.int64)
+        for first, n_sb, kb, c in runs:
+            index = rng.integers(0, c**kb, size=(n_sb, r, m), dtype=np.uint16).astype(np.int64)
+            for i in reversed(range(kb)):
+                index, d = np.divmod(index, c)
+                digits[:, :, first + i : first + n_sb * kb : kb] = d.transpose(1, 2, 0)
         for j in range(r):
             out[j0 + j].append(digits[j])
     return out
@@ -193,8 +204,11 @@ def reference_power_pvalues(
     order = np.concatenate([idx for _, _, idx, _ in design.size_groups])
     sampled = n_assignments(design) > max_draws
 
+    # a replay's L + 1 sums: q1, each q-spec's covariate columns, |v|^2
+    width = 1 + q1.rank + sum({"correct": 4, "incorrect": config.n_covariates}.get(n, 0) for n in qspecs)
+
     def draw(rng, size):  # an enumerable space draws no replays
-        return reference_replays(design, max_draws, rng, size) if sampled else [None] * size
+        return reference_replays(design, max_draws, rng, size, width) if sampled else [None] * size
 
     out = []
     for a_index, a in enumerate(a_grid):
@@ -273,18 +287,24 @@ def test_power_pvalues_match_the_one_replicate_loop(seed, config, a_grid, reps, 
 
 
 def test_failing_basis_raises_as_in_the_one_replicate_loop():
-    # q1 rank 2 plus ten raw covariates fill all twelve blocks
+    # q1 rank 2 plus ten raw covariates fill all twelve blocks: the loop's
+    # first replicate raises, and the studies refuse the block count up front
     config = FriedmanConfig(n_blocks=12)
-    want = _outcome(lambda: reference_table1_rows(config, 3, 0))
-    assert want[0] is TooManyColumns
-    assert _outcome(lambda: run_table1(config=config, reps=3, seed=0)) == want
+    assert _outcome(lambda: reference_table1_rows(config, 3, 0))[0] is TooManyColumns
+    refused = (
+        InputError,
+        "a study of 12 blocks leaves no residual degree of freedom: q1 rank 2 plus 10 "
+        "covariate columns",
+    )
+    assert _outcome(lambda: run_table1(config=config, reps=3, seed=0)) == refused
     for qspecs in (("correct", "incorrect"), ("incorrect", "correct"), ("correct", "none")):
         want = _outcome(lambda: reference_power_pvalues(config, (1.0,), 3, 49, 0, qspecs))
         assert want[0] in (TooManyColumns, BadQPair)
         got = _outcome(
             lambda: run_power_curve(config=config, a_grid=(1.0,), reps=3, max_draws=49, qspecs=qspecs)
         )
-        assert got == want
+        # four transforms fit; a "none" spec has no covariate block to test
+        assert got == (want if "incorrect" not in qspecs else refused)
 
 
 @pytest.mark.parametrize(
@@ -300,7 +320,8 @@ def test_failing_basis_raises_as_in_the_one_replicate_loop():
         (FriedmanConfig(n_blocks=20), float("nan"), None),
         (FriedmanConfig(n_blocks=20), 1e308, None),
         (FriedmanConfig(n_blocks=20, b=float("inf")), 2.0, None),
-        (FriedmanConfig(n_blocks=12, b=float("nan")), 2.0, None),  # responses fail before the basis
+        # responses fail before the bases (twelve blocks would not hold ten raw covariates)
+        (FriedmanConfig(n_blocks=12, b=float("nan"), n_covariates=5), 2.0, None),
     ],
 )
 def test_bad_power_inputs_raise_as_in_the_one_replicate_loop(config, a, max_draws):
@@ -387,13 +408,14 @@ def _replay_batch(config: FriedmanConfig, reps: int, seed: int):
         t = hettest._f_values(tau[:, None], w, qm, basis, *df)
         bases.append(basis[:, order])
         thresh.append(hettest._replay_threshold(t[:, 0]))
-    tables = [table for *_, table in _option_groups(design, r, r)]
-    return design, r, w[order], q1.rank, tables, bases, np.array(thresh).T
+    groups = _option_groups(design, r, hettest.OPTION_CELLS)
+    return design, r, w[order], q1.rank, groups, bases, np.array(thresh).T
 
 
 def _reference_batch_hits(design, r, w, q1_rank, bases, thresh, max_draws, seed) -> np.ndarray:
     """(R, specs) hits of the same draws, each replicate scored alone by ``_f_values``."""
-    replays = reference_replays(design, max_draws, np.random.default_rng(seed), r.shape[0])
+    width = 1 + q1_rank + sum(b.shape[-1] - q1_rank for b in bases)
+    replays = reference_replays(design, max_draws, np.random.default_rng(seed), r.shape[0], width)
     hits = np.zeros(thresh.shape, dtype=np.int64)
     for j, pieces in enumerate(replays):
         options = reference_options(design, r[j])
@@ -412,11 +434,11 @@ def _reference_batch_hits(design, r, w, q1_rank, bases, thresh, max_draws, seed)
     ],
 )
 def test_batched_hits_equal_the_formula_on_the_same_draws(config, reps, max_draws):
-    design, r, w, q1_rank, tables, bases, thresh = _replay_batch(config, reps, seed=reps)
+    design, r, w, q1_rank, groups, bases, thresh = _replay_batch(config, reps, seed=reps)
     live = np.ones(thresh.shape, dtype=bool)
     live[1, 0] = False  # a pair that is not scored counts nothing
     rng = np.random.default_rng(7)
-    got = hettest._batch_hits(rng, tables, w, q1_rank, bases, thresh, live, max_draws)
+    got = hettest._batch_hits(rng, groups, w, q1_rank, bases, thresh, live, max_draws)
     want = _reference_batch_hits(design, r, w, q1_rank, bases, thresh, max_draws, seed=7)
     assert got[1, 0] == 0
     want[1, 0] = 0
@@ -445,9 +467,10 @@ def test_unclear_replays_are_scored_again_by_the_formula(ulps):
     # a threshold at, or one ulp beside, an attained replay F: the projection
     # sums cannot tell which side that replay is on, so its piece is decoded
     # and scored again
-    design, r, w, q1_rank, tables, bases, thresh = _replay_batch(FriedmanConfig(n_blocks=20), 4, 3)
+    design, r, w, q1_rank, groups, bases, thresh = _replay_batch(FriedmanConfig(n_blocks=20), 4, 3)
     max_draws = 999
-    replays = reference_replays(design, max_draws, np.random.default_rng(2), 4)
+    width = 1 + q1_rank + sum(b.shape[-1] - q1_rank for b in bases)
+    replays = reference_replays(design, max_draws, np.random.default_rng(2), 4, width)
     basis = bases[1][2]
     t_mat = np.column_stack(
         [opts[d] for opts, d in zip(reference_options(design, r[2]), replays[2][0].T)]
@@ -458,24 +481,24 @@ def test_unclear_replays_are_scored_again_by_the_formula(ulps):
     live = np.ones(thresh.shape, dtype=bool)
     with mock.patch.object(hettest, "_f_values", wraps=hettest._f_values) as rescored:
         rng = np.random.default_rng(2)
-        got = hettest._batch_hits(rng, tables, w, q1_rank, bases, thresh, live, max_draws)
+        got = hettest._batch_hits(rng, groups, w, q1_rank, bases, thresh, live, max_draws)
     assert rescored.call_count >= 1
     want = _reference_batch_hits(design, r, w, q1_rank, bases, thresh, max_draws, seed=2)
     assert np.array_equal(got, want)
 
 
 def test_non_finite_replicates_do_not_disturb_the_others():
-    design, r, w, q1_rank, tables, bases, thresh = _replay_batch(FriedmanConfig(n_blocks=20), 6, 4)
+    design, r, w, q1_rank, groups, bases, thresh = _replay_batch(FriedmanConfig(n_blocks=20), 6, 4)
     live = np.ones(thresh.shape, dtype=bool)
     args = (w, q1_rank, bases, thresh)
-    want = hettest._batch_hits(np.random.default_rng(5), tables, *args, live, 199)
+    want = hettest._batch_hits(np.random.default_rng(5), groups, *args, live, 199)
     r = r.copy()
     r[3, 0], r[4, 1] = np.nan, np.inf  # in the same run as live replicates
     live[3:5] = False
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(invalid="ignore"):  # the option tables themselves hold inf - inf
-            tables = [table for *_, table in _option_groups(design, r, r)]
-        got = hettest._batch_hits(np.random.default_rng(5), tables, *args, live, 199)
+            groups = _option_groups(design, r, hettest.OPTION_CELLS)
+        got = hettest._batch_hits(np.random.default_rng(5), groups, *args, live, 199)
     assert np.array_equal(got[live.all(axis=1)], want[live.all(axis=1)])
     assert not got[3:5].any()
