@@ -45,6 +45,7 @@ from .errors import (
     InputError,
     InvalidAlpha,
     NonFiniteResponse,
+    NumericalError,
     NotCoarse,
     TooFewBlocks,
     UnequalBlocks,
@@ -383,7 +384,8 @@ def analyze_experiment(
 
     ``estimators`` may be "auto" (projection estimators plus whichever
     classical estimator the design supports) or an explicit list of names
-    from {"paired", "coarse", "s1", "s2", "s3"}.
+    from {"paired", "coarse", "s1", "s2", "s3"}. Raises NumericalError when
+    an estimate or interval bound overflows the float range.
     """
     if not (0.0 < alpha < 1.0):
         raise InvalidAlpha(f"alpha must lie in (0, 1), got {alpha}")
@@ -429,6 +431,8 @@ def analyze_experiment(
             estimates[name] = fns[name]()
             intervals[name] = confidence_interval(delta, estimates[name], alpha)
         collected = [str(c.message) for c in caught]
+    if not np.isfinite([delta, *estimates.values(), *sum(intervals.values(), ())]).all():
+        raise NumericalError("the estimates overflow the float range; rescale the responses")
     return VarianceReport(
         delta_hat=delta,
         alpha=alpha,

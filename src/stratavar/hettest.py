@@ -16,29 +16,27 @@ of the observed responses would shift each replay's v by c times the weights
 column, which both projections annihilate, so the replay distribution and
 the p-value do not depend on the imputed constant.
 
-Exact enumeration never decodes an assignment block by block. F depends on
-v only through P = v' [U_q1 | Q_M] and S = |v|^2, and v is a sum of one
-term per block, so the blocks split into two parts: the partial sums of
-the trailing blocks are tabled once by broadcast-add, and each tile
-decodes those of a range of leading indices and pairs them with every
-trailing one. The two sides' square norms plus one small GEMM give
-|Q_M' v|^2 and |U' v|^2, and the residual is S - |U' v|^2, at O(K + L) per
-assignment instead of O(B L). That difference cancels when v nearly lies
-in the basis, so an assignment whose F is within a rounding bound of the
+Every replay runs on one layout (:func:`_replays`). F depends on v only
+through P = v' [U_q1 | Q_M] and S = |v|^2, and v has one term per block.
+Blocks with an option table form super-blocks within their (size, treated
+count) group, of at most ``SUPER_ROWS`` option rows together or one block
+of more, and one flat table holds the P and S of every super-block's
+rows. A replay's P and S are sums of its rows, so scoring it costs
+O(K + L), not O(B L). Its residual S - |U' v|^2 cancels when v nearly
+lies in the basis, so a replay whose F is within a rounding bound of the
 threshold, or whose residual is not clearly above the degenerate cut, is
-decoded and scored again by the per-assignment formula; the count of
-replays at or above the threshold, and so the exact p-value, is that of
-scoring every assignment with that formula. The trailing table and every
-tile stay within ``CELLS`` cells.
+decoded and scored again by the per-assignment formula
+(:func:`_formula_hits`): every count is that formula's.
 
-Monte Carlo replays run on one engine. Tabled blocks form super-blocks
-of at most ``SUPER_ROWS`` option rows, whose P and S the exact path's
-builder tables (:func:`_replay_tables`); a replay (:func:`_replay_piece`)
-sums one drawn row per super-block, adds the GEMM term and square norms
-of blocks drawn by keys, and is scored with the same guard. The power
-study scores a sub-batch of replicates at once (:func:`_batch_hits`);
-``permutation_test`` is its one-replicate case, piece c drawn from
-``chunk_rng(seed, c)``.
+Exact enumeration is the one-replicate case with every block tabled, each
+super-block a mixed-radix digit. The trailing super-blocks' rows are
+summed into one table of at most ``CELLS`` cells, and each tile pairs the
+summed leading rows of a range of indices with every trailing row by one
+small GEMM. A Monte Carlo replay (:func:`_replay_piece`) sums one drawn
+row per super-block, plus the GEMM term of blocks drawn by keys. The
+power study scores a sub-batch of replicates at once (:func:`_batch_hits`);
+``permutation_test`` samples as its one-replicate case, piece c drawn
+from ``chunk_rng(seed, c)``.
 """
 from __future__ import annotations
 
@@ -51,12 +49,12 @@ import numpy as np
 
 from ._util import _check_seed, chunk_rng, map_chunks
 from .design import AssignmentAndOutcomes, BlockDesign, block_weights, n_assignments
-from .errors import BadQPair, InputError, ZeroDenominator
+from .errors import BadQPair, InputError, NumericalError, ZeroDenominator
 from .estimators import _group_effects, _option_groups, block_effects
 from .projection import QMatrix
 
 DENOMINATOR_TOL = 1e-12
-CELLS = 1 << 18  # cells of an exact-path table or rescoring batch: 2 MB per matrix
+CELLS = 1 << 18  # cells of the exact path's trailing table: 2 MB
 OPTION_CELLS = 256  # largest C(n, k) * k for which a block gets an option table
 EXACT_OPTION_CELLS = 1 << 20  # largest C(n, k) * k of one block that exact enumeration tables
 # Assignments an exact tile scores at once (when a row of leading sums
@@ -158,31 +156,12 @@ def _replay_threshold(t: np.ndarray) -> np.ndarray:
         return np.where(np.isfinite(t), t - 1e-12 * np.abs(t), np.inf)
 
 
-def _digit_sums(vals: list, rows: list, width: int, start: int, stop: int) -> tuple:
-    """Partial sums P and S of the mixed-radix indices ``start``..``stop - 1``.
-
-    Digit d of block i, the first block most significant, adds
-    ``vals[i][d] * rows[i]`` to P and ``vals[i][d] ** 2`` to S. Returns the
-    (stop - start, L) P and the (stop - start,) S.
-    """
-    idx = np.arange(start, stop, dtype=np.int64)
-    p = np.zeros((idx.shape[0], width))
-    s = np.zeros(idx.shape[0])
-    stride = math.prod(v.shape[0] for v in vals)
-    for v, row in zip(vals, rows):
-        stride //= v.shape[0]
-        d = v[(idx // stride) % v.shape[0]]
-        p += d[:, None] * row
-        s += d * d
-    return p, s
-
-
 def _table_sums(terms: list, shape: tuple) -> np.ndarray:
-    """P and S of every index of the mixed radix over ``terms``, as in ``_digit_sums``.
+    """Every sum of one row of each of ``terms``, the first term's the most significant.
 
-    ``terms[i]`` holds block i's (C_i, *shape) rows v [basis row | v], any
-    replicate axes before the width L + 1; the (prod C_i, *shape) table is
-    built by repeated broadcast-add, O(width) work per row of the result.
+    ``terms[i]`` holds (C_i, *shape) rows, such as a block's v [basis row |
+    v] with any replicate axes before the width L + 1; the (prod C_i, *shape)
+    table is built by repeated broadcast-add, O(width) work per row of it.
     """
     table = terms[0] if terms else np.zeros((1, *shape))
     for term in terms[1:]:
@@ -193,19 +172,19 @@ def _table_sums(terms: list, shape: tuple) -> np.ndarray:
 def _exact_tile(args) -> tuple[int, int]:
     """Hits among one tile's assignments: leading indices lo..hi-1, each with every trailing row.
 
-    A tile decodes the partial sums of its leading range and scores each
-    against every trailing row: with P = v [U_q1 | Q_M] and S = |v|^2 split
-    as leading plus trailing side, |P_M|^2 and |P|^2 are the two side norms
-    plus twice one small GEMM, and the residual is S - |P|^2. A cell that
-    :func:`_clear_hits` does not clear is scored again by ``_f_values`` on
-    its decoded assignment.
+    A tile decodes the leading super-blocks' digits of each of its indices
+    and sums their rows, then scores each against every trailing row: with
+    P = v [U_q1 | Q_M] and S = |v|^2 split as leading plus trailing side,
+    |P_M|^2 and |P|^2 are the two side norms plus twice one small GEMM, and
+    the residual is S - |P|^2. The cells :func:`_clear_hits` does not clear
+    are decoded and scored again by :func:`_formula_hits`.
     """
-    lo, hi, leading, trail_p, trail_s, q1_rank, delta, options, strides, w, basis, thresh = args
-    qm, df_den = basis[:, q1_rank:], basis.shape[0] - basis.shape[1]
-    k = qm.shape[1]
-    lead_p, lead_s = _digit_sums(*leading, trail_p.shape[1], lo, hi)
-    lm, tm = lead_p[:, q1_rank:], trail_p[:, q1_rank:]
-    l1q, t1q = lead_p[:, :q1_rank], trail_p[:, :q1_rank]
+    lo, hi, (rep, table, radix, leading, layout, trail) = args
+    (_, ratio, k, delta, thresh, _), q1 = rep.score, table.shape[1] - 1 - rep.score[2][0]
+    digits = np.unravel_index(np.arange(lo, hi), radix[leading])
+    lead = _summed(table, np.add(digits, np.cumsum([0, *radix])[leading, None]))
+    lm, tm = lead[:, q1:-1], trail[:, q1:-1]
+    l1q, t1q = lead[:, :q1], trail[:, :q1]
 
     num = (2.0 * lm) @ tm.T  # |P_M|^2, the explained square norm
     num += np.einsum("ij,ij->i", lm, lm)[:, None]
@@ -214,58 +193,46 @@ def _exact_tile(args) -> tuple[int, int]:
     den += np.einsum("ij,ij->i", l1q, l1q)[:, None]
     den += np.einsum("ij,ij->i", t1q, t1q)
     den += num
-    s = np.add.outer(lead_s, trail_s)
+    s = np.add.outer(lead[:, -1], trail[:, -1])
     np.subtract(s, den, out=den)
-    hit, clear = _clear_hits(num, den, s, delta, df_den / k, thresh)
+    hit, clear = _clear_hits(num, den, s, delta[0, 0], ratio[0, 0], thresh[0, 0])
     hits = int(np.count_nonzero(hit))
 
-    redo = np.flatnonzero(~clear)
-    batch = max(1, CELLS // len(options))
-    for start in range(0, redo.shape[0], batch):
-        row, trail = np.divmod(redo[start : start + batch], trail_p.shape[0])
-        flat = (row + lo) * trail_p.shape[0] + trail
-        t_mat = np.empty((flat.shape[0], len(options)))
-        for i, opts in enumerate(options):
-            t_mat[:, i] = opts[(flat // strides[i]) % opts.shape[0]]
-        hits += int(np.sum(_f_values(t_mat, w, qm, basis, df_den, k) >= thresh))
+    redo = np.flatnonzero(~clear) + lo * trail.shape[0]  # flat indices over the layout
+    if redo.size:
+        digits = np.array(np.unravel_index(redo, radix[layout]))[np.argsort(layout)]
+        sbs = [opts.shape[1] // kb for _, opts, kb in rep.runs]  # super-blocks of each run
+        rows = [digits[end - n : end] for n, end in zip(sbs, np.cumsum(sbs))]
+        hits += _formula_hits(rep, slice(None), 0, 0, np.empty((redo.size, len(rep.w))), rows)
     return hits, int(clear.size)
 
 
-def _exact_tiles(options: list, w, q1_rank: int, basis, thresh) -> list:
-    """Arguments of ``_exact_tile`` for every tile of an exact enumeration.
+def _exact_tiles(rep: _Replays, table: np.ndarray) -> list:
+    """Arguments of ``_exact_tile`` for every tile of the exact enumeration of ``rep``.
 
-    ``options`` holds each block's option table, and ``w`` and the basis
-    [U_q1 | Q_M] their rows, all in group order. The trailing blocks, picked
-    from the last block back, form one table of at most about the square
-    root of the space and at most CELLS // (L + 1) rows; the other blocks
-    lead. A tile holds at most TILE_CELLS assignments, or one leading index,
-    so every temporary stays within CELLS cells. The tiles depend only on
-    the design.
+    ``rep`` holds one replicate with every block tabled, and ``table`` its
+    flat super-block table; each super-block is one mixed-radix digit. The
+    trailing super-blocks, taken largest (then last) first while they fit,
+    form one table of at most about the square root of the space and at
+    most CELLS // (L + 1) rows, summed from their rows of ``table``; the
+    others lead. A tile holds at most TILE_CELLS assignments, or one leading
+    index. The tiles depend only on the design.
     """
-    width = basis.shape[1]
-    budget = CELLS // (width + 1)
-    vals = [o * wi for o, wi in zip(options, w)]  # entries of v = W tau, as _f_values forms them
-    counts = [o.shape[0] for o in options]
-    target = min(budget, math.isqrt(math.prod(c for c in counts if c <= budget)))
+    radix = np.array([t.shape[-1] ** kb for _, t, kb in rep.runs for _ in range(t.shape[1] // kb)])
+    budget = CELLS // table.shape[1]
+    target = min(budget, math.isqrt(math.prod(int(c) for c in radix if c <= budget)))
     trailing, n_trail = [], 1
-    for i in reversed(range(len(counts))):
-        if n_trail * counts[i] <= target:
-            trailing.insert(0, i)
-            n_trail *= counts[i]
-    leading = [i for i in range(len(counts)) if i not in trailing]
-    layout = leading + trailing
-    strides = np.empty(len(options), dtype=np.int64)
-    strides[layout] = [math.prod(counts[j] for j in layout[n + 1 :]) for n in range(len(layout))]
-    terms = [np.column_stack([vals[i][:, None] * basis[i], vals[i] * vals[i]]) for i in trailing]
-    trail = _table_sums(terms, (width + 1,))
-    trail_p, trail_s = np.ascontiguousarray(trail[:, :-1]), np.ascontiguousarray(trail[:, -1])
-    n_lead = math.prod(counts[i] for i in leading)
+    for i in sorted(range(len(radix)), key=lambda i: (-radix[i], -i)):
+        if n_trail * radix[i] <= target:
+            trailing.append(i)
+            n_trail *= int(radix[i])
+    leading = [i for i in range(len(radix)) if i not in trailing]
+    starts = np.cumsum([0, *radix])
+    trail = _table_sums([table[starts[i] : starts[i + 1]] for i in trailing], table.shape[1:])
+    n_lead = math.prod(int(radix[i]) for i in leading)
     rows = max(1, min(budget, TILE_CELLS // n_trail))  # leading indices of a tile
-    fixed = (
-        ([vals[i] for i in leading], [basis[i] for i in leading]),
-        trail_p, trail_s, q1_rank, _exact_error(basis), options, strides, w, basis, thresh,
-    )
-    return [(lo, min(lo + rows, n_lead), *fixed) for lo in range(0, n_lead, rows)]
+    fixed = (rep, table, radix, leading, leading + trailing, trail)
+    return [(lo, min(lo + rows, n_lead), fixed) for lo in range(0, n_lead, rows)]
 
 
 def _exact_error(basis: np.ndarray) -> np.ndarray:
@@ -404,7 +371,7 @@ def _replay_piece(rep: _Replays, tables: tuple, reps: slice, piece: tuple) -> np
     """
     (rng, m), (parts, ratio, k) = piece, rep.score[:3]
     delta, thresh, live = (x[reps] for x in rep.score[3:])
-    (table, offsets), (r, b) = tables, (live.shape[0], len(rep.w))
+    (table, offsets), r = tables, live.shape[0]
     draws = []
     for _, t, kb in rep.runs:
         rows = t.shape[-1] ** kb
@@ -427,18 +394,27 @@ def _replay_piece(rep: _Replays, tables: tuple, reps: slice, piece: tuple) -> np
     hit, clear = _clear_hits(num, den, s, delta[..., None], ratio, thresh[..., None])
     hits = np.count_nonzero(hit, axis=-1)
     for j, i in np.argwhere(live & ~clear.all(axis=-1)) if not clear.all() else ():
-        t_mat = np.empty((m, b))  # replicate j's effects, decoded
-        for (col, opts, kb), d in zip(rep.runs, draws):
-            c, n = opts.shape[-1], opts.shape[-2]
-            digits = d[:, j, :, None] // c ** np.arange(kb - 1, -1, -1) % c  # (S, m, k)
-            picked = np.arange(n), digits.swapaxes(0, 1).reshape(m, n)
-            t_mat[:, col : col + n] = opts[reps][j][picked]
+        t_mat = np.empty((m, len(rep.w)))
         for (col, *_), eff in zip(rep.keyed, effects):
             t_mat[:, col : col + eff.shape[-1]] = eff[j]
-        basis = rep.bases[i][reps][j]
-        f = _f_values(t_mat, rep.w, basis[:, -k[i] :], basis, b - basis.shape[1], k[i])
-        hits[j, i] = np.count_nonzero(f >= thresh[j, i])
+        hits[j, i] = _formula_hits(rep, reps, j, i, t_mat, [d[:, j] for d in draws])
     return hits * live
+
+
+def _formula_hits(rep: _Replays, reps: slice, j: int, i: int, t_mat, rows: list) -> int:
+    """Replays of replicate j of ``reps`` with F at or above spec i's threshold, by ``_f_values``.
+
+    ``t_mat`` holds the replays' (m, B) effects of the untabled blocks; those
+    of the tabled ones are decoded from ``rows``, each run's (S, m) option
+    rows, the first block of a super-block its most significant digit.
+    """
+    for (col, opts, kb), d in zip(rep.runs, rows):
+        n, c = opts.shape[1:]
+        digits = d[..., None] // c ** np.arange(kb - 1, -1, -1) % c  # (S, m, k)
+        t_mat[:, col : col + n] = opts[reps][j][np.arange(n), digits.swapaxes(0, 1).reshape(-1, n)]
+    basis, k = rep.bases[i][reps][j], rep.score[2][i]
+    f = _f_values(t_mat, rep.w, basis[:, -k:], basis, len(rep.w) - basis.shape[1], k)
+    return int(np.count_nonzero(f >= rep.score[4][reps][j, i]))
 
 
 def _summed(table: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -462,6 +438,16 @@ def _batch_hits(rng, groups: list, w, q1_rank: int, bases: list, thresh, live, m
                 tables = _replay_tables(rep, run)
             hits[run] += _replay_piece(rep, tables, run, (rng, m))
     return hits
+
+
+def _squares_fit(design: BlockDesign, r: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Mask of the (..., N) responses ``r`` whose replays' sums of squares stay finite: a
+    block effect lies within its block's range, so |v|^2 <= sum_i w_i^2 range_i^2, and
+    the sums that form the square norms stay within a few times that."""
+    starts = design.unit_starts
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.maximum.reduceat(r, starts, axis=-1) - np.minimum.reduceat(r, starts, axis=-1)
+        return np.isfinite(4.0 * np.square(w * spread).sum(axis=-1))
 
 
 def _check_max_draws(max_draws: int) -> None:
@@ -491,12 +477,16 @@ def permutation_test(
     treated as infinite, so its p-value counts only the replays that are
     themselves degenerate, and a note records the condition. Raises
     InputError when ``max_draws`` is below one or above ``MAX_DRAWS``, or
-    when ``seed`` is not a non-negative integer, before any other work.
+    when ``seed`` is not a non-negative integer, before any other work, and
+    NumericalError before any replay when the responses spread so widely
+    that the replays' sums of squares could overflow.
     """
     _check_max_draws(max_draws)
     _check_seed(seed)
     w = block_weights(design)
     effects = block_effects(design, data)
+    if not _squares_fit(design, data.r, w):
+        raise NumericalError("responses spread too widely: the replays' squares would overflow")
     qm = _covariate_block(q2)
     k = q2.added_covariate_rank
     df_den = design.n_blocks - q2.rank
@@ -519,20 +509,18 @@ def permutation_test(
             f"one block, above the limit of {EXACT_OPTION_CELLS}; sampled {max_draws} instead"
         )
     order = design._group_order
-    w_g, basis_g = w[order], q2.basis[order]  # rows in group order
+    groups = _option_groups(design, data.r[None], EXACT_OPTION_CELLS if exact else OPTION_CELLS)
+    thresh, live = np.full((1, 1), thresh), np.ones((1, 1), dtype=bool)
+    rep = _replays(groups, w[order], q2.q1_rank, [q2.basis[order][None]], thresh, live)
+    tables = _replay_tables(rep, slice(None))
     if exact:
-        options = [row for *_, table in _option_groups(design, data.r) for row in table]
-        args = _exact_tiles(options, w_g, q2.q1_rank, basis_g, thresh)
+        args = _exact_tiles(rep, tables[0])
         hits, draws = (sum(col) for col in zip(*map_chunks(_exact_tile, args, threads)))
     else:
-        groups = _option_groups(design, data.r[None], OPTION_CELLS)
-        one = np.ones((1, 1), dtype=bool)
-        rep = _replays(groups, w_g, q2.q1_rank, [basis_g[None]], np.full((1, 1), thresh), one)
         pieces = enumerate(_replay_pieces(1, rep.cells, max_draws))
         pieces = [(chunk_rng(seed, c), m) for c, (*_, m) in pieces]  # piece c draws from (seed, c)
-        score = functools.partial(_replay_piece, rep, _replay_tables(rep, slice(None)), slice(None))
-        hits = int(np.sum(map_chunks(score, pieces, threads)))
-        draws = max_draws
+        score = functools.partial(_replay_piece, rep, tables, slice(None))
+        hits, draws = int(np.sum(map_chunks(score, pieces, threads))), max_draws
     return HetTestResult(
         f_observed=float(t),
         p_value=hits / draws if exact else (1 + hits) / (1 + draws),

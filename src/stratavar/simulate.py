@@ -37,13 +37,15 @@ scores the replays of all the sub-batch's replicates against every
 q-spec's basis at once (``hettest._batch_hits``), and last one seed per
 replicate. Seeded results do not depend on the worker count. A replicate
 whose basis any check of ``build_q2`` flags, or whose responses are not
-finite, takes the scalar path (``block_effects``, ``build_q2``,
-``permutation_test`` with its seed) in replicate order, so values,
-warnings and the first error are those of the one-replicate loop. So does
-every power replicate when the space is small enough to enumerate. Both
-studies reject a seed that is not a non-negative integer and a block count
-whose bases no world could have, and power an ``alpha`` outside (0, 1) or
-a ``max_draws`` that ``permutation_test`` would reject, before they start.
+finite (in power: or could overflow the replays), takes the scalar path
+(``block_effects``, ``build_q2``, ``permutation_test`` with its seed) in
+replicate order, so values, warnings and the first error are those of
+the one-replicate loop. So does every power replicate when the space is
+small enough to enumerate. Both studies reject a seed that is not a
+non-negative integer and a block count whose bases no world could have,
+and power an ``alpha`` outside (0, 1) or a ``max_draws`` that
+``permutation_test`` would reject, before they start; table 1 raises
+NumericalError when a summary overflows the float range.
 """
 from __future__ import annotations
 
@@ -60,7 +62,7 @@ from .design import (
     block_weights,
     n_assignments,
 )
-from .errors import DimensionMismatch, InputError, InsufficientBlocks, LeverageOne
+from .errors import DimensionMismatch, InputError, InsufficientBlocks, LeverageOne, NumericalError
 from .estimators import _arm_means, _option_groups, _projection_variances, block_effects
 from .hettest import (
     OPTION_CELLS,
@@ -68,6 +70,7 @@ from .hettest import (
     _check_max_draws,
     _f_values,
     _replay_threshold,
+    _squares_fit,
     permutation_test,
 )
 from .oracle import (
@@ -346,7 +349,8 @@ def run_table1(
     With ``collect_raw`` the result keeps the per-replicate values as well,
     one row per replicate with columns ``TABLE1_RAW_COLUMNS``. Raises
     InputError for fewer than two replicates, which leave the across-worlds
-    variance undefined, and for a seed that is not a non-negative integer.
+    variance undefined, and for a seed that is not a non-negative integer;
+    NumericalError when a summary overflows the float range.
     """
     if reps < 2:
         raise InputError(f"reps must be at least 2, got {reps}")
@@ -358,9 +362,17 @@ def run_table1(
     raw = np.concatenate(map_chunks(_table1_chunk, args, threads))
     deltas = raw[:, 10]
 
-    # columns 0-8 are the cells, 9 the schedule variance
-    means = raw[:, :10].mean(axis=0)
-    ses = np.sqrt(np.maximum(np.square(raw[:, :10]).mean(axis=0) - means**2, 0.0) / reps)
+    # the noise-model variance does not depend on the covariate draw
+    cate_var = true_ate_variance(friedman_world(config, seed=0))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        means = raw[:, :10].mean(axis=0)  # columns 0-8 are the cells, 9 the schedule variance
+        ses = np.sqrt(np.maximum(np.square(raw[:, :10]).mean(axis=0) - means**2, 0.0) / reps)
+        dc = deltas - deltas.mean()
+        m2, m4 = np.mean(dc**2), np.mean(dc**4)
+        pate_var = float(np.var(deltas, ddof=1))
+        pate_se = float(np.sqrt(max(m4 - m2**2 * (reps - 3) / (reps - 1), 0.0) / reps))
+    if not np.isfinite([*means, *ses, cate_var, pate_var, pate_se]).all():
+        raise NumericalError(f"table 1 summaries overflow at a = {config.a}, b = {config.b}")
     cells = []
     for j, qname in enumerate(TABLE1_QSPECS):
         for i, est in enumerate(TABLE1_ESTIMATORS):
@@ -373,16 +385,6 @@ def run_table1(
                     "mc_se": float(ses[idx]),
                 }
             )
-
-    # the noise-model variance does not depend on the covariate draw
-    model = friedman_world(config, seed=0)
-    cate_var = true_ate_variance(model)
-
-    dc = deltas - deltas.mean()
-    m2 = float(np.mean(dc**2))
-    m4 = float(np.mean(dc**4))
-    pate_var = float(np.var(deltas, ddof=1))
-    pate_se = math.sqrt(max(m4 - m2**2 * (reps - 3) / (reps - 1), 0.0) / reps)
 
     targets = {
         "sate_variance": {"value": float(means[9]), "mc_se": float(ses[9])},
@@ -414,8 +416,8 @@ def _power_chunk(args) -> dict:
     bases and observed statistics, and, unless the space is small enough to
     enumerate, draws and scores all its replays by ``hettest._batch_hits``.
     Last it draws one seed per replicate, for ``permutation_test`` on each
-    replicate with a flagged basis or non-finite responses, and on every
-    replicate of an enumerable space, in replicate order.
+    replicate with a flagged basis or responses that fail ``_squares_fit``,
+    and on every replicate of an enumerable space, in replicate order.
     """
     seed, a_index, a, rep_start, count, ctx, qspecs, max_draws = args
     design: BlockDesign = ctx["design"]
@@ -428,12 +430,11 @@ def _power_chunk(args) -> dict:
     rng = chunk_rng(seed, a_index, rep_start // REP_CHUNK)
     for start, size in _sub_batches(rep_start, count, b * (k + q1.rank)):
         x, _, _, z, r, tau = _draw_replicates(ctx, rng, size, a)
-        # non-finite responses go to permutation_test, which rejects them
-        finite = np.isfinite(r).all(axis=-1)
+        fits = _squares_fit(design, r, w)  # the others go to permutation_test, which rejects them
         oks, scored = [], []  # scored: (name, ok, basis in group order, F threshold)
         for spec in specs:
             ok, basis, _ = _stacked_bases(q1, w, None if scalar else _qspec_xbar(spec, x), size)
-            oks.append(ok & finite)
+            oks.append(ok & fits)
             if basis is not None:
                 qm = basis[..., q1.rank :]
                 t = _f_values(tau[:, None], w, qm, basis, b - basis.shape[-1], qm.shape[-1])[:, 0]

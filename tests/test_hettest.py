@@ -423,8 +423,8 @@ def test_monte_carlo_thread_invariance_across_cell_bounded_chunks():
     rng = np.random.default_rng(31)
     b = 600
     design, data, q2 = _pairs_with_effects(rng.normal(size=b), rng.normal(size=b))
-    rows = hettest.CELLS // b
-    assert math.ceil(1_500 / rows) >= 3
+    rep, _ = _replayed_effects(design, data, q2, hettest.OPTION_CELLS, 1, seed=0)
+    assert len(hettest._replay_pieces(1, rep.cells, 1_500)) >= 3
     one = permutation_test(design, data, q2, max_draws=1_500, seed=2, threads=1)
     two = permutation_test(design, data, q2, max_draws=1_500, seed=2, threads=2)
     assert not one.exact and one.draws == two.draws == 1_500

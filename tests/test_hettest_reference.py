@@ -168,6 +168,29 @@ def test_exact_path_stays_within_the_cell_budget():
     assert peak < budget, f"peak traced memory {peak / 2**20:.1f} MiB of {budget / 2**20:.0f} MiB"
 
 
+@pytest.mark.parametrize("rounded", [False, True])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_exact_path_matches_the_digit_loop_on_a_block_wider_than_a_super_block(threads, rounded):
+    # a 10-unit block with 5 treated has 252 option rows, more than SUPER_ROWS,
+    # so it is a super-block of its own; with six pairs and one triplet the
+    # space holds 252 * 2**6 * 3 = 48,384 assignments. Rounded responses tie
+    # many replays' F with the observed one, so many are decoded and rescored.
+    rng = np.random.default_rng(41)
+    layout = [(2, 1), (10, 5), (2, 1), (3, 1), (2, 1), (2, 1), (2, 1), (2, 1)]
+    design = BlockDesign.from_sizes([n for n, _ in layout], [kt for _, kt in layout])
+    z = tuple(tuple(int(j < kt) for j in range(n)) for n, kt in layout)
+    responses = [rng.normal(size=n) + 0.3 * i * np.arange(n) for i, (n, _) in enumerate(layout)]
+    responses = tuple(np.round(r) if rounded else r for r in responses)
+    data = AssignmentAndOutcomes(assignment=Assignment(z=z), responses=responses)
+    q2 = build_q2(design, xbar=rng.normal(size=(len(layout), 2)))
+    total = n_assignments(design)
+    assert total == 48_384 and 252 > hettest.SUPER_ROWS
+    got = permutation_test(design, data, q2, max_draws=total, threads=threads)
+    assert got.exact
+    assert (got.p_value, got.draws, got.f_observed, got.notes) == digit_loop_test(design, data, q2)
+    assert 0.0 < got.p_value < 1.0
+
+
 def test_max_draws_above_the_ceiling_is_rejected():
     design = BlockDesign.from_sizes([2] * 4, [1] * 4)
     data = AssignmentAndOutcomes(

@@ -559,6 +559,32 @@ def test_cli_simulate_table1_rejects_non_finite_worlds(tmp_path, capsys, scale):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hettest", "--q-spec", "x1", "--max-draws", "999"],
+        ["analyze", "--q-spec", "x1"],
+        ["simulate", "power", "--reps", "3", "--a-grid", "1e160"],
+        ["simulate", "table1", "--reps", "3", "--a", "1e150"],
+        ["simulate", "table1", "--reps", "3", "--a", "1e160"],
+    ],
+    ids=["hettest", "analyze", "power", "table1-moments", "table1-squares"],
+)
+def test_cli_overflow_is_a_numerical_error(tmp_path, capsys, argv):
+    # responses near 1e160 square beyond the float range, in the replays and
+    # in the estimates; at a = 1e150 table 1's fourth moments do
+    rng = np.random.default_rng(6)
+    path = _write_pairs_csv(tmp_path / "big.csv", 1e160 * rng.normal(size=30), x=rng.normal(size=30))
+    out = tmp_path / "out"
+    if argv[0] == "simulate":
+        argv = [*argv, "--out-dir", str(out)]
+    else:
+        argv = [argv[0], "--csv", str(path), *argv[1:], "--out", str(out)]
+    assert main(argv) == 5
+    assert "overflow" in _one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_cli_rejects_alpha_too_small_for_a_finite_interval(tmp_path, capsys):
     # 1 - alpha/2 rounds to one, so the normal quantile would be infinite
     path = _write_pairs_csv(tmp_path / "pairs.csv", [0.5, 1.0, 2.5, 1.5, 3.0])
