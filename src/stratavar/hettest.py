@@ -443,11 +443,14 @@ def _batch_hits(rng, groups: list, w, q1_rank: int, bases: list, thresh, live, m
 def _squares_fit(design: BlockDesign, r: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Mask of the (..., N) responses ``r`` whose replays' sums of squares stay finite: a
     block effect lies within its block's range, so |v|^2 <= sum_i w_i^2 range_i^2, and
-    the sums that form the square norms stay within a few times that."""
+    the sums that form the square norms stay within a few times that. The option tables
+    sum a block's raw responses, so each block's sum of |r| must stay finite too."""
     starts = design.unit_starts
     with np.errstate(over="ignore", invalid="ignore"):
         spread = np.maximum.reduceat(r, starts, axis=-1) - np.minimum.reduceat(r, starts, axis=-1)
-        return np.isfinite(4.0 * np.square(w * spread).sum(axis=-1))
+        sums = np.add.reduceat(np.abs(r), starts, axis=-1)
+        fit = np.isfinite(4.0 * np.square(w * spread).sum(axis=-1))
+        return fit & np.isfinite(sums).all(axis=-1)
 
 
 def _check_max_draws(max_draws: int) -> None:

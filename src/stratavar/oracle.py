@@ -15,12 +15,13 @@ variance estimator in :mod:`stratavar.estimators`. ``brute_force_expectation``
 averages an arbitrary statistic over the full assignment space and is the
 independent check the closed forms are tested against.
 
-Both truths hold their arms as flat (N,) unit arrays in the design's packed
-layout. The public constructors take one array per block and pack them
-once; ``r1``/``r0`` and ``f1``/``f0`` are read-only per-block views. Noise
-draws, revealed responses and the enumeration behind the brute-force
-expectations stay on the flat arrays: every assignment is packed, and its
-responses are revealed in one vectorized pass.
+Both truths share one layout: flat (N,) unit arms in the design's packed
+order, packed once by the public constructors, with read-only per-block
+views ``r1``/``r0`` and ``f1``/``f0``. Each closed-form gap of a projection
+estimator is that estimator's own kernel, ``_projection_variances``, at the
+mean effects, plus s2's cross-leverage term. Noise draws, revealed responses
+and the enumeration behind the brute-force expectations stay on the flat
+arms, one vectorized pass per assignment.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from .design import (
 )
 from .errors import DimensionMismatch, PreconditionViolated
 from .projection import QMatrix, build_q1, build_q2
-from .estimators import _block_mean, _block_var, block_effects, var_s1
+from .estimators import _block_mean, _block_var, _projection_variances, block_effects, var_s1
 
 DEFAULT_BRUTE_FORCE_CAP = 10_000
 
@@ -60,7 +61,27 @@ def _flat_arm(design: BlockDesign, values, label: str) -> np.ndarray:
     return np.concatenate(arrays)
 
 
-class PotentialWorld(_Frozen):
+class _Truth(_Frozen):
+    """Two flat (N,) unit arms ``_arms`` over a design, in its packed layout.
+
+    The block means and within-block variances of the unit effect
+    ``_arms[0] - _arms[1]`` are computed once, for both kinds of truth.
+    """
+
+    @classmethod
+    def _from_flat(cls, design: BlockDesign, arm1: np.ndarray, arm0: np.ndarray, **fields):
+        """A truth over flat (N,) arms, taken as they are."""
+        truth = cls.__new__(cls)
+        truth.__dict__.update(design=design, _arms=(arm1, arm0), **fields)
+        return truth
+
+    @cached_property
+    def _effect_summaries(self) -> tuple[np.ndarray, np.ndarray]:
+        effect = self._arms[0] - self._arms[1]
+        return _block_mean(self.design, effect), _block_var(self.design, effect)
+
+
+class PotentialWorld(_Truth):
     """A complete potential-outcome schedule over a design.
 
     ``PotentialWorld(design, r1, r0)`` packs per-block arms into the flat
@@ -70,33 +91,14 @@ class PotentialWorld(_Frozen):
 
     r1 = cached_property(lambda self: _views(self._arms[0], self.design.sizes))
     r0 = cached_property(lambda self: _views(self._arms[1], self.design.sizes))
+    tau_bar = property(lambda self: self._effect_summaries[0])
+    sigma2_tau = property(lambda self: self._effect_summaries[1])
+    sigma2_treated = cached_property(lambda self: _block_var(self.design, self._arms[0]))
+    sigma2_control = cached_property(lambda self: _block_var(self.design, self._arms[1]))
 
     def __init__(self, design: BlockDesign, r1, r0):
         arms = (_flat_arm(design, r1, "r1"), _flat_arm(design, r0, "r0"))
         self.__dict__.update(design=design, _arms=arms)
-
-    @classmethod
-    def _from_flat(cls, design: BlockDesign, r1: np.ndarray, r0: np.ndarray) -> "PotentialWorld":
-        """A schedule over flat (N,) arms, taken as they are."""
-        world = cls.__new__(cls)
-        world.__dict__.update(design=design, _arms=(r1, r0))
-        return world
-
-    @cached_property
-    def tau_bar(self) -> np.ndarray:
-        return _block_mean(self.design, self._arms[0] - self._arms[1])
-
-    @cached_property
-    def sigma2_treated(self) -> np.ndarray:
-        return _block_var(self.design, self._arms[0])
-
-    @cached_property
-    def sigma2_control(self) -> np.ndarray:
-        return _block_var(self.design, self._arms[1])
-
-    @cached_property
-    def sigma2_tau(self) -> np.ndarray:
-        return _block_var(self.design, self._arms[0] - self._arms[1])
 
 
 def _noise_cov(design: BlockDesign, noise_cov) -> np.ndarray:
@@ -111,7 +113,7 @@ def _noise_cov(design: BlockDesign, noise_cov) -> np.ndarray:
     return cov
 
 
-class CateModel(_Frozen):
+class CateModel(_Truth):
     """Systematic potential outcomes plus unit-level between-arm noise.
 
     ``noise_cov`` is the 2x2 covariance of (treated-arm, control-arm) noise
@@ -119,11 +121,14 @@ class CateModel(_Frozen):
     Noise is independent across units. ``CateModel(design, f1, f0,
     noise_cov)`` packs per-block systematic arms into the flat (N,) unit
     arrays ``_arms``; ``f1`` and ``f0`` are read-only per-block views over
-    them, built on first access.
+    them, built on first access. ``f_bar`` holds the block means of f1 - f0.
     """
 
     f1 = cached_property(lambda self: _views(self._arms[0], self.design.sizes))
     f0 = cached_property(lambda self: _views(self._arms[1], self.design.sizes))
+    f_bar = property(lambda self: self._effect_summaries[0])
+    noise_var_treated = property(lambda self: self.noise_cov[:, 0, 0])
+    noise_var_control = property(lambda self: self.noise_cov[:, 1, 1])
 
     def __init__(self, design: BlockDesign, f1, f0, noise_cov):
         arms = (_flat_arm(design, f1, "f1"), _flat_arm(design, f0, "f0"))
@@ -132,35 +137,7 @@ class CateModel(_Frozen):
     @classmethod
     def _from_flat(cls, design: BlockDesign, f1: np.ndarray, f0: np.ndarray, noise_cov):
         """A model over flat (N,) systematic arms, taken as they are."""
-        model = cls.__new__(cls)
-        cov = _noise_cov(design, noise_cov)
-        model.__dict__.update(design=design, _arms=(f1, f0), noise_cov=cov)
-        return model
-
-    @cached_property
-    def f_bar(self) -> np.ndarray:
-        """Block means of the systematic effect f1 - f0."""
-        return _block_mean(self.design, self._arms[0] - self._arms[1])
-
-    @cached_property
-    def sigma2_f_treated(self) -> np.ndarray:
-        return _block_var(self.design, self._arms[0])
-
-    @cached_property
-    def sigma2_f_control(self) -> np.ndarray:
-        return _block_var(self.design, self._arms[1])
-
-    @cached_property
-    def sigma2_f_tau(self) -> np.ndarray:
-        return _block_var(self.design, self._arms[0] - self._arms[1])
-
-    @cached_property
-    def noise_var_treated(self) -> np.ndarray:
-        return self.noise_cov[:, 0, 0]
-
-    @cached_property
-    def noise_var_control(self) -> np.ndarray:
-        return self.noise_cov[:, 1, 1]
+        return super()._from_flat(design, f1, f0, noise_cov=_noise_cov(design, noise_cov))
 
     @cached_property
     def _noise_factors(self) -> np.ndarray:
@@ -237,6 +214,13 @@ def _randomization_variance(design: BlockDesign, r1: np.ndarray, r0: np.ndarray)
     )
 
 
+def _truth(truth) -> _Truth:
+    """The truth itself; raises TypeError, naming its type, for anything else."""
+    if not isinstance(truth, _Truth):
+        raise TypeError(f"expected PotentialWorld or CateModel, got {type(truth).__name__}")
+    return truth
+
+
 def true_block_variance(truth) -> np.ndarray:
     """Design-based variance of each block effect tau_hat_i.
 
@@ -244,43 +228,43 @@ def true_block_variance(truth) -> np.ndarray:
     also integrates over the noise law (whose between-arm covariance never
     enters, because a unit reveals exactly one arm).
     """
-    design = truth.design
-    if isinstance(truth, PotentialWorld):
-        return _randomization_variance(design, *truth._arms)
+    design = _truth(truth).design
     if isinstance(truth, CateModel):
         return (
             truth.noise_var_treated / design.treated_counts
             + truth.noise_var_control / design.control_counts
             + _randomization_variance(design, *truth._arms)
         )
-    raise TypeError(f"expected PotentialWorld or CateModel, got {type(truth).__name__}")
+    return _randomization_variance(design, *truth._arms)
 
 
 def true_ate_variance(truth) -> float:
     """Variance of the weighted difference in means, B^{-2} sum w_i^2 var_i."""
+    var_i = true_block_variance(truth)
     w = block_weights(truth.design)
-    return float(np.sum(w**2 * true_block_variance(truth))) / truth.design.n_blocks**2
+    return float(np.sum(w**2 * var_i)) / truth.design.n_blocks**2
 
 
-def _effect_means(truth) -> np.ndarray:
-    if isinstance(truth, PotentialWorld):
-        return truth.tau_bar
-    if isinstance(truth, CateModel):
-        return truth.f_bar
-    raise TypeError(f"expected PotentialWorld or CateModel, got {type(truth).__name__}")
+def _mean_effect_sums(truth, w, q: QMatrix) -> np.ndarray:
+    """The unclamped (s1, s2, s3) sums of the estimators' kernel at the mean effects.
+
+    Each projection estimator is a quadratic form in the block effects, so
+    its expectation is the same form at the mean effects (tau_bar, or f_bar
+    for a noise model) plus a trace term of the effects' covariance.
+    """
+    mean_effects = _truth(truth)._effect_summaries[0]
+    return _projection_variances(mean_effects, w, q.basis, q.psi, q.psi_tilde)
 
 
 def expected_bias_s1(truth, w: np.ndarray, q: QMatrix) -> float:
     """Exact expectation gap of the s1 estimator: B^{-2} mu' W (I-H) W mu.
 
     mu is the leverage-scaled vector of mean effects, tau_bar/sqrt(1-h) for a
-    schedule and f_bar/sqrt(1-h) for a noise model. Nonnegative by
-    construction, hence the estimator is conservative.
+    schedule and f_bar/sqrt(1-h) for a noise model: the s1 sum at the mean
+    effects, whose trace term is zero. Nonnegative by construction, hence
+    the estimator is conservative.
     """
-    w = np.asarray(w, dtype=float)
-    mu = _effect_means(truth) / np.sqrt(1.0 - q.leverages)
-    resid = q.residual(w * mu)
-    return float(resid @ resid) / truth.design.n_blocks**2
+    return float(_mean_effect_sums(truth, np.asarray(w, dtype=float), q)[0])
 
 
 def expected_bias_s2(truth, w: np.ndarray, q: QMatrix) -> float:
@@ -288,20 +272,16 @@ def expected_bias_s2(truth, w: np.ndarray, q: QMatrix) -> float:
 
     Sum of a cross-leverage term, sum_i w_i^2 var_i sum_{j != i}
     h_ij^2/(1-h_jj)^2, and the quadratic form of the unscaled mean effects
-    through (I-H) Psi (I-H). Both pieces are nonnegative. With H = U U',
-    sum_j h_ij^2 psi_j = u_i' (U' Psi U) u_i, an L x L product per block.
+    through (I-H) Psi (I-H), the s2 sum at the mean effects. Both pieces are
+    nonnegative. With H = U U', sum_j h_ij^2 psi_j = u_i' (U' Psi U) u_i, an
+    L x L product per block.
     """
     w = np.asarray(w, dtype=float)
-    b = truth.design.n_blocks
     var_i = true_block_variance(truth)
-    u = q.basis
-    psi = q.psi
-    gram = u.T @ (psi[:, None] * u)
-    cross = np.sum((u @ gram) * u, axis=1) - q.leverages**2 * psi
-    term1 = float(np.sum(w**2 * var_i * cross))
-    resid = q.residual(w * _effect_means(truth))
-    term2 = float(np.sum(resid**2 * psi))
-    return (term1 + term2) / b**2
+    u, psi = q.basis, q.psi
+    cross = np.sum((u @ (u.T @ (psi[:, None] * u))) * u, axis=1) - q.leverages**2 * psi
+    term1 = float(np.sum(w**2 * var_i * cross)) / truth.design.n_blocks**2
+    return term1 + float(_mean_effect_sums(truth, w, q)[1])
 
 
 def expected_bias_s3(model: CateModel, w: np.ndarray, q: QMatrix) -> float:
@@ -309,7 +289,8 @@ def expected_bias_s3(model: CateModel, w: np.ndarray, q: QMatrix) -> float:
 
     Requires equal block sizes and homoskedastic block effects (equal
     var(tau_hat_i)); then the gap is B^{-2} f_bar' (I-H) Psi_tilde (I-H) f_bar,
-    zero whenever f_bar lies in col(Q).
+    the s3 sum at the mean effects with w = 1, zero whenever f_bar lies in
+    col(Q).
     """
     if not isinstance(model, CateModel):
         raise PreconditionViolated("s3 bias formula is stated for noise models only")
@@ -320,8 +301,7 @@ def expected_bias_s3(model: CateModel, w: np.ndarray, q: QMatrix) -> float:
     spread = float(var_i.max() - var_i.min())
     if spread > 1e-8 * max(float(np.abs(var_i).max()), 1.0):
         raise PreconditionViolated("s3 bias formula requires homoskedastic block effects")
-    resid = q.residual(model.f_bar)
-    return float(np.sum(resid**2 / (1.0 - q.leverages))) / model.design.n_blocks**2
+    return float(_mean_effect_sums(model, 1.0, q)[2])
 
 
 def expected_bias_scs(truth, w: np.ndarray) -> float:
@@ -332,13 +312,8 @@ def expected_bias_scs(truth, w: np.ndarray) -> float:
     appears: arm noise raises the plug-in's expectation and the true variance
     by the same amount, so it drops out of the gap.
     """
+    s2t = _truth(truth)._effect_summaries[1]
     w = np.asarray(w, dtype=float)
-    if isinstance(truth, PotentialWorld):
-        s2t = truth.sigma2_tau
-    elif isinstance(truth, CateModel):
-        s2t = truth.sigma2_f_tau
-    else:
-        raise TypeError(f"expected PotentialWorld or CateModel, got {type(truth).__name__}")
     return float(np.sum(w**2 * s2t / truth.design.sizes)) / truth.design.n_blocks**2
 
 

@@ -175,7 +175,7 @@ def friedman_world(config: FriedmanConfig, seed) -> CateModel:
     ids = [str(i + 1) for i in range(len(sizes))]
     covariates = np.repeat(x, sizes, axis=0)
     design = BlockDesign._from_arrays(ids, sizes, np.array(treated, dtype=np.int64), covariates)
-    cov = np.array([[config.b**2, config.b], [config.b, 1.0]])
+    cov = np.array([[config.b * config.b, config.b], [config.b, 1.0]])  # inf, not OverflowError
     return CateModel._from_flat(design, np.repeat(config.a * f, sizes), np.repeat(f, sizes), cov)
 
 
@@ -299,14 +299,15 @@ def _table1_chunk(args) -> np.ndarray:
     for start, size in _sub_batches(rep_start, count, b * (k + q1.rank)):
         x, r1, r0, z, r, tau = _draw_replicates(ctx, rng, size, config.a)
         out = rows[start - rep_start : start - rep_start + size]
-        out[:, 9] = np.sum(w**2 * _randomization_variance(design, r1, r0), axis=-1) / b**2
-        out[:, 10] = tau @ w / b
-        out[:, :3] = _projection_variances(tau, w, q1.basis, q1.psi, q1.psi_tilde)
         stacked = [_stacked_bases(q1, w, _qspec_xbar(spec, x), size) for spec in specs]
-        for i, (ok, basis, one_minus) in enumerate(stacked, start=1):
-            if basis is not None:
-                cells = _projection_variances(tau[ok], w, basis[ok], *_psi_weights(one_minus[ok]))
-                out[ok, 3 * i : 3 * i + 3] = cells
+        with np.errstate(over="ignore", invalid="ignore"):  # run_table1 checks the summaries
+            out[:, 9] = np.sum(w**2 * _randomization_variance(design, r1, r0), axis=-1) / b**2
+            out[:, 10] = tau @ w / b
+            out[:, :3] = _projection_variances(tau, w, q1.basis, q1.psi, q1.psi_tilde)
+            for i, (ok, basis, one_minus) in enumerate(stacked, start=1):
+                if basis is not None:
+                    psi = _psi_weights(one_minus[ok])
+                    out[ok, 3 * i : 3 * i + 3] = _projection_variances(tau[ok], w, basis[ok], *psi)
         # failing replicates in replicate order, so the first of them raises
         finite = np.isfinite(r).all(axis=-1)
         flagged = ~np.logical_and.reduce([ok for ok, _, _ in stacked])
@@ -437,7 +438,9 @@ def _power_chunk(args) -> dict:
             oks.append(ok & fits)
             if basis is not None:
                 qm = basis[..., q1.rank :]
-                t = _f_values(tau[:, None], w, qm, basis, b - basis.shape[-1], qm.shape[-1])[:, 0]
+                with np.errstate(over="ignore", invalid="ignore"):  # _squares_fit flags those
+                    t = _f_values(tau[:, None], w, qm, basis, b - basis.shape[-1], qm.shape[-1])
+                t = t[:, 0]
                 scored.append((spec.kind, oks[-1], basis[:, order], _replay_threshold(t)))
         if scored and not scalar:
             names, oks_scored, bases, thresh = zip(*scored)

@@ -3,13 +3,17 @@
 Every ``analyze`` or ``hettest`` run either exits 0 and prints strict JSON
 (no NaN or Infinity) that validates against the shipped schema, or exits
 with one of the documented failure codes (2 input, 3 design, 4 estimator,
-5 numerical) and exactly one line on stderr, without a traceback.
+5 numerical) and exactly one line on stderr, without a traceback. Every
+``simulate`` run on tiny studies either exits 0 and writes no NaN or
+Infinity, or exits with one of those codes, one ``error:`` line and no
+output directory.
 """
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import re
 import tempfile
 import warnings
 from importlib import resources
@@ -213,3 +217,64 @@ PINNED = [
 @given(data=st.data())
 def test_every_fault_exits_cleanly(command, faults, bad_args, data):
     _check_contract(data.draw(cli_runs(command, faults, bad_args)), SCHEMAS[command])
+
+
+# One study run per example: tiny replicate, draw and block counts, at most one fault.
+SIM_FAULTS = {
+    "--seed": ("-1", "-5"),
+    "--reps": ("1", "0"),
+    "--blocks": ("0", "3", "12", "-2"),
+    "--a": ("1e160", "1e150", "nan"),
+    "--b": ("inf", "-1", "1.4e154"),
+    "--a-grid": ("1e160", "x", ""),
+    "--alpha": ("2", "-1", "nan"),
+    "--max-draws": ("0", str(MAX_DRAWS + 1)),
+}
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@st.composite
+def sim_runs(draw) -> list[str]:
+    """``simulate`` argv for table1, power or pate-demo, with at most one bad option value."""
+    study = draw(st.sampled_from(("table1", "power", "pate-demo")))
+    args = {"--reps": str(draw(st.integers(2, 3))), "--seed": str(draw(st.integers(0, 2**31)))}
+    if study == "table1":
+        args["--blocks"] = str(draw(st.integers(13, 40)))
+        args["--a"] = repr(draw(st.floats(0.0, 4.0)))
+        args["--b"] = repr(draw(st.floats(0.0, 4.0)))
+    elif study == "power":
+        args["--blocks"] = str(draw(st.integers(13, 24)))
+        args["--a-grid"] = repr(draw(st.floats(0.5, 2.0)))
+        args["--max-draws"] = str(draw(st.integers(1, 30)))
+        args["--alpha"] = repr(draw(st.floats(0.01, 0.5)))
+    if draw(st.integers(0, 2)) == 0:  # a fault in one run of three
+        flag = draw(st.sampled_from([f for f in SIM_FAULTS if f in args]))
+        args[flag] = draw(st.sampled_from(SIM_FAULTS[flag]))
+    return ["simulate", study] + [item for pair in args.items() for item in pair]
+
+
+@PROPERTY_SETTINGS
+@given(argv=sim_runs())
+@example(argv=["simulate", "pate-demo", "--reps", "2", "--seed", "-1"])
+@example(argv=["simulate", "power", "--reps", "2", "--max-draws", "9", "--alpha", "2"])
+@example(argv=["simulate", "table1", "--reps", "2", "--blocks", "0"])
+@example(argv=["simulate", "table1", "--reps", "2", "--blocks", "3"])
+@example(argv=["simulate", "table1", "--reps", "2", "--blocks", "20", "--a", "1e160"])
+@example(argv=["simulate", "table1", "--reps", "2", "--blocks", "20", "--b", "1.4e154"])
+def test_simulate_exits_cleanly_or_writes_finite_output(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "out"
+        code, out, err, caught = _run([*argv, "--out-dir", str(out_dir)])
+        written = {p.name: p.read_text() for p in out_dir.iterdir()} if out_dir.exists() else {}
+    assert "Traceback" not in err
+    if code == 0:
+        assert written, argv
+        for name, text in written.items():
+            assert not NON_FINITE.search(text), (argv, name)
+        assert not NON_FINITE.search(out), argv
+    else:
+        assert code in (2, 3, 4, 5), (code, err)
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert not written, (argv, sorted(written))
+        assert not caught, [str(w.message) for w in caught]

@@ -560,21 +560,30 @@ def test_cli_simulate_table1_rejects_non_finite_worlds(tmp_path, capsys, scale):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, near_max",
     [
-        ["hettest", "--q-spec", "x1", "--max-draws", "999"],
-        ["analyze", "--q-spec", "x1"],
-        ["simulate", "power", "--reps", "3", "--a-grid", "1e160"],
-        ["simulate", "table1", "--reps", "3", "--a", "1e150"],
-        ["simulate", "table1", "--reps", "3", "--a", "1e160"],
+        (["hettest", "--q-spec", "x1", "--max-draws", "999"], False),
+        (["analyze", "--q-spec", "x1"], False),
+        (["simulate", "power", "--reps", "3", "--a-grid", "1e160"], False),
+        (["simulate", "table1", "--reps", "3", "--a", "1e150"], False),
+        (["simulate", "table1", "--reps", "3", "--a", "1e160"], False),
+        (["hettest", "--q-spec", "x1"], True),
     ],
-    ids=["hettest", "analyze", "power", "table1-moments", "table1-squares"],
+    ids=["hettest", "analyze", "power", "table1-moments", "table1-squares", "hettest-block-sums"],
 )
-def test_cli_overflow_is_a_numerical_error(tmp_path, capsys, argv):
+def test_cli_overflow_is_a_numerical_error(tmp_path, capsys, argv, near_max):
     # responses near 1e160 square beyond the float range, in the replays and
-    # in the estimates; at a = 1e150 table 1's fourth moments do
+    # in the estimates; at a = 1e150 table 1's fourth moments do. A pair at
+    # (1.7e308, 1.7e308) has no range, but its sum in the option tables
+    # overflows, and the 12 pairs are enumerated exactly.
     rng = np.random.default_rng(6)
     path = _write_pairs_csv(tmp_path / "big.csv", 1e160 * rng.normal(size=30), x=rng.normal(size=30))
+    if near_max:
+        rows = ["block_id,unit_id,treated,response,x1"]
+        for i in range(12):
+            r1, r0 = (1.7e308, 1.7e308) if i == 0 else ((i * 7) % 5 + 0.5, 0.0)
+            rows += [f"b{i},u1,1,{r1},{i * 0.3}", f"b{i},u2,0,{r0},{i * 0.3}"]
+        path.write_text("\n".join(rows) + "\n")
     out = tmp_path / "out"
     if argv[0] == "simulate":
         argv = [*argv, "--out-dir", str(out)]

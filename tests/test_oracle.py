@@ -436,3 +436,25 @@ def test_limit_diagnostics_match_direct_recomputation():
     assert diag.beta_quadform == pytest.approx(quadform, rel=1e-12)
     assert diag.basis_gap == pytest.approx(gap, rel=1e-12)
     assert diag.beta_quadform >= 0.0
+
+
+@pytest.mark.parametrize(
+    "closed_form, schedule, error",
+    [
+        (lambda t, w, q: true_block_variance(t), False, TypeError),
+        (lambda t, w, q: true_ate_variance(t), False, TypeError),
+        (expected_bias_s1, False, TypeError),
+        (expected_bias_s2, False, TypeError),
+        (lambda t, w, q: expected_bias_scs(t, w), False, TypeError),
+        (expected_bias_s3, True, PreconditionViolated),
+    ],
+    ids=["true_block_variance", "true_ate_variance", "s1", "s2", "scs", "s3"],
+)
+def test_closed_forms_check_the_type_of_the_truth(closed_form, schedule, error):
+    # anything but a truth is a TypeError naming its type; s3 also refuses a schedule
+    design = BlockDesign.from_sizes([2] * 4, [1] * 4)
+    flat = (np.zeros(2),) * 4
+    truth = PotentialWorld(design, flat, flat) if schedule else design
+    match = "noise models only" if schedule else "got BlockDesign"
+    with pytest.raises(error, match=match):
+        closed_form(truth, block_weights(design), build_q1(design))

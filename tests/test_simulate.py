@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy import integrate
 from stratavar import (
     DimensionMismatch,
     FriedmanConfig,
+    NumericalError,
     QSpec,
     TABLE1_RAW_COLUMNS,
     block_level_covariates,
@@ -311,3 +313,19 @@ def test_study_chunks_stay_within_the_cell_budget(study):
     # alive; one 250-replicate chunk at once would need several times this
     bound = 16 * 8 * BATCH_CELLS
     assert peak < bound, f"peak traced memory {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize(
+    "study",
+    [
+        lambda: run_power_curve(a_grid=(1e160,), reps=3, max_draws=99),
+        lambda: run_table1(FriedmanConfig(a=1e160, b=2.0), reps=3),
+    ],
+    ids=["power", "table1"],
+)
+def test_overflowing_studies_raise_without_a_runtime_warning(study):
+    # the sub-batch statistics overflow quietly; the study's own checks raise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="overflow"):
+            study()
