@@ -1,13 +1,16 @@
 """Command line front end for analysis, testing, and simulation.
 
-Exit codes: 0 success, 2 input/parse problems, 3 invalid designs,
-4 estimator/design mismatches, 5 numerical failures.
+Exit codes: 0 success, 2 input problems and usage errors, 3 invalid designs,
+4 estimator/design mismatches, 5 numerical failures and running out of memory.
+A failure prints one ``error:`` line on stderr. Write an exponent-form
+negative value as ``--b=-1e+16``; argparse reads a separate ``-1e+16`` as a flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -196,13 +199,7 @@ def cmd_sim_table1(args) -> int:
     _write_csv(cells_path, cells, ["estimator", "qspec", "mean", "mc_se", "reps"])
 
     summary = {
-        "config": {
-            "n_blocks": config.n_blocks,
-            "a": config.a,
-            "b": config.b,
-            "n_covariates": config.n_covariates,
-            "triplet_fraction": config.triplet_fraction,
-        },
+        "config": dataclasses.asdict(config),
         "reps": result.reps,
         "seed": args.seed,
         "delta_mean": result.delta_mean,
@@ -325,31 +322,16 @@ def cmd_sim_pate_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_qspec_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--q-spec",
-        default="q1",
-        help="'q1' or comma-separated covariate column names, e.g. x1,x2 (default: q1)",
-    )
-    parser.add_argument(
-        "--poly",
-        type=int,
-        default=1,
-        help="power expansion degree for the named covariates (default: 1)",
-    )
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise InputError, so they leave ``main``
+    through EXIT_CODES like every other failure."""
 
-
-def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker processes; falls back to STRATAVAR_THREADS, then 1",
-    )
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stratavar",
         description=(
             "Estimation, conservative variance estimation, and effect-heterogeneity "
@@ -358,49 +340,67 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="estimate the treatment effect from a CSV file")
-    analyze.add_argument("--csv", required=True, help="experiment CSV file")
-    _add_qspec_flags(analyze)
+    # flags shared between subcommands, each defined once
+    data = _Parser(add_help=False)
+    data.add_argument("--csv", required=True, help="experiment CSV file")
+    data.add_argument(
+        "--q-spec",
+        default="q1",
+        help="'q1' or comma-separated covariate column names, e.g. x1,x2 (default: q1)",
+    )
+    data.add_argument(
+        "--poly",
+        type=int,
+        default=1,
+        help="power expansion degree for the named covariates (default: 1)",
+    )
+    data.add_argument("--out", default=None, help="write the JSON here instead of stdout")
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    seeded.add_argument(
+        "--threads", type=int, help="worker processes; falls back to STRATAVAR_THREADS, then 1"
+    )
+    out_dir = _Parser(add_help=False)
+    out_dir.add_argument("--out-dir", default=".", help="directory for output files (default .)")
+    study = [seeded, out_dir]
+
+    analyze = sub.add_parser(
+        "analyze", parents=[data], help="estimate the treatment effect from a CSV file"
+    )
     analyze.add_argument(
         "--estimators",
         default="auto",
         help="'auto' or comma-separated subset of paired,coarse,s1,s2,s3",
     )
     analyze.add_argument("--alpha", type=float, default=0.05, help="CI miscoverage (default 0.05)")
-    analyze.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     analyze.set_defaults(func=cmd_analyze)
 
-    het = sub.add_parser("hettest", help="permutation test of constant treatment effects")
-    het.add_argument("--csv", required=True, help="experiment CSV file")
-    _add_qspec_flags(het)
+    het = sub.add_parser(
+        "hettest", parents=[data, seeded], help="permutation test of constant treatment effects"
+    )
     het.add_argument(
         "--max-draws",
         type=int,
         default=10_000,
         help="enumerate exactly up to this many assignments, then sample (default 10000)",
     )
-    het.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    _add_threads_flag(het)
-    het.add_argument("--out", default=None, help="write the JSON result here instead of stdout")
     het.set_defaults(func=cmd_hettest)
 
     sim = sub.add_parser("simulate", help="run the numerical studies")
     simsub = sim.add_subparsers(dest="study", required=True)
 
-    t1 = simsub.add_parser("table1", help="estimator means under the nonlinear response surface")
+    t1 = simsub.add_parser(
+        "table1", parents=study, help="estimator means under the nonlinear response surface"
+    )
     t1.add_argument("--reps", type=int, default=10_000)
-    t1.add_argument("--seed", type=int, default=0)
     t1.add_argument("--blocks", type=int, default=100)
     t1.add_argument("--a", type=float, default=2.0, help="treated signal scale (default 2)")
     t1.add_argument("--b", type=float, default=2.0, help="treated noise scale (default 2)")
-    _add_threads_flag(t1)
-    t1.add_argument("--out-dir", default=".", help="directory for output files (default .)")
     t1.add_argument("--raw", action="store_true", help="also write per-replicate values")
     t1.set_defaults(func=cmd_sim_table1)
 
-    pw = simsub.add_parser("power", help="heterogeneity test power along a signal grid")
+    pw = simsub.add_parser("power", parents=study, help="heterogeneity test power along a signal grid")
     pw.add_argument("--reps", type=int, default=1000)
-    pw.add_argument("--seed", type=int, default=0)
     pw.add_argument("--blocks", type=int, default=20)
     pw.add_argument("--b", type=float, default=1.0, help="treated noise scale (default 1)")
     pw.add_argument(
@@ -410,24 +410,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pw.add_argument("--max-draws", type=int, default=999)
     pw.add_argument("--alpha", type=float, default=0.05)
-    _add_threads_flag(pw)
-    pw.add_argument("--out-dir", default=".", help="directory for output files (default .)")
     pw.add_argument("--raw", action="store_true", help="also write per-replicate p-values")
     pw.set_defaults(func=cmd_sim_power)
 
     pq = simsub.add_parser(
-        "pairs-quartets", help="closed-form pairs versus quartets comparison (deterministic)"
+        "pairs-quartets",
+        parents=[out_dir],
+        help="closed-form pairs versus quartets comparison (deterministic)",
     )
-    pq.add_argument("--out-dir", default=".", help="directory for output files (default .)")
     pq.set_defaults(func=cmd_sim_pairs_quartets)
 
     pd = simsub.add_parser(
-        "pate-demo", help="within-world versus across-worlds variance targets"
+        "pate-demo", parents=study, help="within-world versus across-worlds variance targets"
     )
     pd.add_argument("--reps", type=int, default=2000)
-    pd.add_argument("--seed", type=int, default=0)
-    _add_threads_flag(pd)
-    pd.add_argument("--out-dir", default=".", help="directory for output files (default .)")
     pd.set_defaults(func=cmd_sim_pate_demo)
 
     return parser
@@ -445,6 +441,7 @@ EXIT_CODES = {
     IncompatibleEstimator: EXIT_INCOMPATIBLE,
     NumericalError: EXIT_NUMERICAL,
     OSError: EXIT_INPUT,
+    MemoryError: EXIT_NUMERICAL,
 }
 
 
@@ -452,16 +449,15 @@ def main(argv=None) -> int:
     """Run one subcommand. A failure prints exactly one ``error:`` line on
     stderr; warnings raised along the way print as one ``warning:`` line each,
     and only when the command succeeds."""
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         try:
+            args = _parser().parse_args(argv)
             code = args.func(args)
+        except SystemExit as exc:  # --help
+            return int(exc.code or 0)
         except tuple(EXIT_CODES) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
             return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)

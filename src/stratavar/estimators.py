@@ -55,6 +55,11 @@ from .projection import QMatrix, build_q1
 WEIGHT_EQUAL_ATOL = 1e-9
 
 
+def _equal_weights(w: np.ndarray) -> bool:
+    """Whether every block weight is within WEIGHT_EQUAL_ATOL of one."""
+    return bool(np.all(np.abs(np.asarray(w, dtype=float) - 1.0) <= WEIGHT_EQUAL_ATOL))
+
+
 @dataclass(frozen=True)
 class BlockEffects:
     """Per-block summaries of one realized experiment.
@@ -212,7 +217,7 @@ def var_paired_classical(effects: BlockEffects, w: np.ndarray) -> float:
     b = effects.n_blocks
     if b < 2:
         raise TooFewBlocks("paired variance needs at least two blocks")
-    if not np.allclose(w, 1.0, rtol=0.0, atol=WEIGHT_EQUAL_ATOL):
+    if not _equal_weights(w):
         raise UnequalBlocks("paired variance requires equal block weights")
     sizes = effects.sizes
     if np.any(sizes != 2):
@@ -307,7 +312,7 @@ def var_s3(effects: BlockEffects, w: np.ndarray, q: QMatrix) -> float:
 
 def _warn_unequal_s3(w: np.ndarray) -> None:
     """Warn that s3 is not established as conservative when block weights differ."""
-    if not np.allclose(w, 1.0, rtol=0.0, atol=WEIGHT_EQUAL_ATOL):
+    if not _equal_weights(w):
         warnings.warn(
             "s3 reweighting applied to unequal block sizes; conservativeness "
             "is only established for equal sizes",

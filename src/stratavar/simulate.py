@@ -125,16 +125,6 @@ class QSpec:
             raise DimensionMismatch("custom q-spec needs columns")
 
 
-def friedman_function(x: np.ndarray) -> np.ndarray:
-    """The block-level response surface; x is (..., B, K>=5) in [0,1]."""
-    return (
-        10.0 * np.sin(np.pi * x[..., 0] * x[..., 1])
-        + 20.0 * (x[..., 2] - 0.5) ** 2
-        + 10.0 * np.exp(x[..., 3])
-        + 5.0 * (x[..., 4] - 0.5) ** 3
-    )
-
-
 def correct_transforms(x: np.ndarray) -> np.ndarray:
     """The four covariate transforms whose span contains f, as (..., B, 4)."""
     return np.stack(
@@ -146,6 +136,12 @@ def correct_transforms(x: np.ndarray) -> np.ndarray:
         ],
         axis=-1,
     )
+
+
+def friedman_function(x: np.ndarray) -> np.ndarray:
+    """The block-level response surface; x is (..., B, K>=5) in [0,1]."""
+    t = correct_transforms(x)
+    return 10.0 * t[..., 0] + 20.0 * t[..., 1] + 10.0 * t[..., 2] + 5.0 * t[..., 3]
 
 
 def friedman_sizes(config: FriedmanConfig) -> tuple[list[int], list[int]]:

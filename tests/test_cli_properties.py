@@ -278,3 +278,56 @@ def test_simulate_exits_cleanly_or_writes_finite_output(argv):
         assert len(lines) == 1 and lines[0].startswith("error: "), err
         assert not written, (argv, sorted(written))
         assert not caught, [str(w.message) for w in caught]
+
+
+# Every numeric flag of the studies and of hettest's replay, with a small
+# well-formed value. A run gives one of them a value that argparse cannot
+# read, as its own argv token: an exponent-form negative such as -1e+16 looks
+# like a flag to argparse, which then finds the flag before it without a value.
+NUMERIC_FLAGS = {
+    "simulate table1": {
+        "--reps": "2", "--seed": "0", "--blocks": "13", "--threads": "1",
+        "--a": "1.0", "--b": "1.0",
+    },
+    "simulate power": {
+        "--reps": "2", "--seed": "0", "--blocks": "13", "--threads": "1", "--b": "1.0",
+        "--max-draws": "9", "--alpha": "0.05",
+    },
+    "simulate pate-demo": {"--reps": "2", "--seed": "0", "--threads": "1"},
+    "hettest": {"--max-draws": "9", "--seed": "0"},
+}
+FLOAT_FLAGS = ("--a", "--b", "--alpha")
+UNPARSEABLE = ("abc", "", "-1e+16", "-2E3")
+
+
+@st.composite
+def unparseable_runs(draw) -> tuple[list[str], str]:
+    """argv with one numeric flag given an unreadable value, and that flag."""
+    command = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    args = dict(NUMERIC_FLAGS[command])
+    flag = draw(st.sampled_from(sorted(args)))
+    args[flag] = draw(st.sampled_from(UNPARSEABLE + (() if flag in FLOAT_FLAGS else ("1.5",))))
+    pairs = draw(st.permutations(list(args.items())))
+    return command.split() + [item for pair in pairs for item in pair], flag
+
+
+@PROPERTY_SETTINGS
+@given(run=unparseable_runs())
+@example(run=(["simulate", "table1", "--reps", "abc"], "--reps"))
+@example(run=(["simulate", "table1", "--b", "-1e+16"], "--b"))
+@example(run=(["hettest", "--seed", "-2E3"], "--seed"))
+def test_unreadable_numeric_values_are_one_line_usage_errors(run):
+    argv, flag = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "experiment.csv"
+        path.write_text(FOUR_PAIRS)
+        if argv[0] == "hettest":
+            where = ["--csv", str(path), "--q-spec", "x1"]
+        else:
+            where = ["--out-dir", str(Path(tmp) / "out")]
+        code, out, err, caught = _run([*argv, *where])
+    assert code == 2, (argv, err)
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and flag in lines[0], err
+    assert not caught, [str(w.message) for w in caught]

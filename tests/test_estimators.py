@@ -36,7 +36,7 @@ from stratavar import (
     var_s2,
     var_s3,
 )
-from stratavar.estimators import _option_groups
+from stratavar.estimators import WEIGHT_EQUAL_ATOL, _equal_weights, _option_groups
 
 
 def _pair_data(taus, base=0.0):
@@ -222,6 +222,14 @@ def test_paired_variance_warns_on_equal_size_non_pairs():
     eff = block_effects(design, data)
     with pytest.warns(EstimatorWarning):
         var_paired_classical(eff, block_weights(design))
+
+
+@pytest.mark.parametrize("off", [5e-10, 1e-9, -1e-9, 2e-9, -2e-9, np.nan, np.inf])
+def test_equal_weights_rule_agrees_with_allclose_at_its_boundary(off):
+    w = np.ones(4)
+    w[2] += off
+    assert _equal_weights(w) == np.allclose(w, 1.0, rtol=0.0, atol=WEIGHT_EQUAL_ATOL)
+    assert _equal_weights(np.ones(0)) and np.allclose(np.ones(0), 1.0)
 
 
 def test_coarse_variance_hand_value():

@@ -620,6 +620,61 @@ def test_cli_prints_warnings_as_one_line_each_and_only_on_success(tmp_path, caps
     assert "vanished" in _one_error_line(capsys)
 
 
+# Usage errors leave through the same path as every other failure: exit 2 and
+# one error line naming the offending flag, with no usage block before it.
+USAGE_ERRORS = {
+    "unparseable int": (["simulate", "table1", "--reps", "abc"], "--reps"),
+    "exponent-form negative": (["simulate", "table1", "--b", "-1e+16"], "--b"),
+    "unknown flag": (["simulate", "power", "--triplet-fraction", "2"], "--triplet-fraction"),
+    "no csv": (["analyze"], "--csv"),
+    "no subcommand": ([], "command"),
+    "no study": (["simulate"], "study"),
+}
+
+
+@pytest.mark.parametrize("argv, named", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_cli_usage_errors_print_one_error_line(capsys, argv, named):
+    assert main(argv) == 2
+    assert named in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "message, line",
+    [("", "error: MemoryError"), ("Unable to allocate 8.00 EiB", "error: Unable to allocate 8.00 EiB")],
+    ids=["empty", "numpy"],
+)
+def test_cli_out_of_memory_is_a_numerical_error(tmp_path, capsys, monkeypatch, message, line):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_table1", out_of_memory)
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "table1", "--reps", "2", "--out-dir", str(out_dir)]) == 5
+    assert _one_error_line(capsys) == line
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["analyze"],
+        ["hettest"],
+        ["simulate"],
+        ["simulate", "table1"],
+        ["simulate", "power"],
+        ["simulate", "pairs-quartets"],
+        ["simulate", "pate-demo"],
+    ],
+    ids=" ".join,
+)
+def test_cli_help_exits_zero_with_usage_on_stdout(capsys, argv):
+    assert main([*argv, "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(" ".join(["usage: stratavar", *argv]))
+    assert captured.err == ""
+
+
 # ---------------------------------------------------------------------------
 # header names and line numbers
 # ---------------------------------------------------------------------------
