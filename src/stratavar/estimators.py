@@ -50,7 +50,7 @@ from .errors import (
     TooFewBlocks,
     UnequalBlocks,
 )
-from .projection import QMatrix, build_q1
+from .projection import QMatrix, _residual, build_q1
 
 WEIGHT_EQUAL_ATOL = 1e-9
 
@@ -256,12 +256,8 @@ def _projection_variances(
     1/(1-h)^2 and 1/(1-h); any leading replicate axes broadcast.
     """
     b2 = tau.shape[-1] ** 2
-
-    def residual(v):  # (I - U U') v, along the last axis
-        return v - ((v[..., None, :] @ basis) @ basis.swapaxes(-1, -2))[..., 0, :]
-
-    scaled = residual(w * (tau * np.sqrt(psi_tilde)))
-    resid_sq = residual(w * tau) ** 2
+    scaled = _residual((w * (tau * np.sqrt(psi_tilde)))[..., None, :], basis)[..., 0, :]
+    resid_sq = _residual((w * tau)[..., None, :], basis)[..., 0, :] ** 2
     sums = (
         np.einsum("...i,...i->...", scaled, scaled),
         np.einsum("...i,...i->...", resid_sq, psi),

@@ -51,7 +51,7 @@ from ._util import _check_seed, chunk_rng, map_chunks
 from .design import AssignmentAndOutcomes, BlockDesign, block_weights, n_assignments
 from .errors import BadQPair, InputError, NumericalError, ZeroDenominator
 from .estimators import _group_effects, _option_groups, block_effects
-from .projection import QMatrix
+from .projection import QMatrix, _residual
 
 DENOMINATOR_TOL = 1e-12
 CELLS = 1 << 18  # cells of the exact path's trailing table: 2 MB
@@ -99,11 +99,10 @@ class HetTestResult:
         }
 
 
-def _covariate_block(q2: QMatrix) -> np.ndarray:
-    """Orthonormal basis Q_M of the added covariate columns, read off the q2 factor."""
+def _check_covariate_block(q2: QMatrix) -> None:
+    """Raise BadQPair unless the q2 basis adds covariate columns to q1's."""
     if q2.added_covariate_rank < 1:
         raise BadQPair("basis adds no covariate columns beyond intercept and weights")
-    return q2.basis[:, q2.q1_rank :]
 
 
 def f_statistic(tau_hat: np.ndarray, w: np.ndarray, q2: QMatrix) -> float:
@@ -111,37 +110,30 @@ def f_statistic(tau_hat: np.ndarray, w: np.ndarray, q2: QMatrix) -> float:
 
     Raises ZeroDenominator when the residual beyond the full basis vanishes.
     """
+    _check_covariate_block(q2)
     tau_hat = np.asarray(tau_hat, dtype=float)[None, :]
-    qm = _covariate_block(q2)
-    k = q2.added_covariate_rank
-    f = _f_values(tau_hat, np.asarray(w, dtype=float), qm, q2.basis, q2.n_blocks - q2.rank, k)[0]
+    f = _f_values(tau_hat, np.asarray(w, dtype=float), q2.basis, q2.q1_rank)[0]
     if np.isinf(f):
         raise ZeroDenominator("residual sum of squares beyond the basis is zero")
     return float(f)
 
 
-def _f_values(
-    t_mat: np.ndarray,
-    w: np.ndarray,
-    qm: np.ndarray,
-    basis: np.ndarray,
-    df_den: int,
-    k: int,
-) -> np.ndarray:
+def _f_values(t_mat: np.ndarray, w: np.ndarray, basis: np.ndarray, q1_rank: int) -> np.ndarray:
     """F for each row of a (..., draws, B) array of block effects; inf on zero residual.
 
-    ``qm`` and ``basis`` are the (..., B, K) and (..., B, L) orthonormal
-    factors of the covariate block and of the full basis, so each row costs
-    O(B (K + L)). Leading replicate axes broadcast as in matmul.
+    ``basis`` is a (..., B, L) q2 factor [U_q1 | Q_M] as ``q2_stack`` lays it
+    out, U_q1 its first ``q1_rank`` columns: F has K = L - q1_rank and B - L
+    degrees of freedom, and its residual is ``_residual``'s. Each row costs
+    O(B L); leading replicate axes broadcast as in matmul.
     """
+    b, width = basis.shape[-2:]
     v = t_mat * w
-    num = np.square(v @ qm).sum(axis=-1)
-    resid = (v @ basis) @ basis.swapaxes(-1, -2)
-    resid -= v  # H v - v: only its square norm is used
+    num = np.square(v @ basis[..., q1_rank:]).sum(axis=-1)
+    resid = _residual(v, basis)
     den = np.einsum("...j,...j->...", resid, resid)
     scale = np.einsum("...j,...j->...", v, v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = (num / den) * (df_den / k)
+        f = (num / den) * ((b - width) / (width - q1_rank))
     f[den <= DENOMINATOR_TOL * scale] = np.inf
     return f
 
@@ -180,7 +172,7 @@ def _exact_tile(args) -> tuple[int, int]:
     are decoded and scored again by :func:`_formula_hits`.
     """
     lo, hi, (rep, table, radix, leading, layout, trail) = args
-    (_, ratio, k, delta, thresh, _), q1 = rep.score, table.shape[1] - 1 - rep.score[2][0]
+    (_, ratio, _, delta, thresh, _), q1 = rep.score, rep.q1_rank
     digits = np.unravel_index(np.arange(lo, hi), radix[leading])
     lead = _summed(table, np.add(digits, np.cumsum([0, *radix])[leading, None]))
     lm, tm = lead[:, q1:-1], trail[:, q1:-1]
@@ -295,6 +287,7 @@ class _Replays(NamedTuple):
     runs: list  # (first column, (R, S * k, C) option tables, k): S super-blocks of k blocks
     keyed: list  # (first column, kt, (R, G, n) responses) of each untabled group
     w: np.ndarray  # (B,) weights
+    q1_rank: int  # leading columns U_q1 of every basis
     bases: list  # each spec's (R, B, L) basis [U_q1 | Q_M]
     joint: np.ndarray  # (R, B, L') columns [U_q1 | Q_M of each spec]
     score: tuple  # (parts, ratio, k, delta, thresh, live), see _replay_piece
@@ -328,7 +321,7 @@ def _replays(groups: list, w, q1_rank: int, bases: list, thresh, live) -> _Repla
             runs += [(start + lo, table[:, lo:hi], kb) for lo, hi, kb in spans if hi > lo]
         start += g
     drawn = sum(t.shape[1] // kb for _, t, kb in runs) + sum(a.shape[-2] for *_, a in keyed)
-    return _Replays(runs, keyed, w, bases, joint, score, max(cells, drawn))
+    return _Replays(runs, keyed, w, q1_rank, bases, joint, score, max(cells, drawn))
 
 
 def _replay_tables(rep: _Replays, reps: slice) -> tuple[np.ndarray, list]:
@@ -412,8 +405,7 @@ def _formula_hits(rep: _Replays, reps: slice, j: int, i: int, t_mat, rows: list)
         n, c = opts.shape[1:]
         digits = d[..., None] // c ** np.arange(kb - 1, -1, -1) % c  # (S, m, k)
         t_mat[:, col : col + n] = opts[reps][j][np.arange(n), digits.swapaxes(0, 1).reshape(-1, n)]
-    basis, k = rep.bases[i][reps][j], rep.score[2][i]
-    f = _f_values(t_mat, rep.w, basis[:, -k:], basis, len(rep.w) - basis.shape[1], k)
+    f = _f_values(t_mat, rep.w, rep.bases[i][reps][j], rep.q1_rank)
     return int(np.count_nonzero(f >= rep.score[4][reps][j, i]))
 
 
@@ -490,12 +482,10 @@ def permutation_test(
     effects = block_effects(design, data)
     if not _squares_fit(design, data.r, w):
         raise NumericalError("responses spread too widely: the replays' squares would overflow")
-    qm = _covariate_block(q2)
-    k = q2.added_covariate_rank
-    df_den = design.n_blocks - q2.rank
+    _check_covariate_block(q2)
 
     notes: list[str] = []
-    t = _f_values(effects.tau_hat[None, :], w, qm, q2.basis, df_den, k)[0]
+    t = _f_values(effects.tau_hat[None, :], w, q2.basis, q2.q1_rank)[0]
     if np.isinf(t):
         notes.append(
             "observed residual beyond the basis is zero; p-value is the smallest attainable"
@@ -529,8 +519,8 @@ def permutation_test(
         p_value=hits / draws if exact else (1 + hits) / (1 + draws),
         draws=draws,
         exact=exact,
-        numerator_df=k,
-        denominator_df=df_den,
+        numerator_df=q2.added_covariate_rank,
+        denominator_df=design.n_blocks - q2.rank,
         seed=None if exact else int(seed),
         notes=tuple(notes),
     )

@@ -18,12 +18,14 @@ imported only then) decides RankDeficient, and runs only when the basis's
 smallest singular value nears the tolerance: no pivoted |R_jj| falls below
 it, so a basis clear of the tolerance is of full rank.
 ``q2_stack`` runs that factorization, and every check, on a stack of
-covariate blocks at once; ``build_q2`` is its one-row case, and repairs
-(drops, refactors or raises) only a row that some check flags.
+covariate blocks at once, and lays out each row's basis ``[U_q1 | Q_M]``
+(``Q2Stack.basis``); ``build_q2`` is its one-row case, and repairs (drops,
+refactors or raises) only a row that some check flags.
 
 Every consumer needs only the residual ``v - H v`` and the leverages
 ``diag(H)`` of the projector H onto col(Q), never H itself. Both come from
-U, the B x L orthonormal factor of Q: ``H v = U (U' v)`` and
+U, the B x L orthonormal factor of Q: ``H v = U (U' v)``, whose residual
+the estimators and the F statistic form by ``_residual``, and
 ``h_ii = |u_i|^2``. A ``QMatrix`` therefore stores U and costs O(B L)
 memory and O(B L) time per projection; the dense B x B ``hat`` exists only
 as a lazily built property for callers that ask for it explicitly.
@@ -114,6 +116,11 @@ class QMatrix:
     def hat(self) -> np.ndarray:
         """The dense B x B projector U U' (O(B^2) memory)."""
         return _symmetric_outer(self.basis)
+
+
+def _residual(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """rows - (rows U) U': each (..., m, B) row's residual off col(U), U the (..., B, L) basis."""
+    return rows - (rows @ basis) @ basis.swapaxes(-1, -2)
 
 
 def _psi_weights(one_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,11 +218,10 @@ def build_q1(design: BlockDesign) -> QMatrix:
     cached = design.__dict__.get("_q1")
     if cached is not None:
         return cached
-    b = design.n_blocks
-    w = block_weights(design)
+    b, sizes = design.n_blocks, design.sizes
     cols = [np.ones(b)]
-    if not np.allclose(w, 1.0, rtol=0.0, atol=1e-12):
-        cols.append(w - 1.0)
+    if (sizes != sizes[:1]).any():  # the weights column w - 1 is zero for equal sizes
+        cols.append(block_weights(design) - 1.0)
     values = np.column_stack(cols)
     ncol = values.shape[1]
     if ncol >= b:
@@ -276,16 +282,15 @@ class Q2Stack(NamedTuple):
     """``build_q2``'s one-factorization path over a stack of covariate blocks.
 
     Row r is ``ok`` when its basis needs no column drop, note, refactor or
-    rank fallback and raises nothing; ``build_q2`` then returns
-    ``[U_q1 | qm[r]]`` with ``leverages[r]`` for it. ``qm`` and
-    ``leverages`` are None when the basis has too many columns or every row
-    has a degenerate column.
+    rank fallback and raises nothing; ``build_q2`` then returns ``basis[r]``
+    with ``leverages[r]`` for it. ``basis`` and ``leverages`` are None when
+    the basis has too many columns or every row has a degenerate column.
     """
 
     m: np.ndarray  # (R, B, K) weighted covariate blocks orthogonalized against q1
     m_norms: np.ndarray  # (R, K) their column norms
     degenerate: np.ndarray  # (R, K) columns that vanished after weighting and centering
-    qm: np.ndarray | None  # (R, B, K) orthonormal factors Q_M of m
+    basis: np.ndarray | None  # (R, B, L) orthonormal factors [U_q1 | Q_M], Q_M that of m
     leverages: np.ndarray | None  # (R, B) leverages of [q1 | m]
     ok: np.ndarray  # (R,) bool
 
@@ -335,7 +340,8 @@ def q2_stack(q1: QMatrix, raw: np.ndarray) -> Q2Stack:
     lev, one = _leverages(q1.leverages + np.einsum("...ij,...ij->...i", qm, qm))
     ok &= ~_collinear(r, m_max).any(axis=-1) & ~_q1_leak(q1, qm) & ~one.any(axis=-1)
     ok &= ~_near_rank_tol(q1, r, m_max)[0]
-    return Q2Stack(m, m_norms, degenerate, qm, lev, ok)
+    u1 = np.broadcast_to(q1.basis, qm.shape[:-1] + (q1.rank,))
+    return Q2Stack(m, m_norms, degenerate, np.concatenate([u1, qm], axis=-1), lev, ok)
 
 
 def build_q2(design: BlockDesign, xbar=None, poly_degree: int = 1, columns=None) -> QMatrix:
@@ -359,12 +365,12 @@ def build_q2(design: BlockDesign, xbar=None, poly_degree: int = 1, columns=None)
     x = _expanded_block_means(design, xbar, poly_degree, columns)
     stack = q2_stack(q1, (block_weights(design)[:, None] * x)[None])
     if stack.ok[0]:
-        m, qm, lev, dropped, notes = stack.m[0], stack.qm[0], stack.leverages[0], [], []
+        m, basis, lev, dropped, notes = stack.m[0], stack.basis[0], stack.leverages[0], [], []
     else:
-        m, qm, lev, dropped, notes = _repaired_q2(q1, stack)
+        m, basis, lev, dropped, notes = _repaired_q2(q1, stack)
     return QMatrix(
         values=np.column_stack([q1.values, m]),
-        basis=np.column_stack([q1.basis, qm]),
+        basis=basis,
         leverages=lev,
         rank=q1.rank + m.shape[1],
         kind="q2",
@@ -378,8 +384,8 @@ def build_q2(design: BlockDesign, xbar=None, poly_degree: int = 1, columns=None)
 def _repaired_q2(q1: QMatrix, stack: Q2Stack) -> tuple:
     """``build_q2`` for a one-row stack that is not ok: drop, refactor or raise.
 
-    Returns the kept columns of M, their Q_M, the leverages, and the dropped
-    column indices with their notes.
+    Returns the kept columns of M, the basis [U_q1 | Q_M], the leverages,
+    and the dropped column indices with their notes.
     """
     m, m_norms, degenerate = stack.m[0], stack.m_norms[0], stack.degenerate[0]
     b = m.shape[0]
@@ -432,4 +438,4 @@ def _repaired_q2(q1: QMatrix, stack: Q2Stack) -> tuple:
     if near:
         _pivoted_factor(np.column_stack([q1.values, m_final]), rank_tol)  # raises RankDeficient
     lev = _checked_leverages(q1.leverages + np.einsum("ij,ij->i", qm, qm))
-    return m_final, qm, lev, dropped, notes
+    return m_final, np.column_stack([q1.basis, qm]), lev, dropped, notes

@@ -140,7 +140,11 @@ def correct_transforms(x: np.ndarray) -> np.ndarray:
 
 def friedman_function(x: np.ndarray) -> np.ndarray:
     """The block-level response surface; x is (..., B, K>=5) in [0,1]."""
-    t = correct_transforms(x)
+    return _surface(correct_transforms(x))
+
+
+def _surface(t: np.ndarray) -> np.ndarray:
+    """f from its (..., B, 4) ``correct_transforms``."""
     return 10.0 * t[..., 0] + 20.0 * t[..., 1] + 10.0 * t[..., 2] + 5.0 * t[..., 3]
 
 
@@ -180,12 +184,13 @@ def block_level_covariates(design: BlockDesign) -> np.ndarray:
     return design.covariates[design.unit_starts]
 
 
-def _qspec_xbar(spec: QSpec, x: np.ndarray) -> np.ndarray | None:
-    """Block-level covariate columns of a q-spec for (..., B, K) covariates; None for "none"."""
+def _qspec_xbar(spec: QSpec, x: np.ndarray, transforms=None) -> np.ndarray | None:
+    """Block-level covariate columns of a q-spec for (..., B, K) covariates; None for "none".
+    ``transforms``, if given, are x's ``correct_transforms``."""
     if spec.kind == "none":
         return None
     if spec.kind == "correct":
-        return correct_transforms(x)
+        return correct_transforms(x) if transforms is None else transforms
     if spec.kind == "incorrect":
         return x
     return spec.columns
@@ -238,35 +243,19 @@ def _draw_replicates(ctx: dict, rng, reps: int, a: float) -> tuple:
 
     Draws x as (R, B, K), one unit noise eps as (R, N) and the (R, N)
     treated flags z, in that order; r1 = a f + b eps and r0 = f + eps share
-    eps. Returns x, r1, r0, z, the revealed responses r and the (R, B)
-    block effects tau = m1 - m0, the kernel of ``block_effects``.
+    eps. Returns x, its (R, B, 4) ``correct_transforms`` t, r1, r0, z, the
+    revealed r and the (R, B) effects tau = m1 - m0 (``block_effects``' kernel).
     """
     config, design = ctx["config"], ctx["design"]
     x = _draw_covariates(config, rng, reps)
     eps = rng.standard_normal((reps, design.n_units))
     z = _draw_treated(design, rng, reps)
-    f = np.repeat(friedman_function(x), design.sizes, axis=-1)
+    t = correct_transforms(x)
+    f = np.repeat(_surface(t), design.sizes, axis=-1)
     r1, r0 = a * f + config.b * eps, f + eps
     r = _revealed(z, r1, r0)
     m1, m0 = _arm_means(design, z, r)
-    return x, r1, r0, z, r, m1 - m0
-
-
-def _stacked_bases(q1: QMatrix, w: np.ndarray, xbar: np.ndarray | None, reps: int):
-    """q2 bases of an (R, B, K) covariate stack by the one-factorization path.
-
-    Returns the (R,) ok mask, the (R, B, L) bases ``[U_q1 | Q_M]`` and their
-    1 - leverages; rows that are not ok hold unchecked values. The bases are
-    None when no row has one, as for the "none" spec (``xbar`` None). A row
-    that is not ok takes :func:`resolve_qspec` instead.
-    """
-    if xbar is None:
-        return np.zeros(reps, dtype=bool), None, None
-    stack = q2_stack(q1, w[:, None] * xbar)
-    if stack.qm is None:
-        return stack.ok, None, None
-    u1 = np.broadcast_to(q1.basis, stack.qm.shape[:-1] + (q1.rank,))
-    return stack.ok, np.concatenate([u1, stack.qm], axis=-1), 1.0 - stack.leverages
+    return x, t, r1, r0, z, r, m1 - m0
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +268,10 @@ def _table1_chunk(args) -> np.ndarray:
 
     The chunk draws from ``chunk_rng(seed, chunk)``. Each sub-batch draws
     its worlds and assignments by :func:`_draw_replicates`; the schedule
-    variance comes from r1/r0, the estimate and the estimators from tau,
-    all as arrays over the sub-batch. A replicate with a non-finite
-    response raises NonFiniteResponse, and one whose basis is flagged takes
-    ``resolve_qspec``, in replicate order.
+    variance comes from r1/r0, the estimate and the estimators from tau
+    on each q-spec's ``q2_stack``, all as arrays over the sub-batch. A
+    replicate with a non-finite response raises NonFiniteResponse, and one
+    whose row of a stack is not ok takes ``resolve_qspec``, in replicate order.
     """
     seed, rep_start, count, ctx = args
     rng = chunk_rng(seed, rep_start // REP_CHUNK)
@@ -293,25 +282,26 @@ def _table1_chunk(args) -> np.ndarray:
     specs = [QSpec(kind=name) for name in TABLE1_QSPECS[1:]]
     rows = np.empty((count, len(TABLE1_RAW_COLUMNS)))
     for start, size in _sub_batches(rep_start, count, b * (k + q1.rank)):
-        x, r1, r0, z, r, tau = _draw_replicates(ctx, rng, size, config.a)
+        x, t, r1, r0, z, r, tau = _draw_replicates(ctx, rng, size, config.a)
         out = rows[start - rep_start : start - rep_start + size]
-        stacked = [_stacked_bases(q1, w, _qspec_xbar(spec, x), size) for spec in specs]
+        # each spec's (basis, leverages, ok); its M is not kept through the sub-batch
+        stacks = [q2_stack(q1, w[:, None] * _qspec_xbar(spec, x, t))[-3:] for spec in specs]
         with np.errstate(over="ignore", invalid="ignore"):  # run_table1 checks the summaries
             out[:, 9] = np.sum(w**2 * _randomization_variance(design, r1, r0), axis=-1) / b**2
             out[:, 10] = tau @ w / b
             out[:, :3] = _projection_variances(tau, w, q1.basis, q1.psi, q1.psi_tilde)
-            for i, (ok, basis, one_minus) in enumerate(stacked, start=1):
+            for i, (basis, lev, ok) in enumerate(stacks, start=1):
                 if basis is not None:
-                    psi = _psi_weights(one_minus[ok])
+                    psi = _psi_weights(1.0 - lev[ok])
                     out[ok, 3 * i : 3 * i + 3] = _projection_variances(tau[ok], w, basis[ok], *psi)
         # failing replicates in replicate order, so the first of them raises
         finite = np.isfinite(r).all(axis=-1)
-        flagged = ~np.logical_and.reduce([ok for ok, _, _ in stacked])
+        flagged = ~np.logical_and.reduce([ok for *_, ok in stacks])
         for j in np.flatnonzero(flagged | ~finite):
             if not finite[j]:  # block_effects raises NonFiniteResponse, naming the block
                 data = AssignmentAndOutcomes._from_flat(z[j].astype(np.int64), r[j], design.sizes)
                 block_effects(design, data)
-            for i, (spec, (ok, _, _)) in enumerate(zip(specs, stacked), start=1):
+            for i, (spec, (*_, ok)) in enumerate(zip(specs, stacks), start=1):
                 if not ok[j]:
                     q = resolve_qspec(spec, design, x[j])
                     cells = _projection_variances(tau[j], w, q.basis, q.psi, q.psi_tilde)
@@ -409,9 +399,10 @@ def _power_chunk(args) -> dict:
     """Test p-values of ``count`` replicates from ``rep_start`` at one signal scale.
 
     The chunk draws from ``chunk_rng(seed, a_index, chunk)``. Each sub-batch
-    draws its worlds and assignments by :func:`_draw_replicates`, stacks its
-    bases and observed statistics, and, unless the space is small enough to
-    enumerate, draws and scores all its replays by ``hettest._batch_hits``.
+    draws its worlds and assignments by :func:`_draw_replicates`, and, unless
+    the space is small enough to enumerate, stacks its bases (``q2_stack``)
+    and observed statistics and draws and scores all its replays by
+    ``hettest._batch_hits``.
     Last it draws one seed per replicate, for ``permutation_test`` on each
     replicate with a flagged basis or responses that fail ``_squares_fit``,
     and on every replicate of an enumerable space, in replicate order.
@@ -426,19 +417,21 @@ def _power_chunk(args) -> dict:
     pvals = {name: np.empty(count) for name in qspecs}
     rng = chunk_rng(seed, a_index, rep_start // REP_CHUNK)
     for start, size in _sub_batches(rep_start, count, b * (k + q1.rank)):
-        x, _, _, z, r, tau = _draw_replicates(ctx, rng, size, a)
+        x, t, _, _, z, r, tau = _draw_replicates(ctx, rng, size, a)
         fits = _squares_fit(design, r, w)  # the others go to permutation_test, which rejects them
         oks, scored = [], []  # scored: (name, ok, basis in group order, F threshold)
         for spec in specs:
-            ok, basis, _ = _stacked_bases(q1, w, None if scalar else _qspec_xbar(spec, x), size)
-            oks.append(ok & fits)
-            if basis is not None:
-                qm = basis[..., q1.rank :]
+            xbar = _qspec_xbar(spec, x, t)
+            if scalar or xbar is None:  # every replicate goes to permutation_test
+                oks.append(np.zeros(size, dtype=bool))
+                continue
+            stack = q2_stack(q1, w[:, None] * xbar)
+            oks.append(stack.ok & fits)
+            if stack.basis is not None:
                 with np.errstate(over="ignore", invalid="ignore"):  # _squares_fit flags those
-                    t = _f_values(tau[:, None], w, qm, basis, b - basis.shape[-1], qm.shape[-1])
-                t = t[:, 0]
-                scored.append((spec.kind, oks[-1], basis[:, order], _replay_threshold(t)))
-        if scored and not scalar:
+                    f = _f_values(tau[:, None], w, stack.basis, q1.rank)[:, 0]
+                scored.append((spec.kind, oks[-1], stack.basis[:, order], _replay_threshold(f)))
+        if scored:
             names, oks_scored, bases, thresh = zip(*scored)
             groups = _option_groups(design, r, OPTION_CELLS)
             oks_scored, thresh = (np.array(v).reshape(-1, size).T for v in (oks_scored, thresh))

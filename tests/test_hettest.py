@@ -348,8 +348,7 @@ def test_one_replicate_kernel_rescores_a_piece_with_tabled_and_keyed_blocks(monk
     assert [(col, kt, a.shape[1:]) for col, kt, a in rep.keyed] == [(7, 5, (2, 10))]
     order = design._group_order
     w, basis = block_weights(design)[order], q2.basis[order]
-    df = (design.n_blocks - q2.rank, q2.added_covariate_rank)
-    f = hettest._f_values(t_mat, w, basis[:, q2.q1_rank :], basis, *df)
+    f = hettest._f_values(t_mat, w, basis, q2.q1_rank)
     attained = np.sort(f)[m // 2]
     thresh = np.full((1, 1), attained)
     groups = _option_groups(design, data.r[None], hettest.OPTION_CELLS)

@@ -51,11 +51,8 @@ REFERENCE_CHUNK = 8192
 def digit_loop_test(design, data, q2) -> tuple[float, int, float, tuple[str, ...]]:
     """p-value, draws, observed F and notes of exact enumeration by digit decoding."""
     w = block_weights(design)
-    qm = q2.basis[:, q2.q1_rank :]
-    k = q2.added_covariate_rank
-    df_den = design.n_blocks - q2.rank
     tau_hat = block_effects(design, data).tau_hat[None, :]
-    t = hettest._f_values(tau_hat, w, qm, q2.basis, df_den, k)[0]
+    t = hettest._f_values(tau_hat, w, q2.basis, q2.q1_rank)[0]
     notes = ()
     if np.isinf(t):
         notes = ("observed residual beyond the basis is zero; p-value is the smallest attainable",)
@@ -73,7 +70,7 @@ def digit_loop_test(design, data, q2) -> tuple[float, int, float, tuple[str, ...
         t_mat = np.empty((flat.shape[0], len(options)))
         for i, opts in enumerate(options):
             t_mat[:, i] = opts[(flat // strides[i]) % counts[i]]
-        f = hettest._f_values(t_mat, w[order], qm[order], q2.basis[order], df_den, k)
+        f = hettest._f_values(t_mat, w[order], q2.basis[order], q2.q1_rank)
         hits += int(np.sum(f >= thresh))
     return hits / total, total, float(t), notes
 
@@ -252,11 +249,8 @@ def sampled_reference(design, data, q2, max_draws, seed) -> tuple[float, int, fl
     """p-value, draws, observed F and notes of Monte Carlo sampling, each
     piece scored by ``_f_values``; piece c draws from ``chunk_rng(seed, c)``."""
     w = block_weights(design)
-    qm = q2.basis[:, q2.q1_rank :]
-    k = q2.added_covariate_rank
-    df_den = design.n_blocks - q2.rank
     tau_hat = block_effects(design, data).tau_hat[None, :]
-    t = hettest._f_values(tau_hat, w, qm, q2.basis, df_den, k)[0]
+    t = hettest._f_values(tau_hat, w, q2.basis, q2.q1_rank)[0]
     notes = ()
     if np.isinf(t):
         notes = ("observed residual beyond the basis is zero; p-value is the smallest attainable",)
@@ -273,7 +267,7 @@ def sampled_reference(design, data, q2, max_draws, seed) -> tuple[float, int, fl
     hits = 0
     for c, (*_, m) in enumerate(hettest._replay_pieces(1, replays.cells, max_draws)):
         t_mat = _piece_effects(chunk_rng(seed, c), groups, m)
-        f = hettest._f_values(t_mat, w[order], qm[order], q2.basis[order], df_den, k)
+        f = hettest._f_values(t_mat, w[order], q2.basis[order], q2.q1_rank)
         hits += int(np.sum(f >= thresh))
     return (1 + hits) / (1 + max_draws), max_draws, float(t), notes
 

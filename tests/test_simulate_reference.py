@@ -54,14 +54,13 @@ from stratavar import (
 )
 from stratavar import hettest
 from stratavar.errors import BadQPair, InputError, NonFiniteResponse, StratavarError
-from stratavar.projection import q2_stack
-from stratavar.estimators import _option_groups
+from stratavar.projection import _psi_weights, q2_stack
+from stratavar.estimators import _option_groups, _projection_variances
 from stratavar.simulate import (
     REP_CHUNK,
     _draw_replicates,
     _qspec_xbar,
     _sim_context,
-    _stacked_bases,
     _sub_batches,
 )
 
@@ -159,11 +158,10 @@ def reference_hits(options: list, replays: list, w, basis, q1_rank: int, thresh:
     ``w`` and the basis have their rows in group order, as the options do;
     each piece of ``replays`` is scored as one batch.
     """
-    df = (basis.shape[0] - basis.shape[1], basis.shape[1] - q1_rank)
     hits = 0
     for digits in replays:
         t_mat = np.column_stack([opts[d] for opts, d in zip(options, digits.T)])
-        hits += int(np.sum(hettest._f_values(t_mat, w, basis[:, q1_rank:], basis, *df) >= thresh))
+        hits += int(np.sum(hettest._f_values(t_mat, w, basis, q1_rank) >= thresh))
     return hits
 
 
@@ -225,9 +223,8 @@ def reference_power_pvalues(
                     res = permutation_test(design, data, q2, max_draws, seed=int(perm_seed))
                     pvals[name].append(res.p_value)
                     continue
-                df = (design.n_blocks - q2.rank, q2.added_covariate_rank)
                 tau = block_effects(design, data).tau_hat
-                t = hettest._f_values(tau[None], w, q2.basis[:, q2.q1_rank :], q2.basis, *df)[0]
+                t = hettest._f_values(tau[None], w, q2.basis, q2.q1_rank)[0]
                 thresh = t - 1e-12 * abs(t) if np.isfinite(t) else np.inf
                 options = reference_options(design, r)
                 basis = q2.basis[order]  # replays run in group order
@@ -388,25 +385,45 @@ def test_stacked_basis_rows_agree_with_build_q2(sizes_seed):
         kinds_ok.add(j % 10)
         q, caught = _outcome(lambda: build_q2(design, xbar=xbar, poly_degree=1))
         assert caught == [] and q.dropped_columns == () and q.notes == ()
-        assert np.array_equal(q.basis, np.column_stack([q1.basis, stack.qm[j]]))
+        assert np.array_equal(q.basis, stack.basis[j])
         assert np.array_equal(q.leverages, stack.leverages[j])
     assert 0 in kinds_ok and kinds_flagged >= {1, 2, 3, 4, 6, 7, 8}
+
+
+@pytest.mark.parametrize("sizes", [[2] * 16, [2] * 8 + [3] * 5 + [4] * 3])
+def test_stacked_kernels_equal_the_scalar_ones_bit_for_bit(sizes):
+    # table 1 and power score the ok rows of a q2_stack stack as one batch;
+    # a replicate on its own basis from build_q2 must get the same bits
+    rng = np.random.default_rng(len(sizes) + sizes[-1])
+    design = BlockDesign.from_sizes(sizes, np.ones(len(sizes), dtype=int))
+    w, q1 = block_weights(design), build_q1(design)
+    assert q1.rank == (1 if len(set(sizes)) == 1 else 2)  # equal sizes: no weights column
+    xbars = np.concatenate([_covariate_stacks(design, rng), rng.random((40, len(sizes), 4))])
+    tau = rng.standard_normal(xbars.shape[:2])
+    stack = q2_stack(q1, w[:, None] * xbars)
+    ok = stack.ok
+    assert np.count_nonzero(ok) >= 40
+    psi = _psi_weights(1.0 - stack.leverages[ok])
+    cells = _projection_variances(tau[ok], w, stack.basis[ok], *psi)
+    f = hettest._f_values(tau[:, None], w, stack.basis, q1.rank)[:, 0]
+    for j, cell in zip(np.flatnonzero(ok), cells):
+        q = build_q2(design, xbar=xbars[j])
+        assert np.array_equal(cell, _projection_variances(tau[j], w, q.basis, q.psi, q.psi_tilde))
+        assert f[j] == hettest.f_statistic(tau[j], w, q)
 
 
 def _replay_batch(config: FriedmanConfig, reps: int, seed: int):
     """A sub-batch of study replicates, as ``_power_chunk`` hands it to ``_batch_hits``."""
     ctx = _sim_context(config)
     design, w, q1 = ctx["design"], ctx["w"], ctx["q1"]
-    x, _, _, _, r, tau = _draw_replicates(ctx, np.random.default_rng(seed), reps, 1.0)
+    x, _, _, _, _, r, tau = _draw_replicates(ctx, np.random.default_rng(seed), reps, 1.0)
     order = design._group_order
     bases, thresh = [], []
     for name in ("correct", "incorrect"):
-        ok, basis, _ = _stacked_bases(q1, w, _qspec_xbar(QSpec(kind=name), x), reps)
-        assert ok.all()
-        qm = basis[..., q1.rank :]
-        df = (design.n_blocks - basis.shape[-1], qm.shape[-1])
-        t = hettest._f_values(tau[:, None], w, qm, basis, *df)
-        bases.append(basis[:, order])
+        stack = q2_stack(q1, w[:, None] * _qspec_xbar(QSpec(kind=name), x))
+        assert stack.ok.all()
+        t = hettest._f_values(tau[:, None], w, stack.basis, q1.rank)
+        bases.append(stack.basis[:, order])
         thresh.append(hettest._replay_threshold(t[:, 0]))
     groups = _option_groups(design, r, hettest.OPTION_CELLS)
     return design, r, w[order], q1.rank, groups, bases, np.array(thresh).T
@@ -475,8 +492,7 @@ def test_unclear_replays_are_scored_again_by_the_formula(ulps):
     t_mat = np.column_stack(
         [opts[d] for opts, d in zip(reference_options(design, r[2]), replays[2][0].T)]
     )
-    df = (basis.shape[0] - basis.shape[1], basis.shape[1] - q1_rank)
-    attained = np.median(hettest._f_values(t_mat, w, basis[:, q1_rank:], basis, *df))
+    attained = np.median(hettest._f_values(t_mat, w, basis, q1_rank))
     thresh[2, 1] = attained + ulps * np.spacing(attained)
     live = np.ones(thresh.shape, dtype=bool)
     with mock.patch.object(hettest, "_f_values", wraps=hettest._f_values) as rescored:
