@@ -8,7 +8,10 @@ writes the benchmark's 52 trial files of seed 77 into a temporary
 directory. ``stratavar.cli.main`` then runs in process on each file
 (``analyze``, ``analyze --q-spec x1,x2 --poly 2`` and ``hettest --q-spec
 x1,x2 --poly 2`` with the file's ``--max-draws`` and ``--seed``) and on
-the four simulation studies at small ``--reps``. Each output line is the
+the four simulation studies at small ``--reps``. The same ``hettest`` on
+the first two sampled and the first two enumerated files, and one
+``power`` study, run again with ``--threads 2``, whose output must not
+depend on the worker count. Each output line is the
 sha256 of one command's exit code, stdout, stderr and written files,
 followed by the command. Two checkouts that print the same lines gave
 byte-identical outputs.
@@ -33,7 +36,9 @@ STUDIES = [
      "--a-grid", "1.2", "--raw"],
     ["simulate", "pate-demo", "--reps", "300", "--seed", "5"],
     ["simulate", "pairs-quartets"],
+    ["simulate", "power", "--reps", "30", "--seed", "5", "--a-grid", "1.0,1.5", "--threads", "2"],
 ]
+THREADED_FILES = 2  # files of each kind, sampled and enumerated, that hettest runs on two workers
 
 
 def _digest(main, argv: list[str], out_dir: Path) -> str:
@@ -59,7 +64,7 @@ def main() -> int:
         raise SystemExit(f"imported {stratavar.cli.__file__}, not the checkout at {root}")
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative paths, so the printed outputs do not name the directory
-        commands = []
+        commands, threaded = [], {True: [], False: []}
         for f in generate.trial_analysis(SEED, Path(".")):
             draws = ["--max-draws", str(f["max_draws"]), "--seed", str(f["hettest_seed"])]
             commands += [
@@ -67,7 +72,9 @@ def main() -> int:
                 ["analyze", "--csv", f["csv"], *Q_SPEC],
                 ["hettest", "--csv", f["csv"], *Q_SPEC, *draws],
             ]
-        for i, argv in enumerate(commands + STUDIES):
+            threaded[f["n_assignments"] <= f["max_draws"]].append(commands[-1] + ["--threads", "2"])
+        threaded = [argv for runs in threaded.values() for argv in runs[:THREADED_FILES]]
+        for i, argv in enumerate(commands + STUDIES + threaded):
             out_dir = Path(f"out{i}")
             if argv[0] == "simulate":
                 argv = [*argv, "--out-dir", str(out_dir)]

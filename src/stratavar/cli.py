@@ -255,18 +255,11 @@ def cmd_sim_power(args) -> int:
     _write_csv(curve_path, rows, columns)
     written = [curve_path]
     if args.raw:
-        raw_rows = []
-        for row in rows:
-            for rep, p in enumerate(row["p_values"]):
-                raw_rows.append(
-                    {
-                        "a": row["a"],
-                        "qspec": row["qspec"],
-                        "rep": rep,
-                        "p_value": p,
-                        "reject": int(p <= row["alpha"]),
-                    }
-                )
+        raw_rows = [
+            dict(a=row["a"], qspec=row["qspec"], rep=rep, p_value=p, reject=int(p <= row["alpha"]))
+            for row in rows
+            for rep, p in enumerate(row["p_values"])
+        ]
         raw_path = outdir / "power_raw.csv"
         _write_csv(raw_path, raw_rows, ["a", "qspec", "rep", "p_value", "reject"])
         written.append(raw_path)

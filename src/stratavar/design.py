@@ -224,11 +224,6 @@ class BlockDesign(_Frozen):
         return tuple(groups)
 
     @cached_property
-    def _group_order(self) -> np.ndarray:
-        """Block indices in the order of ``size_groups``: the columns of grouped block arrays."""
-        return np.concatenate([idx for _, _, idx, _ in self.size_groups])
-
-    @cached_property
     def covariate_dim(self) -> int:
         """Number of unit-level covariates (0 when none were supplied)."""
         return 0 if self.covariates is None else int(self.covariates.shape[1])

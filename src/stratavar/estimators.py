@@ -22,7 +22,6 @@ are nonnegative up to round-off; results are clamped at zero.
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -34,8 +33,6 @@ from .design import (
     AssignmentAndOutcomes,
     BlockDesign,
     DesignClass,
-    _smallest_keys,
-    _treated_subsets,
     block_weights,
     classify_design,
 )
@@ -164,37 +161,6 @@ def _block_var(design: BlockDesign, x: np.ndarray) -> np.ndarray:
     """Per-block ddof=1 variance of a flat (..., N) unit array, in two passes as np.var."""
     dev = x - np.repeat(_block_mean(design, x), design.sizes, axis=-1)
     return np.add.reduceat(dev * dev, design.unit_starts, axis=-1) / (design.sizes - 1)
-
-
-def _option_groups(design: BlockDesign, r: np.ndarray, max_cells: float = math.inf) -> list:
-    """Option tables of the block effect under the null, one per (size, treated count) group.
-
-    ``r`` is a flat (..., N) unit array of observed responses, with optional
-    leading replicate axes; under the null they are both arms' responses.
-    Each group is ``(idx, kt, a, table)``, with the (..., G, n) responses of
-    blocks ``idx``. Row g of the (..., G, C(n, kt)) ``table`` holds, for
-    every treated subset of block idx[g] in lexicographic order, the mean of
-    a over the subset minus the mean over its complement; the table is None
-    when C(n, kt) * kt exceeds ``max_cells``.
-    """
-    groups = []
-    for n, kt, idx, units in design.size_groups:
-        a = r[..., units]
-        table = None
-        if math.comb(n, kt) * kt <= max_cells:
-            t1 = a[..., _treated_subsets(n, kt)].sum(axis=-1)
-            table = t1 / kt - (a.sum(axis=-1, keepdims=True) - t1) / (n - kt)
-        groups.append((idx, kt, a, table))
-    return groups
-
-
-def _group_effects(a: np.ndarray, kt: int, keys: np.ndarray) -> np.ndarray:
-    """(..., m, G) block effects of m draws of the blocks of (..., G, n) responses ``a``.
-
-    Each block treats its ``kt`` units with the smallest of its (..., m, G, n) uniform ``keys``.
-    """
-    t1 = np.take_along_axis(a[..., None, :, :], _smallest_keys(keys, kt), axis=-1).sum(axis=-1)
-    return t1 / kt - (a.sum(axis=-1)[..., None, :] - t1) / (a.shape[-1] - kt)
 
 
 def estimate_ate(effects: BlockEffects, w: np.ndarray) -> float:
@@ -384,9 +350,10 @@ def analyze_experiment(
     """Run the requested estimators on one experiment and collect a report.
 
     ``estimators`` may be "auto" (projection estimators plus whichever
-    classical estimator the design supports) or an explicit list of names
-    from {"paired", "coarse", "s1", "s2", "s3"}. Raises NumericalError when
-    an estimate or interval bound overflows the float range.
+    classical estimator the design supports) or an explicit, non-empty list
+    of names from {"paired", "coarse", "s1", "s2", "s3"}; any other value
+    raises InputError. Raises NumericalError when an estimate or interval
+    bound overflows the float range.
     """
     if not (0.0 < alpha < 1.0):
         raise InvalidAlpha(f"alpha must lie in (0, 1), got {alpha}")
@@ -404,9 +371,10 @@ def analyze_experiment(
         if design_class is DesignClass.COARSE:
             names.insert(0, "coarse")
     else:
-        names = list(estimators)
-        known = {"paired", "coarse", "s1", "s2", "s3"}
-        unknown = [n for n in names if n not in known]
+        names = [] if isinstance(estimators, str) else list(estimators)
+        if not names:
+            raise InputError(f'estimators must be "auto" or a list of names, got {estimators!r}')
+        unknown = [n for n in names if n not in {"paired", "coarse", "s1", "s2", "s3"}]
         if unknown:
             raise InputError(f"unknown estimators: {unknown}")
 

@@ -16,31 +16,33 @@ of the observed responses would shift each replay's v by c times the weights
 column, which both projections annihilate, so the replay distribution and
 the p-value do not depend on the imputed constant.
 
-Every replay runs on one layout (:func:`_replays`). F depends on v only
-through P = v' [U_q1 | Q_M] and S = |v|^2, and v has one term per block.
-Blocks with an option table form super-blocks within their (size, treated
-count) group, of at most ``SUPER_ROWS`` option rows together or one block
-of more, and one flat table holds the P and S of every super-block's
-rows. A replay's P and S are sums of its rows, so scoring it costs
-O(K + L), not O(B L). Its residual S - |U' v|^2 cancels when v nearly
-lies in the basis, so a replay whose F is within a rounding bound of the
-threshold, or whose residual is not clearly above the degenerate cut, is
-decoded and scored again by the per-assignment formula
-(:func:`_formula_hits`): every count is that formula's.
+This module alone owns the replay layout (:func:`_replays`): it tables
+the blocks' options (:func:`_option_groups`) and lays the weights and
+bases out in (size, treated count) group order, so callers hand it
+design-order arrays. F depends on v only through P = v' [U_q1 | Q_M] and
+S = |v|^2, and v has one term per block. Tabled blocks form super-blocks
+within their group, of at most ``SUPER_ROWS`` option rows together or one
+block of more, and one flat table holds the P and S of every
+super-block's rows, so a replay's P and S are sums of its rows, O(K + L).
+A replay whose F is within a rounding bound of the threshold, or whose
+residual is not clearly above the degenerate cut, is decoded and scored
+again by the per-assignment formula (:func:`_formula_hits`), so every
+count is that formula's.
 
 Exact enumeration is the one-replicate case with every block tabled, each
-super-block a mixed-radix digit. The trailing super-blocks' rows are
-summed into one table of at most ``CELLS`` cells, and each tile pairs the
-summed leading rows of a range of indices with every trailing row by one
-small GEMM. A Monte Carlo replay (:func:`_replay_piece`) sums one drawn
-row per super-block, plus the GEMM term of blocks drawn by keys. The
-power study scores a sub-batch of replicates at once (:func:`_batch_hits`);
-``permutation_test`` samples as its one-replicate case, piece c drawn
-from ``chunk_rng(seed, c)``.
+super-block a mixed-radix digit; a tile pairs the summed leading rows of
+a range of indices with every row of one trailing table of at most
+``CELLS`` cells by one small GEMM. Every Monte Carlo replay runs in the
+one piece loop of :func:`_batch_hits`, summing one drawn row per
+super-block plus the GEMM term of blocks drawn by keys
+(:func:`_replay_piece`): the power study's sub-batches with every piece
+drawing from the chunk's stream in turn, and ``permutation_test``'s one
+replicate with piece c drawing from ``chunk_rng(seed, c)``.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -49,8 +51,9 @@ import numpy as np
 
 from ._util import _check_seed, chunk_rng, map_chunks
 from .design import AssignmentAndOutcomes, BlockDesign, block_weights, n_assignments
+from .design import _smallest_keys, _treated_subsets
 from .errors import BadQPair, InputError, NumericalError, ZeroDenominator
-from .estimators import _group_effects, _option_groups, block_effects
+from .estimators import block_effects
 from .projection import QMatrix, _residual
 
 DENOMINATOR_TOL = 1e-12
@@ -281,6 +284,37 @@ def _replay_pieces(reps: int, cells: int, max_draws: int) -> list[tuple[int, int
     return [(j, r, d, min(step, max_draws - d)) for j, r in runs for d in range(0, max_draws, step)]
 
 
+def _option_groups(design: BlockDesign, r: np.ndarray, max_cells: float = math.inf) -> list:
+    """Option tables of the block effect under the null, one per (size, treated count) group.
+
+    ``r`` is a flat (..., N) unit array of observed responses, with optional
+    leading replicate axes; under the null they are both arms' responses.
+    Each group is ``(idx, kt, a, table)``, with the (..., G, n) responses of
+    blocks ``idx``. Row g of the (..., G, C(n, kt)) ``table`` holds, for
+    every treated subset of block idx[g] in lexicographic order, the mean of
+    a over the subset minus the mean over its complement; the table is None
+    when C(n, kt) * kt exceeds ``max_cells``.
+    """
+    groups = []
+    for n, kt, idx, units in design.size_groups:
+        a = r[..., units]
+        table = None
+        if math.comb(n, kt) * kt <= max_cells:
+            t1 = a[..., _treated_subsets(n, kt)].sum(axis=-1)
+            table = t1 / kt - (a.sum(axis=-1, keepdims=True) - t1) / (n - kt)
+        groups.append((idx, kt, a, table))
+    return groups
+
+
+def _group_effects(a: np.ndarray, kt: int, keys: np.ndarray) -> np.ndarray:
+    """(..., m, G) block effects of m draws of the blocks of (..., G, n) responses ``a``.
+
+    Each block treats its ``kt`` units with the smallest of its (..., m, G, n) uniform ``keys``.
+    """
+    t1 = np.take_along_axis(a[..., None, :, :], _smallest_keys(keys, kt), axis=-1).sum(axis=-1)
+    return t1 / kt - (a.sum(axis=-1)[..., None, :] - t1) / (a.shape[-1] - kt)
+
+
 class _Replays(NamedTuple):
     """The null replays of R replicates, as ``_replays`` lays them out."""
 
@@ -294,14 +328,19 @@ class _Replays(NamedTuple):
     cells: int  # largest of a replay's draws, an untabled group's keys and the L' + 1 sums
 
 
-def _replays(groups: list, w, q1_rank: int, bases: list, thresh, live) -> _Replays:
-    """The replays of R replicates: ``groups`` of ``_option_groups`` on (R, N) responses.
+def _replays(design: BlockDesign, r, w, q1_rank: int, bases: list, thresh, live, max_cells):
+    """The replays of R replicates of (R, N) responses ``r`` under the null.
 
-    ``w`` and each spec's (R, B, L) basis [U_q1 | Q_M] have their rows in
-    group order; ``thresh`` and ``live`` are (R, specs). A tabled group's
-    blocks split, in order, into runs of super-blocks of k blocks, the most
-    whose C**k option rows fit in SUPER_ROWS, then one of those left over.
+    ``w`` and each spec's (R, B, L) basis [U_q1 | Q_M] are in design order;
+    ``thresh`` and ``live`` are (R, specs). The replays lay the blocks out in
+    (size, treated count) group order, the groups of ``_option_groups``
+    within ``max_cells``. A tabled group's blocks split, in order, into runs
+    of super-blocks of k blocks, the most whose C**k option rows fit in
+    SUPER_ROWS, then one of those left over.
     """
+    groups = _option_groups(design, r, max_cells)
+    order = np.concatenate([idx for idx, *_ in groups])
+    w, bases = w[order], [b[:, order] for b in bases]
     cols = np.cumsum([0, q1_rank] + [b.shape[-1] - q1_rank for b in bases])  # U_q1, each Q_M, S
     joint = np.concatenate([bases[0], *(b[..., q1_rank:] for b in bases[1:])], axis=-1)
     k = np.diff(cols)[1:]
@@ -366,10 +405,8 @@ def _replay_piece(rep: _Replays, tables: tuple, reps: slice, piece: tuple) -> np
     delta, thresh, live = (x[reps] for x in rep.score[3:])
     (table, offsets), r = tables, live.shape[0]
     draws = []
-    for _, t, kb in rep.runs:
-        rows = t.shape[-1] ** kb
-        dtype = np.uint16 if rows <= 1 << 16 else np.int64  # numpy draws 16-bit indices fastest
-        draws.append(rng.integers(0, rows, (t.shape[1] // kb, r, m), dtype))
+    for _, t, kb in rep.runs:  # 16-bit indices draw fastest; OPTION_CELLS keeps rows below 2^16
+        draws.append(rng.integers(0, t.shape[-1] ** kb, (t.shape[1] // kb, r, m), np.uint16))
     keys = (rng.random((r, m, *a.shape[1:])) for _, _, a in rep.keyed)
     effects = [_group_effects(a[reps], kt, key) for (_, kt, a), key in zip(rep.keyed, keys)]
     step = max(1, PIECE_CELLS // (r * m * table.shape[1]))  # super-blocks of one gather
@@ -415,20 +452,24 @@ def _summed(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     return rows[0] if len(rows) == 1 else rows.sum(axis=0)
 
 
-def _batch_hits(rng, groups: list, w, q1_rank: int, bases: list, thresh, live, max_draws: int):
-    """(R, specs) hits among ``max_draws`` replays of each of R replicates, drawn from ``rng``.
+def _batch_hits(design, r, w, q1_rank, bases, thresh, live, max_draws: int, piece_rng, threads=1):
+    """(R, specs) hits among ``max_draws`` replays of each of R replicates.
 
-    The arguments are as for ``_replays``; a run of REPLAY_REPS replicates
-    builds its tables once. Pairs not ``live`` count 0.
+    The arguments up to ``live`` are as for ``_replays``, whose groups are
+    tabled within OPTION_CELLS. A run of REPLAY_REPS replicates builds its
+    tables once and scores its pieces by ``map_chunks`` on ``threads``
+    workers, piece c (counted over all runs) drawing from ``piece_rng(c)``.
+    Pairs not ``live`` count 0.
     """
-    rep = _replays(groups, w, q1_rank, bases, thresh, live)
     hits = np.zeros(live.shape, dtype=np.int64)
     with np.errstate(invalid="ignore", over="ignore"):  # a replicate not live may hold any value
-        for j0, r, d0, m in _replay_pieces(live.shape[0], rep.cells, max_draws):
-            run = slice(j0, j0 + r)
-            if d0 == 0:
-                tables = _replay_tables(rep, run)
-            hits[run] += _replay_piece(rep, tables, run, (rng, m))
+        rep = _replays(design, r, w, q1_rank, bases, thresh, live, OPTION_CELLS)
+        pieces = enumerate(_replay_pieces(live.shape[0], rep.cells, max_draws))
+        for (j0, n), run_pieces in itertools.groupby(pieces, lambda piece: piece[1][:2]):
+            run = slice(j0, j0 + n)
+            score = functools.partial(_replay_piece, rep, _replay_tables(rep, run), run)
+            args = [(piece_rng(c), m) for c, (*_, m) in run_pieces]
+            hits[run] = np.sum(map_chunks(score, args, threads), axis=0)
     return hits
 
 
@@ -501,19 +542,16 @@ def permutation_test(
             f"exact enumeration of {total} assignments needs a {cells}-cell option table for "
             f"one block, above the limit of {EXACT_OPTION_CELLS}; sampled {max_draws} instead"
         )
-    order = design._group_order
-    groups = _option_groups(design, data.r[None], EXACT_OPTION_CELLS if exact else OPTION_CELLS)
     thresh, live = np.full((1, 1), thresh), np.ones((1, 1), dtype=bool)
-    rep = _replays(groups, w[order], q2.q1_rank, [q2.basis[order][None]], thresh, live)
-    tables = _replay_tables(rep, slice(None))
+    replays = (design, data.r[None], w, q2.q1_rank, [q2.basis[None]], thresh, live)
     if exact:
-        args = _exact_tiles(rep, tables[0])
-        hits, draws = (sum(col) for col in zip(*map_chunks(_exact_tile, args, threads)))
+        rep = _replays(*replays, EXACT_OPTION_CELLS)
+        tiles = _exact_tiles(rep, _replay_tables(rep, slice(None))[0])
+        hits, draws = (sum(col) for col in zip(*map_chunks(_exact_tile, tiles, threads)))
     else:
-        pieces = enumerate(_replay_pieces(1, rep.cells, max_draws))
-        pieces = [(chunk_rng(seed, c), m) for c, (*_, m) in pieces]  # piece c draws from (seed, c)
-        score = functools.partial(_replay_piece, rep, tables, slice(None))
-        hits, draws = int(np.sum(map_chunks(score, pieces, threads))), max_draws
+        piece_rng = functools.partial(chunk_rng, seed)  # piece c draws from (seed, c)
+        hits = int(_batch_hits(*replays, max_draws, piece_rng, threads)[0, 0])
+        draws = max_draws
     return HetTestResult(
         f_observed=float(t),
         p_value=hits / draws if exact else (1 + hits) / (1 + draws),

@@ -32,20 +32,22 @@ draws its replicates by one draw shared by both studies: covariates, one
 unit noise, and one uniform assignment per world, through the draw cores
 of ``friedman_world`` and ``sample_assignment``; the block effects come
 from the kernel of ``block_effects``. Table 1 reads the schedule variance
-off the arms and its estimators off the effects. Power then draws and
-scores the replays of all the sub-batch's replicates against every
-q-spec's basis at once (``hettest._batch_hits``), and last one seed per
-replicate. Seeded results do not depend on the worker count. A replicate
-whose basis any check of ``build_q2`` flags, or whose responses are not
-finite (in power: or could overflow the replays), takes the scalar path
-(``block_effects``, ``build_q2``, ``permutation_test`` with its seed) in
-replicate order, so values, warnings and the first error are those of
-the one-replicate loop. So does every power replicate when the space is
-small enough to enumerate. Both studies reject a seed that is not a
-non-negative integer and a block count whose bases no world could have,
-and power an ``alpha`` outside (0, 1) or a ``max_draws`` that
-``permutation_test`` would reject, before they start; table 1 raises
-NumericalError when a summary overflows the float range.
+off the arms and its estimators off the effects. Power then hands the
+sub-batch's design-order responses, weights and every q-spec's basis to
+``hettest._batch_hits``, which lays out, draws and scores all their
+replays at once, and last draws one seed per replicate. Seeded results do
+not depend on the worker count. A replicate whose basis any check of
+``build_q2`` flags, or whose responses are not finite (in power: or could
+overflow the replays), takes the scalar path (``block_effects``,
+``build_q2``, ``permutation_test`` with its seed) in replicate order, so
+values, warnings and the first error are those of the one-replicate loop.
+So does every power replicate when the space is small enough to
+enumerate. Both studies reject a seed that is not a non-negative integer,
+a block count whose bases no world could have or whose one replicate
+holds more than ``STUDY_CELLS`` float cells, and power an ``alpha``
+outside (0, 1) or a ``max_draws`` that ``permutation_test`` would reject,
+before they start; table 1 raises NumericalError when a summary overflows
+the float range.
 """
 from __future__ import annotations
 
@@ -63,9 +65,8 @@ from .design import (
     n_assignments,
 )
 from .errors import DimensionMismatch, InputError, InsufficientBlocks, LeverageOne, NumericalError
-from .estimators import _arm_means, _option_groups, _projection_variances, block_effects
+from .estimators import _arm_means, _projection_variances, block_effects
 from .hettest import (
-    OPTION_CELLS,
     _batch_hits,
     _check_max_draws,
     _f_values,
@@ -89,6 +90,7 @@ TABLE1_ESTIMATORS = ("s1", "s2", "s3")
 TABLE1_QSPECS = ("none", "correct", "incorrect")
 REP_CHUNK = 250
 BATCH_CELLS = 1 << 14  # float cells in one temporary of a replicate sub-batch
+STUDY_CELLS = 1 << 20  # most B (K + 2) float cells of one replicate, at least one per sub-batch
 
 
 @dataclass(frozen=True)
@@ -212,10 +214,15 @@ def resolve_qspec(spec: QSpec, design: BlockDesign, x: np.ndarray) -> QMatrix:
 def _sim_context(config: FriedmanConfig, qspecs=()) -> dict:
     """The design of a study's worlds, with its weights and q1 basis; built once per run.
 
-    Raises InputError when no world could have the bases of the q-specs
-    named in ``qspecs``: q1 fails, a q1 leverage is one, or q1 and the
-    widest q-spec's covariate columns leave no residual degree of freedom.
+    Raises InputError, before anything is allocated, when one replicate's
+    B (K + 2) float cells exceed STUDY_CELLS, and when no world could have
+    the bases of the q-specs named in ``qspecs``: q1 fails, a q1 leverage is
+    one, or q1 and the widest q-spec's covariate columns leave no residual
+    degree of freedom.
     """
+    b, cells = config.n_blocks, config.n_blocks * (config.n_covariates + 2)  # as _sub_batches
+    if cells > STUDY_CELLS:
+        raise InputError(f"a study of {b} blocks needs {cells} float cells, above {STUDY_CELLS}")
     sizes, treated = friedman_sizes(config)
     design = BlockDesign.from_sizes(sizes, treated)
     b = design.n_blocks
@@ -360,18 +367,11 @@ def run_table1(
         pate_se = float(np.sqrt(max(m4 - m2**2 * (reps - 3) / (reps - 1), 0.0) / reps))
     if not np.isfinite([*means, *ses, cate_var, pate_var, pate_se]).all():
         raise NumericalError(f"table 1 summaries overflow at a = {config.a}, b = {config.b}")
-    cells = []
-    for j, qname in enumerate(TABLE1_QSPECS):
-        for i, est in enumerate(TABLE1_ESTIMATORS):
-            idx = 3 * j + i
-            cells.append(
-                {
-                    "estimator": est,
-                    "qspec": qname,
-                    "mean": float(means[idx]),
-                    "mc_se": float(ses[idx]),
-                }
-            )
+    names = [(est, qname) for qname in TABLE1_QSPECS for est in TABLE1_ESTIMATORS]
+    cells = [
+        {"estimator": est, "qspec": qname, "mean": float(mean), "mc_se": float(se)}
+        for (est, qname), mean, se in zip(names, means, ses)  # the nine cells
+    ]
 
     targets = {
         "sate_variance": {"value": float(means[9]), "mc_se": float(ses[9])},
@@ -401,25 +401,25 @@ def _power_chunk(args) -> dict:
     The chunk draws from ``chunk_rng(seed, a_index, chunk)``. Each sub-batch
     draws its worlds and assignments by :func:`_draw_replicates`, and, unless
     the space is small enough to enumerate, stacks its bases (``q2_stack``)
-    and observed statistics and draws and scores all its replays by
-    ``hettest._batch_hits``.
-    Last it draws one seed per replicate, for ``permutation_test`` on each
-    replicate with a flagged basis or responses that fail ``_squares_fit``,
-    and on every replicate of an enumerable space, in replicate order.
+    and observed statistics, and hands its responses, weights and bases, in
+    design order, to ``hettest._batch_hits``, every piece of which draws
+    from the chunk's stream in turn. Last it draws one seed per replicate,
+    for ``permutation_test`` on each replicate with a flagged basis or
+    responses that fail ``_squares_fit``, and on every replicate of an
+    enumerable space, in replicate order.
     """
     seed, a_index, a, rep_start, count, ctx, qspecs, max_draws = args
     design: BlockDesign = ctx["design"]
     w, q1 = ctx["w"], ctx["q1"]
     b, k = design.n_blocks, ctx["config"].n_covariates
     specs = [QSpec(kind=name) for name in qspecs]
-    order = design._group_order
     scalar = n_assignments(design) <= max_draws  # permutation_test enumerates a small space
     pvals = {name: np.empty(count) for name in qspecs}
     rng = chunk_rng(seed, a_index, rep_start // REP_CHUNK)
     for start, size in _sub_batches(rep_start, count, b * (k + q1.rank)):
         x, t, _, _, z, r, tau = _draw_replicates(ctx, rng, size, a)
         fits = _squares_fit(design, r, w)  # the others go to permutation_test, which rejects them
-        oks, scored = [], []  # scored: (name, ok, basis in group order, F threshold)
+        oks, scored = [], []  # scored: (name, ok, basis, F threshold)
         for spec in specs:
             xbar = _qspec_xbar(spec, x, t)
             if scalar or xbar is None:  # every replicate goes to permutation_test
@@ -430,12 +430,11 @@ def _power_chunk(args) -> dict:
             if stack.basis is not None:
                 with np.errstate(over="ignore", invalid="ignore"):  # _squares_fit flags those
                     f = _f_values(tau[:, None], w, stack.basis, q1.rank)[:, 0]
-                scored.append((spec.kind, oks[-1], stack.basis[:, order], _replay_threshold(f)))
+                scored.append((spec.kind, oks[-1], stack.basis, _replay_threshold(f)))
         if scored:
             names, oks_scored, bases, thresh = zip(*scored)
-            groups = _option_groups(design, r, OPTION_CELLS)
-            oks_scored, thresh = (np.array(v).reshape(-1, size).T for v in (oks_scored, thresh))
-            hits = _batch_hits(rng, groups, w[order], q1.rank, bases, thresh, oks_scored, max_draws)
+            live, thresh = np.array(oks_scored).T, np.array(thresh).T  # (size, specs)
+            hits = _batch_hits(design, r, w, q1.rank, bases, thresh, live, max_draws, lambda c: rng)
             for name, p in zip(names, (1 + hits.T) / (1 + max_draws)):
                 pvals[name][start - rep_start : start - rep_start + size] = p
 

@@ -173,18 +173,19 @@ def _check_contract(run: tuple[str, list[str]], schema_name: str) -> None:
         assert not caught, [str(w.message) for w in caught]
 
 
-@PROPERTY_SETTINGS
-@given(run=cli_runs("analyze"))
-def test_analyze_exits_cleanly_or_prints_schema_valid_json(run):
-    _check_contract(run, "variance_report.schema.json")
-
-
 # four pairs that a run with an admissible --max-draws enumerates exactly
 FOUR_PAIRS = "block_id,unit_id,treated,response,x1\n" + "".join(
     f"b{b},{j},{int(j == 0)},{(b * 7 + j * 3) % 5}.5,{b + j / 4}\n"
     for b in range(4)
     for j in range(2)
 )
+
+
+@PROPERTY_SETTINGS
+@given(run=cli_runs("analyze"))
+@example(run=(FOUR_PAIRS, ["analyze", "--estimators", ","]))
+def test_analyze_exits_cleanly_or_prints_schema_valid_json(run):
+    _check_contract(run, "variance_report.schema.json")
 
 
 @PROPERTY_SETTINGS

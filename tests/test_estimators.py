@@ -36,7 +36,8 @@ from stratavar import (
     var_s2,
     var_s3,
 )
-from stratavar.estimators import WEIGHT_EQUAL_ATOL, _equal_weights, _option_groups
+from stratavar.estimators import WEIGHT_EQUAL_ATOL, _equal_weights
+from stratavar.hettest import _option_groups
 
 
 def _pair_data(taus, base=0.0):
@@ -396,6 +397,14 @@ def test_analyze_rejects_unknown_estimators():
     design, data = _pair_data([1.0, 2.0])
     with pytest.raises(InputError):
         analyze_experiment(design, data, estimators=["s1", "bogus"])
+
+
+@pytest.mark.parametrize("estimators", [[], (), "", "s1", "s1,s2"])
+def test_analyze_rejects_an_empty_list_and_a_bare_name(estimators):
+    # a bare string is not read one character at a time
+    design, data = _pair_data([1.0, 2.0])
+    with pytest.raises(InputError, match='must be "auto" or a list of names'):
+        analyze_experiment(design, data, estimators=estimators)
 
 
 def test_analyze_propagates_incompatibility():

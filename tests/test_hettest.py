@@ -23,7 +23,7 @@ from stratavar import (
     permutation_test,
 )
 from stratavar import hettest
-from stratavar.estimators import _option_groups
+from stratavar.hettest import _option_groups
 
 
 def _pairs_with_effects(taus, xbar):
@@ -272,6 +272,38 @@ def _mixed_experiment(seed):
     return design, data
 
 
+def _shuffled_experiment(layout, responses, z, xbar, perm):
+    """Design, data and q2 of the blocks in the order ``perm``, each with its own rows."""
+    design = BlockDesign.from_sizes([layout[i][0] for i in perm], [layout[i][1] for i in perm])
+    data = AssignmentAndOutcomes(
+        assignment=Assignment(z=tuple(z[i] for i in perm)),
+        responses=tuple(responses[i] for i in perm),
+    )
+    return design, data, build_q2(design, xbar=xbar[perm])
+
+
+def test_exact_test_does_not_depend_on_the_block_order():
+    # the replays lay the blocks out in group order themselves, so permuting
+    # the blocks together with their indicators, responses and covariate rows
+    # changes nothing; rounded responses tie many replayed F values
+    rng = np.random.default_rng(47)
+    kinds = [(2, 1), (3, 1), (3, 2), (4, 2)]
+    for _ in range(40):
+        layout = [kinds[0]] * 20  # 2^20 assignments, so a layout is drawn below
+        while math.prod(math.comb(n, k) for n, k in layout) > 100_000:
+            layout = [kinds[i] for i in rng.integers(0, 4, size=rng.integers(6, 10))]
+        z = [tuple(rng.permutation([1] * k + [0] * (n - k)).tolist()) for n, k in layout]
+        responses = [np.round(rng.normal(size=n) * 2.0) for n, _ in layout]
+        xbar = rng.normal(size=(len(layout), 2))
+        want, got = (
+            permutation_test(*_shuffled_experiment(layout, responses, z, xbar, perm), 100_000)
+            for perm in (np.arange(len(layout)), rng.permutation(len(layout)))
+        )
+        assert want.exact
+        assert (got.p_value, got.draws, got.exact) == (want.p_value, want.draws, want.exact)
+        assert got.f_observed == pytest.approx(want.f_observed, rel=1e-9)
+
+
 def _replayed_effects(design, data, q2, max_cells, m, seed):
     """(m, B) effects of m replays, columns in group order, as the replay kernel decodes them.
 
@@ -279,11 +311,11 @@ def _replayed_effects(design, data, q2, max_cells, m, seed):
     whole piece again by ``_f_values``, whose first argument is the piece's
     decoded effects.
     """
-    order = design._group_order
-    w, basis = block_weights(design)[order], q2.basis[order][None]
-    groups = _option_groups(design, data.r[None], max_cells)
+    w, basis = block_weights(design), q2.basis[None]
     live = np.ones((1, 1), dtype=bool)
-    rep = hettest._replays(groups, w, q2.q1_rank, [basis], np.full((1, 1), np.nan), live)
+    rep = hettest._replays(
+        design, data.r[None], w, q2.q1_rank, [basis], np.full((1, 1), np.nan), live, max_cells
+    )
     tables = hettest._replay_tables(rep, slice(None))
     with mock.patch.object(hettest, "_f_values", wraps=hettest._f_values) as rescored:
         hettest._replay_piece(rep, tables, slice(None), (np.random.default_rng(seed), m))
@@ -346,14 +378,16 @@ def test_one_replicate_kernel_rescores_a_piece_with_tabled_and_keyed_blocks(monk
     m = 400
     rep, t_mat = _replayed_effects(design, data, q2, hettest.OPTION_CELLS, m, seed=3)
     assert [(col, kt, a.shape[1:]) for col, kt, a in rep.keyed] == [(7, 5, (2, 10))]
-    order = design._group_order
+    order = np.concatenate([idx for _, _, idx, _ in design.size_groups])
     w, basis = block_weights(design)[order], q2.basis[order]
     f = hettest._f_values(t_mat, w, basis, q2.q1_rank)
     attained = np.sort(f)[m // 2]
     thresh = np.full((1, 1), attained)
-    groups = _option_groups(design, data.r[None], hettest.OPTION_CELLS)
     live = np.ones((1, 1), dtype=bool)
-    rep = hettest._replays(groups, w, q2.q1_rank, [basis[None]], thresh, live)
+    rep = hettest._replays(
+        design, data.r[None], block_weights(design), q2.q1_rank, [q2.basis[None]], thresh, live,
+        hettest.OPTION_CELLS,
+    )
     tables = hettest._replay_tables(rep, slice(None))
     with mock.patch.object(hettest, "_f_values", wraps=hettest._f_values) as rescored:
         got = hettest._replay_piece(rep, tables, slice(None), (np.random.default_rng(3), m))

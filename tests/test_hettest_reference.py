@@ -39,7 +39,7 @@ from stratavar import (
 )
 from stratavar import hettest
 from stratavar._util import chunk_rng
-from stratavar.estimators import _option_groups
+from stratavar.hettest import _option_groups
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
@@ -261,8 +261,8 @@ def sampled_reference(design, data, q2, max_draws, seed) -> tuple[float, int, fl
     # a piece's cells: the larger of its draws (one per super-block or
     # untabled block), an untabled group's keys and the L + 1 sums
     replays = hettest._replays(
-        _option_groups(design, observed[None], hettest.OPTION_CELLS),
-        w[order], q2.q1_rank, [q2.basis[order][None]], np.zeros((1, 1)), np.ones((1, 1), bool),
+        design, observed[None], w, q2.q1_rank, [q2.basis[None]], np.zeros((1, 1)),
+        np.ones((1, 1), bool), hettest.OPTION_CELLS,
     )
     hits = 0
     for c, (*_, m) in enumerate(hettest._replay_pieces(1, replays.cells, max_draws)):

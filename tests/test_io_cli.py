@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from stratavar import (
     Assignment,
     BlockDesign,
+    FriedmanConfig,
     InfeasibleBlock,
     InputError,
     ParseError,
@@ -224,6 +226,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["analyze", "--csv", str(leverage_one)]) == 5
 
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["", ",", " , ,"])
+def test_cli_analyze_rejects_an_empty_estimator_list(tmp_path, capsys, value):
+    pairs = _write_pairs_csv(tmp_path / "pairs.csv", [1.0, 2.0, 3.0], x=[1, 2, 3])
+    assert main(["analyze", "--csv", str(pairs), "--estimators", value]) == 2
+    assert "estimators must be" in _one_error_line(capsys)
 
 
 def test_cli_rejects_unknown_arguments(capsys):
@@ -530,6 +539,32 @@ def test_sample_assignment_rejects_a_negative_integer_seed():
     assert sample_assignment(design, np.random.SeedSequence(4)) == want
     assert sample_assignment(design, 4) == want
     assert sum(map(sum, sample_assignment(design, None).z)) == 5
+
+
+@pytest.mark.parametrize("study", ["table1", "power"])
+def test_cli_simulate_refuses_an_oversized_study_before_it_allocates(tmp_path, capsys, study):
+    outdir = tmp_path / study
+    args = ["simulate", study, "--reps", "2", "--blocks", "20000000", "--out-dir", str(outdir)]
+    start = time.perf_counter()
+    assert main(args) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "a study of 20000000 blocks needs 240000000 float cells" in _one_error_line(capsys)
+    assert not outdir.exists()
+
+
+def test_study_budget_admits_every_default_and_test_sized_study():
+    # one replicate of B blocks and K covariates counts B (K + 2) cells
+    largest = simulate_module.STUDY_CELLS // 12
+    for config in (
+        FriedmanConfig(),
+        FriedmanConfig(n_blocks=20),
+        FriedmanConfig(n_blocks=14, n_covariates=10),
+        FriedmanConfig(n_blocks=12, triplet_fraction=0.0, n_covariates=5),
+        FriedmanConfig(n_blocks=largest),
+    ):
+        assert simulate_module._sim_context(config, ("correct", "incorrect"))["design"]
+    with pytest.raises(InputError, match=f"a study of {largest + 1} blocks"):
+        simulate_module._sim_context(FriedmanConfig(n_blocks=largest + 1))
 
 
 @pytest.mark.parametrize(

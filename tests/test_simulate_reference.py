@@ -55,7 +55,7 @@ from stratavar import (
 from stratavar import hettest
 from stratavar.errors import BadQPair, InputError, NonFiniteResponse, StratavarError
 from stratavar.projection import _psi_weights, q2_stack
-from stratavar.estimators import _option_groups, _projection_variances
+from stratavar.estimators import _projection_variances
 from stratavar.simulate import (
     REP_CHUNK,
     _draw_replicates,
@@ -417,27 +417,28 @@ def _replay_batch(config: FriedmanConfig, reps: int, seed: int):
     ctx = _sim_context(config)
     design, w, q1 = ctx["design"], ctx["w"], ctx["q1"]
     x, _, _, _, _, r, tau = _draw_replicates(ctx, np.random.default_rng(seed), reps, 1.0)
-    order = design._group_order
     bases, thresh = [], []
     for name in ("correct", "incorrect"):
         stack = q2_stack(q1, w[:, None] * _qspec_xbar(QSpec(kind=name), x))
         assert stack.ok.all()
         t = hettest._f_values(tau[:, None], w, stack.basis, q1.rank)
-        bases.append(stack.basis[:, order])
+        bases.append(stack.basis)
         thresh.append(hettest._replay_threshold(t[:, 0]))
-    groups = _option_groups(design, r, hettest.OPTION_CELLS)
-    return design, r, w[order], q1.rank, groups, bases, np.array(thresh).T
+    return design, r, w, q1.rank, bases, np.array(thresh).T
 
 
 def _reference_batch_hits(design, r, w, q1_rank, bases, thresh, max_draws, seed) -> np.ndarray:
     """(R, specs) hits of the same draws, each replicate scored alone by ``_f_values``."""
     width = 1 + q1_rank + sum(b.shape[-1] - q1_rank for b in bases)
     replays = reference_replays(design, max_draws, np.random.default_rng(seed), r.shape[0], width)
+    order = np.concatenate([idx for _, _, idx, _ in design.size_groups])
     hits = np.zeros(thresh.shape, dtype=np.int64)
     for j, pieces in enumerate(replays):
         options = reference_options(design, r[j])
         for i, basis in enumerate(bases):
-            hits[j, i] = reference_hits(options, pieces, w, basis[j], q1_rank, thresh[j, i])
+            hits[j, i] = reference_hits(
+                options, pieces, w[order], basis[j, order], q1_rank, thresh[j, i]
+            )
     return hits
 
 
@@ -451,11 +452,11 @@ def _reference_batch_hits(design, r, w, q1_rank, bases, thresh, max_draws, seed)
     ],
 )
 def test_batched_hits_equal_the_formula_on_the_same_draws(config, reps, max_draws):
-    design, r, w, q1_rank, groups, bases, thresh = _replay_batch(config, reps, seed=reps)
+    design, r, w, q1_rank, bases, thresh = _replay_batch(config, reps, seed=reps)
     live = np.ones(thresh.shape, dtype=bool)
     live[1, 0] = False  # a pair that is not scored counts nothing
     rng = np.random.default_rng(7)
-    got = hettest._batch_hits(rng, groups, w, q1_rank, bases, thresh, live, max_draws)
+    got = hettest._batch_hits(design, r, w, q1_rank, bases, thresh, live, max_draws, lambda c: rng)
     want = _reference_batch_hits(design, r, w, q1_rank, bases, thresh, max_draws, seed=7)
     assert got[1, 0] == 0
     want[1, 0] = 0
@@ -484,37 +485,38 @@ def test_unclear_replays_are_scored_again_by_the_formula(ulps):
     # a threshold at, or one ulp beside, an attained replay F: the projection
     # sums cannot tell which side that replay is on, so its piece is decoded
     # and scored again
-    design, r, w, q1_rank, groups, bases, thresh = _replay_batch(FriedmanConfig(n_blocks=20), 4, 3)
+    design, r, w, q1_rank, bases, thresh = _replay_batch(FriedmanConfig(n_blocks=20), 4, 3)
     max_draws = 999
     width = 1 + q1_rank + sum(b.shape[-1] - q1_rank for b in bases)
     replays = reference_replays(design, max_draws, np.random.default_rng(2), 4, width)
-    basis = bases[1][2]
+    order = np.concatenate([idx for _, _, idx, _ in design.size_groups])
+    basis = bases[1][2][order]
     t_mat = np.column_stack(
         [opts[d] for opts, d in zip(reference_options(design, r[2]), replays[2][0].T)]
     )
-    attained = np.median(hettest._f_values(t_mat, w, basis, q1_rank))
+    attained = np.median(hettest._f_values(t_mat, w[order], basis, q1_rank))
     thresh[2, 1] = attained + ulps * np.spacing(attained)
     live = np.ones(thresh.shape, dtype=bool)
     with mock.patch.object(hettest, "_f_values", wraps=hettest._f_values) as rescored:
         rng = np.random.default_rng(2)
-        got = hettest._batch_hits(rng, groups, w, q1_rank, bases, thresh, live, max_draws)
+        got = hettest._batch_hits(design, r, w, q1_rank, bases, thresh, live, max_draws, lambda c: rng)
     assert rescored.call_count >= 1
     want = _reference_batch_hits(design, r, w, q1_rank, bases, thresh, max_draws, seed=2)
     assert np.array_equal(got, want)
 
 
 def test_non_finite_replicates_do_not_disturb_the_others():
-    design, r, w, q1_rank, groups, bases, thresh = _replay_batch(FriedmanConfig(n_blocks=20), 6, 4)
+    design, r, w, q1_rank, bases, thresh = _replay_batch(FriedmanConfig(n_blocks=20), 6, 4)
     live = np.ones(thresh.shape, dtype=bool)
     args = (w, q1_rank, bases, thresh)
-    want = hettest._batch_hits(np.random.default_rng(5), groups, *args, live, 199)
+    rng = np.random.default_rng(5)
+    want = hettest._batch_hits(design, r, *args, live, 199, lambda c: rng)
     r = r.copy()
     r[3, 0], r[4, 1] = np.nan, np.inf  # in the same run as live replicates
     live[3:5] = False
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with np.errstate(invalid="ignore"):  # the option tables themselves hold inf - inf
-            groups = _option_groups(design, r, hettest.OPTION_CELLS)
-        got = hettest._batch_hits(np.random.default_rng(5), groups, *args, live, 199)
+        rng = np.random.default_rng(5)
+        got = hettest._batch_hits(design, r, *args, live, 199, lambda c: rng)
     assert np.array_equal(got[live.all(axis=1)], want[live.all(axis=1)])
     assert not got[3:5].any()
