@@ -9,18 +9,18 @@ import numpy as np
 from .errors import InputError
 
 
-def _check_seed(seed) -> None:
-    """Raise InputError unless ``seed`` is a non-negative integer, as every chunk stream needs."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+def _check_non_negative_int(value, name: str) -> None:
+    """Raise InputError, naming ``name``, unless ``value`` is a non-negative integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise InputError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def as_rng(seed) -> np.random.Generator:
-    """Coerce a non-negative int seed (``_check_seed``), SeedSequence, Generator or None."""
+    """Coerce a non-negative int seed, SeedSequence, Generator or None."""
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, (int, np.integer)):
-        _check_seed(seed)
+        _check_non_negative_int(seed, "seed")
     return np.random.default_rng(seed)
 
 

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import _check_seed, chunk_rng, map_chunks
+from ._util import _check_non_negative_int, chunk_rng, map_chunks
 from .design import AssignmentAndOutcomes, BlockDesign, block_weights, n_assignments
 from .design import _smallest_keys, _treated_subsets
 from .errors import BadQPair, InputError, NumericalError, ZeroDenominator
@@ -274,14 +274,14 @@ def _clear_hits(num, den, s, delta, ratio, thresh) -> tuple[np.ndarray, np.ndarr
     return clear & (f >= thresh), clear
 
 
-def _replay_pieces(reps: int, cells: int, max_draws: int) -> list[tuple[int, int, int, int]]:
-    """(first replicate, replicates, first draw, draws) of each piece of replays: runs of
-    REPLAY_REPS replicates take their draws in equal ranges of at most about PIECE_CELLS
+def _replay_pieces(reps: int, cells: int, max_draws: int) -> list[tuple[int, int, int]]:
+    """(first replicate, replicates, draws) of each piece of replays: runs of REPLAY_REPS
+    replicates take their draws, in order, in equal ranges of at most about PIECE_CELLS
     cells of (replicates, draws, ``cells``), the largest temporary of one replay."""
     pieces = math.ceil(max_draws * min(reps, REPLAY_REPS) * cells / PIECE_CELLS)
     step = math.ceil(max_draws / pieces)
     runs = [(j, min(REPLAY_REPS, reps - j)) for j in range(0, reps, REPLAY_REPS)]
-    return [(j, r, d, min(step, max_draws - d)) for j, r in runs for d in range(0, max_draws, step)]
+    return [(j, r, min(step, max_draws - d)) for j, r in runs for d in range(0, max_draws, step)]
 
 
 def _option_groups(design: BlockDesign, r: np.ndarray, max_cells: float = math.inf) -> list:
@@ -518,7 +518,7 @@ def permutation_test(
     that the replays' sums of squares could overflow.
     """
     _check_max_draws(max_draws)
-    _check_seed(seed)
+    _check_non_negative_int(seed, "seed")
     w = block_weights(design)
     effects = block_effects(design, data)
     if not _squares_fit(design, data.r, w):

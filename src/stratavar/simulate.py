@@ -24,15 +24,17 @@ Studies:
   target.
 
 Table 1 and the power curve split their replicates into chunks of
-``REP_CHUNK``, the unit of work a worker process takes, and compute each
-chunk as arrays over its replicates. Chunk c draws from one stream,
-``chunk_rng(seed, c)`` (power: ``chunk_rng(seed, a_index, c)``). Each of
-its sub-batches, whose temporaries hold at most ``BATCH_CELLS`` cells,
-draws its replicates by one draw shared by both studies: covariates, one
-unit noise, and one uniform assignment per world, through the draw cores
-of ``friedman_world`` and ``sample_assignment``; the block effects come
-from the kernel of ``block_effects``. Table 1 reads the schedule variance
-off the arms and its estimators off the effects. Power then hands the
+``REP_CHUNK``, the unit of work a worker process takes (power maps the
+chunks of every grid value at once, so a run starts one pool), and compute
+each chunk as arrays over its replicates. Chunk c draws from one stream,
+``chunk_rng(seed, c)`` (power: ``chunk_rng(seed, a_index, c)``). One walk,
+``_draw_replicates``, cuts a chunk of either study into sub-batches whose
+temporaries hold at most ``BATCH_CELLS`` cells, and draws each: covariates,
+one unit noise, and one uniform assignment per world, through the draw
+cores of ``friedman_world`` and ``sample_assignment``; the block effects
+come from the kernel of ``block_effects``. Each study factors the
+sub-batch's q-spec bases by ``_stacks``. Table 1 reads the schedule
+variance off the arms and its estimators off the effects. Power hands the
 sub-batch's design-order responses, weights and every q-spec's basis to
 ``hettest._batch_hits``, which lays out, draws and scores all their
 replays at once, and last draws one seed per replicate. Seeded results do
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _check_seed, as_rng, chunk_rng, map_chunks
+from ._util import _check_non_negative_int, as_rng, chunk_rng, map_chunks
 from .design import (
     AssignmentAndOutcomes,
     BlockDesign,
@@ -98,7 +100,9 @@ class FriedmanConfig:
     """Knobs of the generative world.
 
     ``a`` scales the systematic component in the treated arm (1 = additive
-    null together with b = 1); ``b`` scales the treated-arm noise.
+    null together with b = 1); ``b`` scales the treated-arm noise. Raises
+    InputError, naming the field, for a count that is not a non-negative
+    integer, fewer than five covariates, or a ``triplet_fraction`` outside [0, 1].
     """
 
     n_blocks: int = 100
@@ -106,6 +110,14 @@ class FriedmanConfig:
     b: float = 1.0
     n_covariates: int = 10
     triplet_fraction: float = 0.4
+
+    def __post_init__(self):
+        _check_non_negative_int(self.n_blocks, "n_blocks")
+        _check_non_negative_int(self.n_covariates, "n_covariates")
+        if self.n_covariates < 5:  # f reads x1..x5
+            raise InputError(f"n_covariates must be at least 5, got {self.n_covariates}")
+        if not 0.0 <= self.triplet_fraction <= 1.0:  # NaN fails too
+            raise InputError(f"triplet_fraction must be inside [0, 1], got {self.triplet_fraction}")
 
 
 @dataclass(frozen=True)
@@ -220,12 +232,12 @@ def _sim_context(config: FriedmanConfig, qspecs=()) -> dict:
     one, or q1 and the widest q-spec's covariate columns leave no residual
     degree of freedom.
     """
-    b, cells = config.n_blocks, config.n_blocks * (config.n_covariates + 2)  # as _sub_batches
+    # B (K + 2) bounds the B (K + q1 rank) cells of a replicate in _draw_replicates
+    b, cells = config.n_blocks, config.n_blocks * (config.n_covariates + 2)
     if cells > STUDY_CELLS:
         raise InputError(f"a study of {b} blocks needs {cells} float cells, above {STUDY_CELLS}")
     sizes, treated = friedman_sizes(config)
     design = BlockDesign.from_sizes(sizes, treated)
-    b = design.n_blocks
     try:
         q1 = build_q1(design)
         q1.psi  # raises LeverageOne
@@ -239,30 +251,40 @@ def _sim_context(config: FriedmanConfig, qspecs=()) -> dict:
     return {"config": config, "design": design, "w": block_weights(design), "q1": q1}
 
 
-def _sub_batches(start: int, count: int, cells_per_rep: int) -> list[tuple[int, int]]:
-    """(first replicate, size) runs covering a chunk, each within BATCH_CELLS."""
-    size = max(1, BATCH_CELLS // cells_per_rep)
-    return [(s, min(size, start + count - s)) for s in range(start, start + count, size)]
+def _draw_replicates(ctx: dict, rng, count: int, a: float):
+    """Walk ``count`` worlds at signal scale ``a`` in sub-batches, each revealed under one
+    uniform assignment.
 
-
-def _draw_replicates(ctx: dict, rng, reps: int, a: float) -> tuple:
-    """``reps`` worlds at signal scale ``a``, each revealed under one uniform assignment.
-
-    Draws x as (R, B, K), one unit noise eps as (R, N) and the (R, N)
-    treated flags z, in that order; r1 = a f + b eps and r0 = f + eps share
-    eps. Returns x, its (R, B, 4) ``correct_transforms`` t, r1, r0, z, the
-    revealed r and the (R, B) effects tau = m1 - m0 (``block_effects``' kernel).
+    A sub-batch holds R replicates, the most whose B (K + q1 rank) cells fit in
+    BATCH_CELLS, and at least one. It draws x as (R, B, K), one unit noise eps
+    as (R, N) and the (R, N) treated flags z, in that order; r1 = a f + b eps
+    and r0 = f + eps share eps. Yields the sub-batch's slice of the ``count``
+    worlds, x, its (R, B, 4) ``correct_transforms`` t, r1, r0, z, the revealed
+    r and the (R, B) effects tau = m1 - m0 (``block_effects``' kernel).
     """
     config, design = ctx["config"], ctx["design"]
-    x = _draw_covariates(config, rng, reps)
-    eps = rng.standard_normal((reps, design.n_units))
-    z = _draw_treated(design, rng, reps)
-    t = correct_transforms(x)
-    f = np.repeat(_surface(t), design.sizes, axis=-1)
-    r1, r0 = a * f + config.b * eps, f + eps
-    r = _revealed(z, r1, r0)
-    m1, m0 = _arm_means(design, z, r)
-    return x, t, r1, r0, z, r, m1 - m0
+    size = max(1, BATCH_CELLS // (design.n_blocks * (config.n_covariates + ctx["q1"].rank)))
+    for start in range(0, count, size):
+        reps = min(size, count - start)
+        x = _draw_covariates(config, rng, reps)
+        eps = rng.standard_normal((reps, design.n_units))
+        z = _draw_treated(design, rng, reps)
+        t = correct_transforms(x)
+        f = np.repeat(_surface(t), design.sizes, axis=-1)
+        r1, r0 = a * f + config.b * eps, f + eps
+        r = _revealed(z, r1, r0)
+        tau = np.subtract(*_arm_means(design, z, r))
+        del eps, f  # not held while the caller works on the sub-batch
+        yield slice(start, start + reps), x, t, r1, r0, z, r, tau
+
+
+def _stacks(ctx: dict, specs, x: np.ndarray, t: np.ndarray, skip: bool = False) -> list:
+    """(basis, leverages, ok) of each q-spec's ``q2_stack`` over a sub-batch's worlds, its M
+    not kept. A spec without covariate columns, and every spec with ``skip``, factors
+    nothing: its basis is None and no replicate is ok."""
+    w, q1, none = ctx["w"], ctx["q1"], (None, None, np.zeros(len(x), dtype=bool))
+    xbars = [None if skip else _qspec_xbar(spec, x, t) for spec in specs]
+    return [none if v is None else q2_stack(q1, w[:, None] * v)[-3:] for v in xbars]
 
 
 # ---------------------------------------------------------------------------
@@ -273,26 +295,23 @@ def _draw_replicates(ctx: dict, rng, reps: int, a: float) -> tuple:
 def _table1_chunk(args) -> np.ndarray:
     """Rows of ``TABLE1_RAW_COLUMNS`` for ``count`` replicates from ``rep_start``.
 
-    The chunk draws from ``chunk_rng(seed, chunk)``. Each sub-batch draws
-    its worlds and assignments by :func:`_draw_replicates`; the schedule
-    variance comes from r1/r0, the estimate and the estimators from tau
-    on each q-spec's ``q2_stack``, all as arrays over the sub-batch. A
-    replicate with a non-finite response raises NonFiniteResponse, and one
-    whose row of a stack is not ok takes ``resolve_qspec``, in replicate order.
+    The chunk draws from ``chunk_rng(seed, chunk)``. Each sub-batch of
+    :func:`_draw_replicates` gives the schedule variance from r1/r0, the
+    estimate and the estimators from tau on each q-spec's stack
+    (:func:`_stacks`), all as arrays over the sub-batch. A replicate with a
+    non-finite response, or whose row of a stack is not ok, takes the scalar
+    path in replicate order: ``block_effects`` (which raises
+    NonFiniteResponse), then ``resolve_qspec`` for each spec not ok.
     """
     seed, rep_start, count, ctx = args
     rng = chunk_rng(seed, rep_start // REP_CHUNK)
-    config: FriedmanConfig = ctx["config"]
     design: BlockDesign = ctx["design"]
-    w, q1 = ctx["w"], ctx["q1"]
-    b, k = design.n_blocks, config.n_covariates
+    w, q1, b = ctx["w"], ctx["q1"], design.n_blocks
     specs = [QSpec(kind=name) for name in TABLE1_QSPECS[1:]]
     rows = np.empty((count, len(TABLE1_RAW_COLUMNS)))
-    for start, size in _sub_batches(rep_start, count, b * (k + q1.rank)):
-        x, t, r1, r0, z, r, tau = _draw_replicates(ctx, rng, size, config.a)
-        out = rows[start - rep_start : start - rep_start + size]
-        # each spec's (basis, leverages, ok); its M is not kept through the sub-batch
-        stacks = [q2_stack(q1, w[:, None] * _qspec_xbar(spec, x, t))[-3:] for spec in specs]
+    for batch, x, t, r1, r0, z, r, tau in _draw_replicates(ctx, rng, count, ctx["config"].a):
+        out = rows[batch]
+        stacks = _stacks(ctx, specs, x, t)
         with np.errstate(over="ignore", invalid="ignore"):  # run_table1 checks the summaries
             out[:, 9] = np.sum(w**2 * _randomization_variance(design, r1, r0), axis=-1) / b**2
             out[:, 10] = tau @ w / b
@@ -302,13 +321,12 @@ def _table1_chunk(args) -> np.ndarray:
                     psi = _psi_weights(1.0 - lev[ok])
                     out[ok, 3 * i : 3 * i + 3] = _projection_variances(tau[ok], w, basis[ok], *psi)
         # failing replicates in replicate order, so the first of them raises
-        finite = np.isfinite(r).all(axis=-1)
-        flagged = ~np.logical_and.reduce([ok for *_, ok in stacks])
-        for j in np.flatnonzero(flagged | ~finite):
-            if not finite[j]:  # block_effects raises NonFiniteResponse, naming the block
-                data = AssignmentAndOutcomes._from_flat(z[j].astype(np.int64), r[j], design.sizes)
-                block_effects(design, data)
-            for i, (spec, (*_, ok)) in enumerate(zip(specs, stacks), start=1):
+        oks = [np.isfinite(r).all(axis=-1), *(ok for *_, ok in stacks)]
+        del stacks  # not held while the next sub-batch is drawn and factored
+        for j in np.flatnonzero(~np.logical_and.reduce(oks)):
+            data = AssignmentAndOutcomes._from_flat(z[j].astype(np.int64), r[j], design.sizes)
+            block_effects(design, data)  # raises NonFiniteResponse, naming the block
+            for i, (spec, ok) in enumerate(zip(specs, oks[1:]), start=1):
                 if not ok[j]:
                     q = resolve_qspec(spec, design, x[j])
                     cells = _projection_variances(tau[j], w, q.basis, q.psi, q.psi_tilde)
@@ -348,7 +366,7 @@ def run_table1(
     """
     if reps < 2:
         raise InputError(f"reps must be at least 2, got {reps}")
-    _check_seed(seed)
+    _check_non_negative_int(seed, "seed")
     if config is None:
         config = FriedmanConfig(n_blocks=100, a=2.0, b=2.0)
     ctx = _sim_context(config, TABLE1_QSPECS)
@@ -398,55 +416,46 @@ DEFAULT_A_GRID = (1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
 def _power_chunk(args) -> dict:
     """Test p-values of ``count`` replicates from ``rep_start`` at one signal scale.
 
-    The chunk draws from ``chunk_rng(seed, a_index, chunk)``. Each sub-batch
-    draws its worlds and assignments by :func:`_draw_replicates`, and, unless
-    the space is small enough to enumerate, stacks its bases (``q2_stack``)
-    and observed statistics, and hands its responses, weights and bases, in
-    design order, to ``hettest._batch_hits``, every piece of which draws
-    from the chunk's stream in turn. Last it draws one seed per replicate,
-    for ``permutation_test`` on each replicate with a flagged basis or
-    responses that fail ``_squares_fit``, and on every replicate of an
-    enumerable space, in replicate order.
+    The chunk draws from ``chunk_rng(seed, a_index, chunk)``. Unless the
+    space is small enough to enumerate, each sub-batch of
+    :func:`_draw_replicates` stacks its bases (:func:`_stacks`) and observed
+    statistics, and hands its responses, weights and bases, in design order,
+    to ``hettest._batch_hits``, every piece of which draws from the chunk's
+    stream in turn. Last it draws one seed per replicate, for
+    ``permutation_test`` on each replicate with a flagged basis or responses
+    that fail ``_squares_fit``, and on every replicate of an enumerable space,
+    in replicate order.
     """
     seed, a_index, a, rep_start, count, ctx, qspecs, max_draws = args
     design: BlockDesign = ctx["design"]
     w, q1 = ctx["w"], ctx["q1"]
-    b, k = design.n_blocks, ctx["config"].n_covariates
     specs = [QSpec(kind=name) for name in qspecs]
     scalar = n_assignments(design) <= max_draws  # permutation_test enumerates a small space
     pvals = {name: np.empty(count) for name in qspecs}
     rng = chunk_rng(seed, a_index, rep_start // REP_CHUNK)
-    for start, size in _sub_batches(rep_start, count, b * (k + q1.rank)):
-        x, t, _, _, z, r, tau = _draw_replicates(ctx, rng, size, a)
+    for batch, x, t, _, _, z, r, tau in _draw_replicates(ctx, rng, count, a):
         fits = _squares_fit(design, r, w)  # the others go to permutation_test, which rejects them
-        oks, scored = [], []  # scored: (name, ok, basis, F threshold)
-        for spec in specs:
-            xbar = _qspec_xbar(spec, x, t)
-            if scalar or xbar is None:  # every replicate goes to permutation_test
-                oks.append(np.zeros(size, dtype=bool))
-                continue
-            stack = q2_stack(q1, w[:, None] * xbar)
-            oks.append(stack.ok & fits)
-            if stack.basis is not None:
-                with np.errstate(over="ignore", invalid="ignore"):  # _squares_fit flags those
-                    f = _f_values(tau[:, None], w, stack.basis, q1.rank)[:, 0]
-                scored.append((spec.kind, oks[-1], stack.basis, _replay_threshold(f)))
+        stacks = _stacks(ctx, specs, x, t, skip=scalar)
+        oks = [ok & fits for *_, ok in stacks]
+        scored = [(n, u, ok) for n, (u, *_), ok in zip(qspecs, stacks, oks) if u is not None]
         if scored:
-            names, oks_scored, bases, thresh = zip(*scored)
-            live, thresh = np.array(oks_scored).T, np.array(thresh).T  # (size, specs)
+            names, bases, live = zip(*scored)
+            with np.errstate(over="ignore", invalid="ignore"):  # _squares_fit flags those
+                f = [_f_values(tau[:, None], w, u, q1.rank)[:, 0] for u in bases]
+            thresh, live = np.array([_replay_threshold(v) for v in f]).T, np.array(live).T
             hits = _batch_hits(design, r, w, q1.rank, bases, thresh, live, max_draws, lambda c: rng)
             for name, p in zip(names, (1 + hits.T) / (1 + max_draws)):
-                pvals[name][start - rep_start : start - rep_start + size] = p
+                pvals[name][batch] = p
 
         # failing replicates in replicate order, so the first of them raises
-        perm_seeds = rng.integers(0, 2**62, size=size).tolist()
+        perm_seeds = rng.integers(0, 2**62, size=len(z)).tolist()
         for j in np.flatnonzero(~np.logical_and.reduce(oks)):
             data = AssignmentAndOutcomes._from_flat(z[j].astype(np.int64), r[j], design.sizes)
             for spec, ok in zip(specs, oks):
                 if not ok[j]:
                     q2 = resolve_qspec(spec, design, x[j])
                     res = permutation_test(design, data, q2, max_draws, seed=perm_seeds[j])
-                    pvals[spec.kind][start - rep_start + j] = res.p_value
+                    pvals[spec.kind][batch.start + j] = res.p_value
     return pvals
 
 
@@ -473,19 +482,21 @@ def run_power_curve(
     if reps < 1:
         raise InputError(f"reps must be at least 1, got {reps}")
     _check_max_draws(max_draws)
-    _check_seed(seed)
+    _check_non_negative_int(seed, "seed")
     if not 0.0 < alpha < 1.0:  # NaN fails too
         raise InputError(f"alpha must be inside (0, 1), got {alpha}")
     if config is None:
         config = FriedmanConfig(n_blocks=20, a=1.0, b=1.0)
     ctx = _sim_context(config, qspecs)
+    args = [
+        (seed, a_index, float(a), s, min(REP_CHUNK, reps - s), ctx, tuple(qspecs), max_draws)
+        for a_index, a in enumerate(a_grid)
+        for s in range(0, reps, REP_CHUNK)
+    ]
+    chunks = iter(map_chunks(_power_chunk, args, threads))  # one pool for the whole grid
     rows = []
-    for a_index, a in enumerate(a_grid):
-        args = [
-            (seed, a_index, float(a), s, min(REP_CHUNK, reps - s), ctx, tuple(qspecs), max_draws)
-            for s in range(0, reps, REP_CHUNK)
-        ]
-        parts = map_chunks(_power_chunk, args, threads)
+    for a in a_grid:
+        parts = [next(chunks) for _ in range(0, reps, REP_CHUNK)]  # this grid value's chunks
         for name in qspecs:
             pvals = np.concatenate([p[name] for p in parts])
             hits = int(np.sum(pvals <= alpha))

@@ -311,3 +311,9 @@ def test_per_block_views_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             view[0] = 7.0
     assert data.r.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
+
+
+def test_design_rejects_covariates_on_only_some_blocks():
+    design = BlockDesign([Block("a", 2, 1, covariates=np.zeros((2, 1))), Block("b", 2, 1)])
+    with pytest.raises(DimensionMismatch, match="must be supplied for all blocks or none"):
+        design.covariates

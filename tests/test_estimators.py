@@ -430,3 +430,17 @@ def test_report_intervals_use_each_estimate():
         lo, hi = report.intervals[name]
         expected = confidence_interval(report.delta_hat, value, 0.05)
         assert (lo, hi) == pytest.approx(expected, abs=1e-12)
+
+
+def test_estimators_reject_weights_or_basis_rows_that_do_not_match_the_blocks():
+    design = BlockDesign.from_sizes([2] * 6, [1] * 6)
+    data = AssignmentAndOutcomes(Assignment([[1, 0]] * 6), [[1.0, 0.0], [2.0, 0.5]] * 3)
+    effects, w = block_effects(design, data), block_weights(design)
+    with pytest.raises(DimensionMismatch, match=r"weights shape \(5,\) vs effects \(6,\)"):
+        estimate_ate(effects, w[:-1])
+    short_basis = build_q1(BlockDesign.from_sizes([2] * 5, [1] * 5))
+    for var in (var_s1, var_s2, var_s3):
+        with pytest.raises(DimensionMismatch, match=r"weights shape \(5,\) vs effects \(6,\)"):
+            var(effects, w[:-1], build_q1(design))
+        with pytest.raises(DimensionMismatch, match="basis has 5 rows, effects have 6 blocks"):
+            var(effects, w, short_basis)

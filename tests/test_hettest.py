@@ -394,7 +394,7 @@ def test_one_replicate_kernel_rescores_a_piece_with_tabled_and_keyed_blocks(monk
     assert rescored.call_count == 1
     assert got[0, 0] == np.count_nonzero(f >= attained) == m - m // 2
     # the same draws through permutation_test: one piece, seeded by (seed, 0)
-    assert hettest._replay_pieces(1, rep.cells, m) == [(0, 1, 0, m)]
+    assert hettest._replay_pieces(1, rep.cells, m) == [(0, 1, m)]
     monkeypatch.setattr(hettest, "chunk_rng", lambda *key: np.random.default_rng(3))
     monkeypatch.setattr(hettest, "_replay_threshold", lambda t: attained)
     result = permutation_test(design, data, q2, max_draws=m, seed=0)

@@ -567,6 +567,20 @@ def test_study_budget_admits_every_default_and_test_sized_study():
         simulate_module._sim_context(FriedmanConfig(n_blocks=largest + 1))
 
 
+@pytest.mark.parametrize("study", ["table1", "power"])
+def test_cli_simulate_names_a_negative_block_count(tmp_path, capsys, study):
+    outdir = tmp_path / study
+    assert main(["simulate", study, "--reps", "2", "--blocks", "-5", "--out-dir", str(outdir)]) == 2
+    assert _one_error_line(capsys) == "error: n_blocks must be a non-negative integer, got -5"
+    assert not outdir.exists()
+
+
+def test_cli_analyze_rejects_a_q_spec_that_names_no_covariate_column(tmp_path, capsys):
+    path = _write_pairs_csv(tmp_path / "pairs.csv", [1.0, 2.0, 0.5, 1.5], x=[0.1, 0.4, 0.2, 0.9])
+    assert main(["analyze", "--csv", str(path), "--q-spec", "age"]) == 2
+    assert "covariate 'age' is not a covariate column name" in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize(
     "study, blocks",
     [("table1", "0"), ("table1", "3"), ("table1", "12"), ("power", "0"), ("power", "2")],

@@ -18,7 +18,7 @@ from stratavar import (
     build_q1,
     build_q2,
 )
-from stratavar.projection import _checked_leverages, hat_and_leverage
+from stratavar.projection import _checked_leverages, hat_and_leverage, orthonormal_basis
 
 
 def _random_design(seed: int, n_blocks: int = 8) -> BlockDesign:
@@ -217,3 +217,35 @@ def test_qmatrix_reports_block_count():
     q = build_q1(design)
     assert isinstance(q, QMatrix)
     assert q.n_blocks == 6
+
+
+def test_a_hand_built_basis_with_a_leverage_of_one_has_no_reweighting():
+    values = np.eye(3)[:, :1]
+    q = QMatrix(values, values, np.array([1.0, 0.0, 0.0]), 1, "q1", 1, 0)
+    for weights in ("psi", "psi_tilde"):
+        with pytest.raises(LeverageOne, match="a leverage is numerically one"):
+            getattr(q, weights)
+
+
+@pytest.mark.parametrize(
+    "values, error, match",
+    [
+        (np.ones(3), DimensionMismatch, r"2-d array with columns, got shape \(3,\)"),
+        (np.ones((3, 0)), DimensionMismatch, r"2-d array with columns, got shape \(3, 0\)"),
+        (np.arange(6.0).reshape(2, 3), RankDeficient, "basis has 3 columns but only 2 rows"),
+    ],
+    ids=["flat", "no-columns", "wide"],
+)
+def test_orthonormal_basis_rejects_a_flat_or_a_wide_array(values, error, match):
+    with pytest.raises(error, match=match):
+        orthonormal_basis(values)
+
+
+def test_build_q2_rejects_a_zero_degree_a_row_count_and_a_design_without_covariates():
+    design = BlockDesign.from_sizes([2] * 6, [1] * 6)
+    with pytest.raises(DimensionMismatch, match="poly_degree must be >= 1, got 0"):
+        build_q2(design, xbar=np.arange(6.0), poly_degree=0)
+    with pytest.raises(DimensionMismatch, match="xbar has 7 rows for 6 blocks"):
+        build_q2(design, xbar=np.arange(7.0))
+    with pytest.raises(DimensionMismatch, match="design carries no unit-level covariates"):
+        build_q2(design)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -12,6 +13,7 @@ from scipy import integrate
 from stratavar import (
     DimensionMismatch,
     FriedmanConfig,
+    InputError,
     NumericalError,
     QSpec,
     TABLE1_RAW_COLUMNS,
@@ -27,6 +29,7 @@ from stratavar import (
     run_power_curve,
     run_table1,
 )
+from stratavar import simulate as simulate_module
 from stratavar.simulate import BATCH_CELLS, REP_CHUNK
 
 
@@ -37,6 +40,25 @@ def test_friedman_sizes_split_and_alternating_treated():
     sizes, treated = friedman_sizes(FriedmanConfig(n_blocks=20, triplet_fraction=0.25))
     assert sizes == [3] * 5 + [2] * 15
     assert treated == [1, 2, 1, 2, 1] + [1] * 15
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_blocks", -5),
+        ("n_blocks", 20.5),
+        ("n_covariates", 4),
+        ("n_covariates", 0),
+        ("n_covariates", 6.5),
+        ("triplet_fraction", -0.1),
+        ("triplet_fraction", 1.5),
+        ("triplet_fraction", float("nan")),
+    ],
+)
+def test_friedman_config_names_a_value_the_world_cannot_use(field, value):
+    # the counts size arrays, the surface reads x1..x5, and the triplets are a share of the blocks
+    with pytest.raises(InputError, match=rf"^{field} must be .*, got {re.escape(str(value))}$"):
+        FriedmanConfig(**{field: value})
 
 
 def test_friedman_function_hand_value():
@@ -262,6 +284,31 @@ def test_pate_demo_flags_covariate_estimators_only():
         assert out["conservative_for_sate"][name] is True
     assert out["pate_variance"] > out["cells"]["correct"]["mean"]
     assert out["reps"] == 400
+
+
+def test_power_grid_runs_as_one_map_of_chunks_in_row_order(monkeypatch):
+    # every (grid value, chunk) pair goes to one map_chunks call, so a run
+    # on several workers starts one pool; rows still follow the grid
+    calls, real = [], simulate_module.map_chunks
+
+    def recorded(fn, args, threads=1):
+        calls.append((args, real(fn, args, threads)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(simulate_module, "map_chunks", recorded)
+    grid, reps = (1.5, 1.0, 1.2), REP_CHUNK + 2
+    rows = run_power_curve(a_grid=grid, reps=reps, max_draws=19, seed=4, collect_raw=True)
+    assert len(calls) == 1
+    args, parts = calls[0]
+    assert [(a[1], a[2], a[3]) for a in args] == [
+        (i, a, s) for i, a in enumerate(grid) for s in range(0, reps, REP_CHUNK)
+    ]
+    assert [(row["a"], row["qspec"]) for row in rows] == [
+        (a, name) for a in grid for name in ("correct", "incorrect")
+    ]
+    for row in rows:
+        mine = [p[row["qspec"]] for a, p in zip(args, parts) if a[2] == row["a"]]
+        assert row["p_values"] == np.concatenate(mine).tolist()
 
 
 def test_run_power_curve_is_thread_invariant():

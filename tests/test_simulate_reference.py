@@ -4,8 +4,8 @@
 reading of the two studies, over the replicates of one plain-numpy draw,
 ``reference_replicates``. Chunk c of ``REP_CHUNK`` replicates draws from
 the stream of ``SeedSequence([seed, c])`` (power: ``[seed, a_index, c]``),
-and each sub-batch of ``simulate._sub_batches`` draws its replicates' x,
-unit noise and assignment keys as arrays, in the documented order; power
+and each sub-batch of ``simulate._draw_replicates`` draws its replicates'
+x, unit noise and assignment keys as arrays, in the documented order; power
 then draws the replays of every replicate, piece by piece, and last one
 seed per replicate. Every replicate then runs the public scalar path on
 its own: its world, ``block_effects``, the basis build and the estimators.
@@ -57,11 +57,11 @@ from stratavar.errors import BadQPair, InputError, NonFiniteResponse, StratavarE
 from stratavar.projection import _psi_weights, q2_stack
 from stratavar.estimators import _projection_variances
 from stratavar.simulate import (
+    BATCH_CELLS,
     REP_CHUNK,
     _draw_replicates,
     _qspec_xbar,
     _sim_context,
-    _sub_batches,
 )
 
 
@@ -82,8 +82,8 @@ def reference_replicates(
 ):
     """(x, eps, z, replays, seed) of every replicate, drawn chunk by chunk.
 
-    Chunk c draws from ``SeedSequence([*stream, c])``; its sub-batches are
-    those of the library, sized by the cells of one replicate's bases. A
+    Chunk c draws from ``SeedSequence([*stream, c])``; its sub-batches hold
+    the most replicates whose B (K + q1 rank) cells fit in ``BATCH_CELLS``. A
     sub-batch of R replicates draws x as (R, B, K), eps as (R, N) and one
     (R, G, n) key array per (size, treated count) group, whose block treats
     its units with the smallest keys. With ``replays(rng, R)`` (power), it
@@ -92,7 +92,8 @@ def reference_replicates(
     cells = design.n_blocks * (config.n_covariates + build_q1(design).rank)
     for c, chunk_start in enumerate(range(0, reps, REP_CHUNK)):
         rng = np.random.default_rng(np.random.SeedSequence([*stream, c]))
-        for _, size in _sub_batches(chunk_start, min(REP_CHUNK, reps - chunk_start), cells):
+        chunk, most = min(REP_CHUNK, reps - chunk_start), max(1, BATCH_CELLS // cells)
+        for size in [min(most, chunk - s) for s in range(0, chunk, most)]:
             xs = rng.random((size, design.n_blocks, config.n_covariates))
             epss = rng.standard_normal((size, design.n_units))
             keys = [rng.random((size, idx.shape[0], n)) for n, _, idx, _ in design.size_groups]
@@ -128,7 +129,7 @@ def reference_replays(design: BlockDesign, max_draws: int, rng, size: int, width
         col += g
     cells = max(width, sum(n_sb for _, n_sb, _, _ in runs))
     out = [[] for _ in range(size)]
-    for j0, r, _, m in hettest._replay_pieces(size, cells, max_draws):
+    for j0, r, m in hettest._replay_pieces(size, cells, max_draws):
         digits = np.empty((r, m, design.n_blocks), dtype=np.int64)
         for first, n_sb, kb, c in runs:
             index = rng.integers(0, c**kb, size=(n_sb, r, m), dtype=np.uint16).astype(np.int64)
@@ -416,7 +417,7 @@ def _replay_batch(config: FriedmanConfig, reps: int, seed: int):
     """A sub-batch of study replicates, as ``_power_chunk`` hands it to ``_batch_hits``."""
     ctx = _sim_context(config)
     design, w, q1 = ctx["design"], ctx["w"], ctx["q1"]
-    x, _, _, _, _, r, tau = _draw_replicates(ctx, np.random.default_rng(seed), reps, 1.0)
+    _, x, _, _, _, _, r, tau = next(_draw_replicates(ctx, np.random.default_rng(seed), reps, 1.0))
     bases, thresh = [], []
     for name in ("correct", "incorrect"):
         stack = q2_stack(q1, w[:, None] * _qspec_xbar(QSpec(kind=name), x))
@@ -471,8 +472,11 @@ def test_batched_hits_equal_the_formula_on_the_same_draws(config, reps, max_draw
 def test_replay_pieces_cover_every_draw_once_within_the_cell_budget(reps, n_blocks, max_draws):
     seen = np.zeros((reps, max_draws), dtype=np.int8)
     pieces = hettest._replay_pieces(reps, n_blocks, max_draws)
-    for j0, r, d0, m in pieces:
+    drawn = {}  # draws each run of replicates has taken so far
+    for j0, r, m in pieces:
+        d0 = drawn.get(j0, 0)
         seen[j0 : j0 + r, d0 : d0 + m] += 1
+        drawn[j0] = d0 + m
         # a piece's (replicates, draws, B) effects: at most one draw per replicate over
         assert r * m * n_blocks <= hettest.PIECE_CELLS + r * n_blocks
     assert (seen == 1).all()
