@@ -27,7 +27,7 @@ from .errors import (
     NumericalError,
 )
 from .estimators import analyze_experiment
-from .experiment_io import ingest_csv
+from .experiment_io import covariate_number, ingest_csv
 from .hettest import permutation_test
 from .projection import QMatrix, build_q1, build_q2
 from .simulate import (
@@ -68,11 +68,12 @@ def _resolve_threads(value: int | None) -> int:
 def _covariate_indices(design: BlockDesign, names: list[str]) -> list[int]:
     indices = []
     for name in names:
-        if not (name.startswith("x") and name[1:].isdigit()):
+        k = covariate_number(name)
+        if k is None:
             raise InputError(
                 f"covariate {name!r} is not a covariate column name of the form x1..xK"
             )
-        j = int(name[1:]) - 1
+        j = k - 1
         if not 0 <= j < design.covariate_dim:
             raise InputError(
                 f"covariate {name!r} not in the file; it has {design.covariate_dim} "

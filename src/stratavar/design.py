@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property
@@ -349,6 +350,13 @@ def n_assignments(design: BlockDesign) -> int:
     return math.prod(map(math.comb, design.sizes.tolist(), design.treated_counts.tolist()))
 
 
+def space_exceeds(design: BlockDesign, limit: int) -> bool:
+    """Whether ``n_assignments(design) > limit``, from a product that stops once it passes
+    the limit, so a space of many blocks costs a few multiplications, not a huge integer."""
+    combs = map(math.comb, design.sizes, design.treated_counts)
+    return any(total > limit for total in itertools.accumulate(combs, operator.mul))
+
+
 def _treated_subsets(n: int, k: int) -> np.ndarray:
     """(C(n, k), k) unit indices of every k-subset of n units, in lexicographic order."""
     combos = list(itertools.combinations(range(n), k))
@@ -362,11 +370,8 @@ def enumerate_assignments(
 
     Raises SpaceTooLarge before yielding anything when the space exceeds ``cap``.
     """
-    total = n_assignments(design)
-    if total > cap:
-        raise SpaceTooLarge(
-            f"assignment space has {total} elements, above the cap of {cap}"
-        )
+    if space_exceeds(design, cap):
+        raise SpaceTooLarge(f"assignment space has more elements than the cap of {cap}")
     per_block = [np.zeros((1, 0), dtype=np.int64)]  # so that no blocks give one empty assignment
     for n, k in zip(design.sizes.tolist(), design.treated_counts.tolist()):
         rows = np.zeros((math.comb(n, k), n), dtype=np.int64)

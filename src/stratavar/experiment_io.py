@@ -5,9 +5,12 @@ optional covariates ``x1..xK`` (contiguously numbered). ``treated`` must be
 0 or 1; ``response`` must be a finite number, and may be empty on every row
 (a design-only file) but not on some rows only. Covariate cells must be
 finite numbers. Header names are stripped of surrounding blanks and must
-not repeat; blank lines are skipped, and error messages name the physical
-file line. Blocks are ordered by first appearance, units within a block
-likewise.
+not repeat; blank lines are skipped. Blocks are ordered by first
+appearance, units within a block likewise.
+
+A valid file is read once, and its columns are checked as whole arrays.
+When a check fails, the file is read a second time, row by row in file
+order, and the error names the physical file line of the first faulty row.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ import csv
 import itertools
 import math
 import re
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -28,12 +32,14 @@ REQUIRED_COLUMNS = ("block_id", "unit_id", "treated", "response")
 _INDICATORS = {"0": 0, "1": 1}
 
 
+def covariate_number(name: str) -> int | None:
+    """K of a covariate column name ``xK``, or None when ``name`` is not of that form."""
+    m = re.fullmatch(r"x(\d+)", name)
+    return int(m.group(1)) if m else None
+
+
 def _covariate_columns(header: list[str]) -> list[str]:
-    xcols = {}
-    for name in header:
-        m = re.fullmatch(r"x(\d+)", name)
-        if m:
-            xcols[int(m.group(1))] = name
+    xcols = {k: name for name in header if (k := covariate_number(name)) is not None}
     if not xcols:
         return []
     ks = sorted(xcols)
@@ -60,55 +66,37 @@ def _finite_floats(cells: Sequence[str]) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _first_fault(columns: dict[str, list[str]], xnames: list[str]) -> tuple[int, str] | None:
-    """The earliest faulty data row and its message, or None when no row is faulty.
+def _first_fault(path: Path, header: list[str], xnames: list[str]) -> str:
+    """``path:line: message`` of the earliest faulty data row, from a second read of the file.
 
-    One mask per check, in report order: ids, duplicate unit, treated,
-    response, then each covariate column. Within the earliest row holding
-    any fault, the first failing check names it. Only called once the
-    array checks in :func:`ingest_csv` have failed, so it may loop over cells.
+    Rows are read in file order, their cells stripped and short rows padded
+    with empty cells. Within a row the checks run in report order: ids,
+    duplicate unit, treated, response (which may be empty), then each
+    covariate column. A file with no faulty row gives responses on some rows only.
     """
-    bids, uids, treated, responses = (columns[c] for c in REQUIRED_COLUMNS)
+    pick = itemgetter(*(header.index(c) for c in (*REQUIRED_COLUMNS, *xnames)))
+    padding = [""] * len(header)
     seen: set[tuple[str, str]] = set()
-    repeated = []
-    for key in zip(bids, uids):
-        repeated.append(key in seen)
-        seen.add(key)
-    checks = [
-        ([not b or not u for b, u in zip(bids, uids)], lambda i: "empty block_id or unit_id"),
-        (repeated, lambda i: f"duplicate unit {uids[i]!r} in block {bids[i]!r}"),
-        (
-            [t not in _INDICATORS for t in treated],
-            lambda i: f"treated must be 0 or 1, got {treated[i]!r}",
-        ),
-        (
-            [r != "" and _number_fault(r) is not None for r in responses],
-            lambda i: f"response {responses[i]!r} {_number_fault(responses[i])}",
-        ),
-    ]
-    for name in xnames:
-        cells = columns[name]
-        checks.append((
-            [_number_fault(c) is not None for c in cells],
-            lambda i, name=name, cells=cells: (
-                f"column {name} value {cells[i]!r} {_number_fault(cells[i])}"
-            ),
-        ))
-    masks = np.array([mask for mask, _ in checks], dtype=bool)
-    faulty = masks.any(axis=0)
-    if not faulty.any():
-        return None
-    row = int(np.argmax(faulty))
-    return row, checks[int(np.argmax(masks[:, row]))][1](row)
-
-
-def _physical_line(path: Path, row: int) -> int:
-    """File line on which data row ``row`` (0-based, blank lines skipped) ends."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        next(itertools.islice(filter(None, reader), row, None))
-        return reader.line_num
+        for row in filter(None, reader):
+            bid, uid, treated, response, *xs = map(str.strip, pick(row + padding))
+            if not bid or not uid:
+                message = "empty block_id or unit_id"
+            elif (bid, uid) in seen:
+                message = f"duplicate unit {uid!r} in block {bid!r}"
+            elif treated not in _INDICATORS:
+                message = f"treated must be 0 or 1, got {treated!r}"
+            elif response and _number_fault(response):
+                message = f"response {response!r} {_number_fault(response)}"
+            else:
+                faults = ((name, cell, _number_fault(cell)) for name, cell in zip(xnames, xs))
+                message = next((f"column {n} value {c!r} {why}" for n, c, why in faults if why), "")
+            if message:
+                return f"{path}:{reader.line_num}: {message}"
+            seen.add((bid, uid))
+    return f"{path}: responses must be given for all units or none"
 
 
 def _decode_fault(path: Path, exc: UnicodeDecodeError) -> str:
@@ -181,12 +169,7 @@ def ingest_csv(path) -> tuple[BlockDesign, AssignmentAndOutcomes | None]:
         or any(v is None for v in x)
         or 0 < n_empty < n_rows
     ):
-        stripped = {name: list(map(str.strip, cells)) for name, cells in columns.items()}
-        fault = _first_fault(stripped, xnames)
-        if fault is None:
-            raise ParseError(f"{path}: responses must be given for all units or none")
-        row, message = fault
-        raise ParseError(f"{path}:{_physical_line(path, row)}: {message}")
+        raise ParseError(_first_fault(path, header, xnames))
 
     # group units by block in first-appearance order with one stable sort
     index = {bid: code for code, bid in enumerate(dict.fromkeys(bids))}

@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._util import _check_non_negative_int, chunk_rng, map_chunks
-from .design import AssignmentAndOutcomes, BlockDesign, block_weights, n_assignments
+from .design import AssignmentAndOutcomes, BlockDesign, block_weights, n_assignments, space_exceeds
 from .design import _smallest_keys, _treated_subsets
 from .errors import BadQPair, InputError, NumericalError, ZeroDenominator
 from .estimators import block_effects
@@ -533,14 +533,14 @@ def permutation_test(
         )
     thresh = _replay_threshold(t)
 
-    total = n_assignments(design)
-    exact = total <= max_draws
+    exact = not space_exceeds(design, max_draws)
     cells = max(math.comb(n, kt) * kt for n, kt, *_ in design.size_groups)
     if exact and cells > EXACT_OPTION_CELLS:
         exact = False
         notes.append(
-            f"exact enumeration of {total} assignments needs a {cells}-cell option table for "
-            f"one block, above the limit of {EXACT_OPTION_CELLS}; sampled {max_draws} instead"
+            f"exact enumeration of {n_assignments(design)} assignments needs a {cells}-cell "
+            f"option table for one block, above the limit of {EXACT_OPTION_CELLS}; "
+            f"sampled {max_draws} instead"
         )
     thresh, live = np.full((1, 1), thresh), np.ones((1, 1), dtype=bool)
     replays = (design, data.r[None], w, q2.q1_rank, [q2.basis[None]], thresh, live)

@@ -333,12 +333,12 @@ def brute_force_expectations(
 ) -> dict:
     """One enumeration pass serving several statistics at once."""
     design = world.design
-    count = n_assignments(design)
     totals = {name: 0.0 for name in statistics}
     for a in enumerate_assignments(design, cap=cap):
         data = observed_responses(world, a)
         for name, fn in statistics.items():
             totals[name] += fn(data)
+    count = n_assignments(design)
     return {name: total / count for name, total in totals.items()}
 
 

@@ -64,7 +64,7 @@ from .design import (
     BlockDesign,
     _draw_treated,
     block_weights,
-    n_assignments,
+    space_exceeds,
 )
 from .errors import DimensionMismatch, InputError, InsufficientBlocks, LeverageOne, NumericalError
 from .estimators import _arm_means, _projection_variances, block_effects
@@ -180,8 +180,11 @@ def friedman_world(config: FriedmanConfig, seed) -> CateModel:
     """Draw covariates and return the noise model for one world.
 
     The returned model's design carries the (block-constant) unit covariates;
-    realized schedules come from :func:`stratavar.oracle.draw_world`.
+    realized schedules come from :func:`stratavar.oracle.draw_world`. Raises
+    InputError for a config of no blocks.
     """
+    if config.n_blocks < 1:
+        raise InputError("a world needs at least one block, got n_blocks = 0")
     sizes, treated = friedman_sizes(config)
     x = _draw_covariates(config, as_rng(seed), 1)[0]
     f = friedman_function(x)
@@ -278,13 +281,11 @@ def _draw_replicates(ctx: dict, rng, count: int, a: float):
         yield slice(start, start + reps), x, t, r1, r0, z, r, tau
 
 
-def _stacks(ctx: dict, specs, x: np.ndarray, t: np.ndarray, skip: bool = False) -> list:
+def _stacks(ctx: dict, specs, x: np.ndarray, t: np.ndarray) -> list:
     """(basis, leverages, ok) of each q-spec's ``q2_stack`` over a sub-batch's worlds, its M
-    not kept. A spec without covariate columns, and every spec with ``skip``, factors
-    nothing: its basis is None and no replicate is ok."""
-    w, q1, none = ctx["w"], ctx["q1"], (None, None, np.zeros(len(x), dtype=bool))
-    xbars = [None if skip else _qspec_xbar(spec, x, t) for spec in specs]
-    return [none if v is None else q2_stack(q1, w[:, None] * v)[-3:] for v in xbars]
+    not kept. Every spec must have covariate columns."""
+    w, q1 = ctx["w"], ctx["q1"]
+    return [q2_stack(q1, w[:, None] * _qspec_xbar(spec, x, t))[-3:] for spec in specs]
 
 
 # ---------------------------------------------------------------------------
@@ -430,21 +431,20 @@ def _power_chunk(args) -> dict:
     design: BlockDesign = ctx["design"]
     w, q1 = ctx["w"], ctx["q1"]
     specs = [QSpec(kind=name) for name in qspecs]
-    scalar = n_assignments(design) <= max_draws  # permutation_test enumerates a small space
+    scalar = not space_exceeds(design, max_draws)  # permutation_test enumerates a small space
     pvals = {name: np.empty(count) for name in qspecs}
     rng = chunk_rng(seed, a_index, rep_start // REP_CHUNK)
     for batch, x, t, _, _, z, r, tau in _draw_replicates(ctx, rng, count, a):
-        fits = _squares_fit(design, r, w)  # the others go to permutation_test, which rejects them
-        stacks = _stacks(ctx, specs, x, t, skip=scalar)
-        oks = [ok & fits for *_, ok in stacks]
-        scored = [(n, u, ok) for n, (u, *_), ok in zip(qspecs, stacks, oks) if u is not None]
-        if scored:
-            names, bases, live = zip(*scored)
+        oks = [np.zeros(len(z), dtype=bool)] * len(specs)  # scalar: all to permutation_test
+        if not scalar:
+            fits = _squares_fit(design, r, w)  # permutation_test rejects the others
+            bases, _, oks = zip(*_stacks(ctx, specs, x, t))
+            oks = [ok & fits for ok in oks]
             with np.errstate(over="ignore", invalid="ignore"):  # _squares_fit flags those
                 f = [_f_values(tau[:, None], w, u, q1.rank)[:, 0] for u in bases]
-            thresh, live = np.array([_replay_threshold(v) for v in f]).T, np.array(live).T
+            thresh, live = np.array([_replay_threshold(v) for v in f]).T, np.array(oks).T
             hits = _batch_hits(design, r, w, q1.rank, bases, thresh, live, max_draws, lambda c: rng)
-            for name, p in zip(names, (1 + hits.T) / (1 + max_draws)):
+            for name, p in zip(qspecs, (1 + hits.T) / (1 + max_draws)):
                 pvals[name][batch] = p
 
         # failing replicates in replicate order, so the first of them raises
@@ -477,7 +477,8 @@ def run_power_curve(
     ``collect_raw`` every row also carries the per-replicate p-values.
     Raises InputError for fewer than one replicate, for ``max_draws`` below
     one or above ``hettest.MAX_DRAWS``, for a seed that is not a
-    non-negative integer and for an ``alpha`` outside (0, 1).
+    non-negative integer, for an ``alpha`` outside (0, 1) and for no q-spec
+    or one without covariate columns ("none"), before any world is drawn.
     """
     if reps < 1:
         raise InputError(f"reps must be at least 1, got {reps}")
@@ -485,6 +486,8 @@ def run_power_curve(
     _check_non_negative_int(seed, "seed")
     if not 0.0 < alpha < 1.0:  # NaN fails too
         raise InputError(f"alpha must be inside (0, 1), got {alpha}")
+    if not qspecs or "none" in qspecs:
+        raise InputError(f"power needs q-specs, each with covariate columns, got {tuple(qspecs)}")
     if config is None:
         config = FriedmanConfig(n_blocks=20, a=1.0, b=1.0)
     ctx = _sim_context(config, qspecs)

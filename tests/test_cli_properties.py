@@ -48,7 +48,7 @@ GOOD_ARGS = {
 }
 # Values that must be refused with a clean error.
 BAD_ARGS = {
-    "--q-spec": ("x3", "x1,x1", ",", "q1"),
+    "--q-spec": ("x3", "x1,x1", ",", "q1", "x²"),
     "--poly": ("0", "-1"),
     "--estimators": ("bogus",),
     "--alpha": ("0", "1.5", "nan", "1e-17"),

@@ -26,7 +26,7 @@ from stratavar import (
     sample_assignment,
     validate_design,
 )
-from stratavar.design import _draw_treated
+from stratavar.design import _draw_treated, space_exceeds
 
 
 def test_weights_average_to_one_and_match_hand_values():
@@ -179,6 +179,21 @@ def test_enumeration_cap_raises_before_yielding():
     gen = enumerate_assignments(design, cap=1000)
     with pytest.raises(SpaceTooLarge):
         next(gen)
+
+
+def test_enumeration_cap_names_the_cap_not_a_space_of_thousands_of_digits():
+    # 2^20000 has 6,021 digits, more than int-to-str conversion allows by default
+    design = BlockDesign.from_sizes([2] * 20_000, [1] * 20_000)
+    capped = r"^assignment space has more elements than the cap of 1000$"
+    with pytest.raises(SpaceTooLarge, match=capped):
+        next(enumerate_assignments(design, cap=1000))
+
+
+def test_space_exceeds_compares_the_exact_count_with_the_limit():
+    design = BlockDesign.from_sizes([2, 3, 4, 5], [1, 2, 2, 3])
+    assert n_assignments(design) == 360
+    exceeds = [space_exceeds(design, limit) for limit in (0, 359, 360, 361)]
+    assert exceeds == [True, True, False, False]
 
 
 def test_sampling_is_deterministic_per_seed():

@@ -406,6 +406,18 @@ def test_brute_force_cap_guards_large_spaces():
         brute_force_expectation(world, lambda data: 0.0, cap=100)
 
 
+def test_brute_force_cap_names_the_cap_for_twenty_thousand_pairs():
+    # the space, 2^20000, has more digits than int-to-str conversion allows by default
+    world = _random_world(900, sizes=[2] * 20_000, treated=[1] * 20_000)
+    capped = r"^assignment space has more elements than the cap of \d+$"
+    for run in (
+        lambda: brute_force_expectation(world, lambda data: 0.0),
+        lambda: brute_force_expectations(world, {"zero": lambda data: 0.0}, cap=100),
+    ):
+        with pytest.raises(SpaceTooLarge, match=capped):
+            run()
+
+
 def test_brute_force_visits_every_assignment_once():
     design = BlockDesign.from_sizes([2, 3], [1, 1])
     world = PotentialWorld(

@@ -61,6 +61,15 @@ def test_friedman_config_names_a_value_the_world_cannot_use(field, value):
         FriedmanConfig(**{field: value})
 
 
+def test_a_world_of_no_blocks_is_refused_where_it_is_built():
+    # the config stays valid, so a study of no blocks still refuses it in its own words
+    config = FriedmanConfig(n_blocks=0)
+    with pytest.raises(InputError, match="^a world needs at least one block, got n_blocks = 0$"):
+        friedman_world(config, seed=0)
+    with pytest.raises(InputError, match="^a study of 0 blocks has no q1 basis: "):
+        run_table1(config, reps=2)
+
+
 def test_friedman_function_hand_value():
     x = np.full((1, 5), 0.5)
     expected = 10.0 * math.sin(math.pi * 0.25) + 10.0 * math.exp(0.5)
@@ -232,6 +241,16 @@ def test_run_power_curve_collects_p_values():
         assert pvals.shape == (30,)
         assert np.all((pvals > 0) & (pvals <= 1))
         assert row["rejections"] == int(np.sum(pvals <= row["alpha"]))
+
+
+@pytest.mark.parametrize("qspecs", [("none",), ("correct", "none"), ()])
+def test_power_refuses_a_spec_without_covariate_columns_before_any_draw(monkeypatch, qspecs):
+    def no_draws(*args):
+        raise AssertionError("a world was drawn")
+
+    monkeypatch.setattr(simulate_module, "_draw_replicates", no_draws)
+    with pytest.raises(InputError, match=r"^power needs q-specs, each with covariate columns, got "):
+        run_power_curve(a_grid=(1.2,), reps=2, qspecs=qspecs)
 
 
 def test_pairs_quartets_cells_are_frozen():

@@ -301,8 +301,11 @@ def test_failing_basis_raises_as_in_the_one_replicate_loop():
         got = _outcome(
             lambda: run_power_curve(config=config, a_grid=(1.0,), reps=3, max_draws=49, qspecs=qspecs)
         )
-        # four transforms fit; a "none" spec has no covariate block to test
-        assert got == (want if "incorrect" not in qspecs else refused)
+        # four transforms fit; a "none" spec, with no covariate block to test, is refused first
+        if "none" in qspecs:
+            assert got == (InputError, f"power needs q-specs, each with covariate columns, got {qspecs}")
+        else:
+            assert got == (want if "incorrect" not in qspecs else refused)
 
 
 @pytest.mark.parametrize(
